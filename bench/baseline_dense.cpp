@@ -17,7 +17,9 @@
 #include "mqsp/synth/synthesizer.hpp"
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 using namespace mqsp;
@@ -25,27 +27,25 @@ using namespace mqsp::bench;
 
 namespace {
 
-/// Dense-backend replay at scale: prepare a structured state on a register
-/// of >= 2^24 amplitudes and time the dense simulation of its preparation
-/// circuit — the workload the parallel amplitude kernels exist for. One
-/// case per pinned thread count, so the wall-vs-cpu columns read as a
-/// speedup curve across the t1/tN variants.
-void addDenseReplayCase(Harness& harness, const Dimensions& dims, unsigned threads) {
-    SynthesisOptions lean;
-    lean.emitIdentityOperations = false;
+/// A replay input: the circuit to time and the state it must prepare.
+using ReplayInput = std::function<std::pair<Circuit, StateVector>()>;
 
+/// Dense-backend replay: time the dense simulation of a preparation circuit
+/// (target and circuit are built outside the timed region) and verify it.
+/// One case per pinned thread count, so the wall-vs-cpu columns of the
+/// t1/tN variants read as a speedup curve.
+void addDenseReplayCase(Harness& harness, std::string name, const Dimensions& dims,
+                        unsigned threads, int reps, bool smoke, ReplayInput makeInput) {
     CaseSpec spec;
-    spec.name = "GHZ dense replay";
+    spec.name = std::move(name);
     spec.dims = dims;
     spec.backend = "dense";
     spec.threads = threads;
-    spec.reps = 3;
-    spec.body = [dims, lean](Repetition& rep) {
-        // Target and circuit come from the DD-native pipeline (cheap); the
-        // timed region is the dense replay of the circuit. The 2^24-entry
-        // target moves straight into its EvalState — no 256 MB copy per rep.
-        const Circuit circuit = synthesize(DecisionDiagram::ghzState(dims), lean);
-        const EvalState target(states::ghz(dims));
+    spec.reps = reps;
+    spec.smoke = smoke;
+    spec.body = [makeInput = std::move(makeInput)](Repetition& rep) {
+        auto [circuit, state] = makeInput();
+        const EvalState target(std::move(state));
         const auto backend = makeBackend(BackendKind::Dense);
 
         EvalState out;
@@ -115,11 +115,34 @@ int main(int argc, char** argv) {
         harness.add(std::move(spec));
     }
 
-    // The parallel-kernel headline: dense replay on 2^24 amplitudes, once
-    // single-threaded and once on four workers (compare the two rows — the
-    // harness keys them apart by thread count).
+    SynthesisOptions lean; // the CLI default: identity operations elided
+    lean.emitIdentityOperations = false;
+
+    // The parallel-kernel headline: dense replay of GHZ on 2^24 amplitudes,
+    // once single-threaded and once on four workers (compare the two rows —
+    // the harness keys them apart by thread count). Target and circuit come
+    // from the DD-native pipeline (cheap); the 2^24-entry target moves
+    // straight into its EvalState — no 256 MB copy per rep.
     const Dimensions bigRegister(24, 2);
-    addDenseReplayCase(harness, bigRegister, 1);
-    addDenseReplayCase(harness, bigRegister, 4);
+    const ReplayInput ghz = [bigRegister, lean] {
+        return std::pair{synthesize(DecisionDiagram::ghzState(bigRegister), lean),
+                         states::ghz(bigRegister)};
+    };
+    addDenseReplayCase(harness, "GHZ dense replay", bigRegister, 1, 3, false, ghz);
+    addDenseReplayCase(harness, "GHZ dense replay", bigRegister, 4, 3, false, ghz);
+
+    // The gate-work case: the circuit of a seeded random state, whose gates
+    // carry several controls each, so every gate touches a small fraction
+    // of the register (the mqsp_prep --verify replay).
+    const Dimensions randomRegister{5, 4, 2, 5, 5, 2}; // 2,000 amplitudes
+    const std::uint64_t randomSeed = driverSeeder.childSeed();
+    addDenseReplayCase(harness, "Random dense replay", randomRegister, 1, 10, true,
+                       [randomRegister, randomSeed, lean] {
+                           Rng rng(randomSeed);
+                           StateVector state = states::random(randomRegister, rng);
+                           Circuit circuit =
+                               synthesize(DecisionDiagram::fromStateVector(state), lean);
+                           return std::pair{std::move(circuit), std::move(state)};
+                       });
     return harness.main(argc, argv);
 }

@@ -3,180 +3,197 @@
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parallel.hpp"
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 namespace mqsp {
 
 namespace {
 
-/// Minimum work items per chunk when the gate kernels fan out over the
-/// pool. Registers whose (block, inner) walk fits one grain run inline with
-/// zero dispatch overhead, so small-register circuits behave exactly as the
+/// Minimum touched bases per chunk when the gate kernels fan out over the
+/// pool. Gates whose touched set fits one grain run inline with zero
+/// dispatch overhead, so small-register circuits behave exactly as the
 /// single-threaded code did.
 constexpr std::uint64_t kKernelGrain = 4096;
 
-/// One precomputed control test: flat index `x` satisfies the control iff
-/// (x / stride) % dim == level. Splitting the controls by stride lets the
-/// inner loops test only the digits that can actually vary there, instead
-/// of calling MixedRadix::digitAt per control per amplitude.
-struct DigitCheck {
-    std::uint64_t stride = 1;
-    std::uint64_t dim = 2;
-    std::uint64_t level = 0;
+/// Bound on free-digit groups. A register has at most 63 qudits (its total
+/// dimension fits 64 bits and every qudit has d >= 2), and a fixed site (the
+/// target or a control) separates any two groups, so f fixed sites leave at
+/// most min(f + 1, 63 - f) <= 32 groups.
+constexpr std::size_t kMaxGroups = 32;
+
+/// The bases one gate touches. The target digit is the walked level and
+/// every control digit is fixed, so the touched indices are
+/// `base + sum_g digit_g * stride_g + walked level * target stride` over
+/// every digit string of the free groups. A group is a run of adjacent
+/// non-target, non-control sites; their strides chain, so the run acts as
+/// one digit with the innermost site's stride and the product of the run's
+/// dimensions as its count. Group 0 is the least significant: the walk
+/// visits bases in increasing index order, and its innermost loop is one
+/// strided run.
+struct TouchedWalk {
+    std::uint64_t base = 0;   ///< sum of control level * control stride
+    std::uint64_t items = 1;  ///< touched bases (product of the counts); 0 = never fires
+    std::size_t numGroups = 0;
+    std::array<std::uint64_t, kMaxGroups> stride{};
+    std::array<std::uint64_t, kMaxGroups> count{};
 };
 
-[[nodiscard]] bool satisfies(const std::vector<DigitCheck>& checks, std::uint64_t index) {
-    for (const auto& check : checks) {
-        if ((index / check.stride) % check.dim != check.level) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// The control tests of one gate, partitioned by where the controlled digit
-/// lives relative to the target's (block, inner) decomposition: a control on
-/// a more-significant qudit (stride >= blockSize) is constant per block; a
-/// control on a less-significant qudit (stride < target stride) is constant
-/// per inner offset. A control on the target itself (forbidden by Circuit,
-/// but legal to hand to Simulator::apply directly) depends only on the fixed
-/// level offset the kernel walks, so it collapses to a gate-level yes/no.
-struct ControlSplit {
-    std::vector<DigitCheck> perBlock;  ///< test against the block base index
-    std::vector<DigitCheck> perInner;  ///< test against the inner offset
-    bool neverFires = false;           ///< a target-site control missed the walked level
-};
-
-[[nodiscard]] ControlSplit splitControls(const MixedRadix& radix, std::size_t target,
-                                         Level walkedLevel,
-                                         const std::vector<Control>& controls) {
-    const std::uint64_t targetStride = radix.strideAt(target);
-    const std::uint64_t blockSize =
-        targetStride * static_cast<std::uint64_t>(radix.dimensionAt(target));
-    ControlSplit split;
-    for (const auto& ctrl : controls) {
-        // Qudit bounds mirror the digitAt() check of the historical walk; an
-        // out-of-range *level* stays what it always was — a condition no
-        // digit ever satisfies, i.e. a silent no-op gate.
-        requireThat(ctrl.qudit < radix.numQudits(), "Simulator: control qudit out of range");
-        if (ctrl.qudit == target) {
-            if (ctrl.level != walkedLevel) {
-                split.neverFires = true;
-            }
+/// Describe the bases a gate on `target` touches when its kernel walks the
+/// target digit `walkedLevel`. Controls that no base satisfies make the
+/// gate a no-op (items = 0): a control on the target itself at another
+/// level than the walked one, an out-of-range control level, or two
+/// controls on one qudit with different levels.
+[[nodiscard]] TouchedWalk touchedWalk(const MixedRadix& radix, std::size_t target,
+                                      Level walkedLevel, const std::vector<Control>& controls) {
+    TouchedWalk walk;
+    bool fires = true;
+    for (auto ctrl = controls.begin(); ctrl != controls.end(); ++ctrl) {
+        requireThat(ctrl->qudit < radix.numQudits(), "Simulator: control qudit out of range");
+        if (ctrl->qudit == target) {
+            fires = fires && ctrl->level == walkedLevel;
             continue;
         }
-        const DigitCheck check{radix.strideAt(ctrl.qudit),
-                               static_cast<std::uint64_t>(radix.dimensionAt(ctrl.qudit)),
-                               static_cast<std::uint64_t>(ctrl.level)};
-        if (check.stride >= blockSize) {
-            split.perBlock.push_back(check);
+        const auto earlier = std::find_if(controls.begin(), ctrl, [&](const Control& other) {
+            return other.qudit == ctrl->qudit;
+        });
+        if (earlier != ctrl) {
+            fires = fires && earlier->level == ctrl->level;
+            continue;
+        }
+        fires = fires && ctrl->level < radix.dimensionAt(ctrl->qudit);
+        walk.base += static_cast<std::uint64_t>(ctrl->level) * radix.strideAt(ctrl->qudit);
+    }
+
+    bool previousFree = false;
+    for (std::size_t site = radix.numQudits(); site-- > 0;) {
+        const bool fixed = site == target ||
+                           std::any_of(controls.begin(), controls.end(),
+                                       [site](const Control& ctrl) { return ctrl.qudit == site; });
+        if (fixed) {
+            previousFree = false;
+            continue;
+        }
+        const std::uint64_t dim = radix.dimensionAt(site);
+        if (previousFree) {
+            walk.count[walk.numGroups - 1] *= dim;
         } else {
-            split.perInner.push_back(check);
+            walk.stride[walk.numGroups] = radix.strideAt(site);
+            walk.count[walk.numGroups] = dim;
+            ++walk.numGroups;
+        }
+        previousFree = true;
+        walk.items *= dim;
+    }
+    if (walk.numGroups == 0) {
+        // Every non-target site is controlled: one base, one run of length 1.
+        walk.count[0] = 1;
+        walk.numGroups = 1;
+    }
+    if (!fires) {
+        walk.items = 0;
+    }
+    return walk;
+}
+
+/// Call `visit(base)` for the touched bases with ordinals [begin, end) in
+/// walk order. The chunk's first base is decoded once (one division per
+/// group); from there a mixed-radix odometer steps the groups, so the loop
+/// does no division per amplitude.
+template <typename Visit>
+void walkTouched(const TouchedWalk& walk, std::uint64_t begin, std::uint64_t end,
+                 Visit&& visit) {
+    std::array<std::uint64_t, kMaxGroups> digit{};
+    std::uint64_t index = walk.base;
+    std::uint64_t rest = begin;
+    for (std::size_t g = 0; g < walk.numGroups; ++g) {
+        digit[g] = rest % walk.count[g];
+        rest /= walk.count[g];
+        index += digit[g] * walk.stride[g];
+    }
+    const std::uint64_t innerStride = walk.stride[0];
+    const std::uint64_t innerCount = walk.count[0];
+    std::uint64_t item = begin;
+    while (true) {
+        const std::uint64_t run = std::min(innerCount - digit[0], end - item);
+        for (std::uint64_t r = 0; r < run; ++r) {
+            visit(index);
+            index += innerStride;
+        }
+        item += run;
+        if (item == end) {
+            return;
+        }
+        // The inner run wrapped: reset it and carry into the outer groups.
+        // The carry stops within the groups: item < end <= items, so a
+        // base is still left to visit.
+        index -= innerCount * innerStride;
+        digit[0] = 0;
+        for (std::size_t g = 1;; ++g) {
+            index += walk.stride[g];
+            if (++digit[g] < walk.count[g]) {
+                break;
+            }
+            index -= walk.count[g] * walk.stride[g];
+            digit[g] = 0;
         }
     }
-    return split;
 }
 
 /// Apply a two-level update (rows/cols a,b of a 2x2 block) across the
-/// register. `m00..m11` is the block in the (a, b) basis. The (block, inner)
-/// pairs are independent, so they fan out over the thread pool; control
-/// checks are hoisted to one test per block and cheap stride arithmetic per
-/// inner offset.
+/// register. `m00..m11` is the block in the (a, b) basis. The walk visits
+/// the indices whose target digit is `a` and whose controls are satisfied;
+/// the partner index differs only in the target digit (a -> b). The pairs
+/// are independent, so they fan out over the thread pool.
 void applyTwoLevel(StateVector& state, std::size_t target, Level a, Level b, Complex m00,
                    Complex m01, Complex m10, Complex m11,
                    const std::vector<Control>& controls) {
     const auto& radix = state.radix();
-    const auto total = radix.totalDimension();
     const auto stride = radix.strideAt(target);
-    const auto dim = radix.dimensionAt(target);
-    auto& amps = state.amplitudes();
-    // Walk indices whose target digit is `a`; the partner index differs only
-    // in the target digit (a -> b).
-    const ControlSplit split = splitControls(radix, target, a, controls);
-    if (split.neverFires) {
-        return;
-    }
+    const TouchedWalk walk = touchedWalk(radix, target, a, controls);
     const std::uint64_t offsetA = static_cast<std::uint64_t>(a) * stride;
     const std::uint64_t offsetB = static_cast<std::uint64_t>(b) * stride;
-    const std::uint64_t blockSize = stride * dim;
-    const std::uint64_t numPairs = (total / blockSize) * stride;
-    parallel::parallelFor(0, numPairs, kKernelGrain, [&](std::uint64_t chunkBegin,
-                                                         std::uint64_t chunkEnd) {
-        std::uint64_t pair = chunkBegin;
-        while (pair < chunkEnd) {
-            const std::uint64_t block = pair / stride;
-            const std::uint64_t blockBase = block * blockSize;
-            const std::uint64_t segmentEnd =
-                chunkEnd < (block + 1) * stride ? chunkEnd : (block + 1) * stride;
-            if (!satisfies(split.perBlock, blockBase)) {
-                pair = segmentEnd;
-                continue;
-            }
-            for (; pair < segmentEnd; ++pair) {
-                const std::uint64_t inner = pair - block * stride;
-                if (!satisfies(split.perInner, inner)) {
-                    continue;
-                }
-                const std::uint64_t idxA = blockBase + inner + offsetA;
-                const std::uint64_t idxB = blockBase + inner + offsetB;
-                const Complex va = amps[idxA];
-                const Complex vb = amps[idxB];
-                amps[idxA] = m00 * va + m01 * vb;
-                amps[idxB] = m10 * va + m11 * vb;
-            }
-        }
+    auto& amps = state.amplitudes();
+    parallel::parallelFor(0, walk.items, kKernelGrain, [&](std::uint64_t chunkBegin,
+                                                           std::uint64_t chunkEnd) {
+        walkTouched(walk, chunkBegin, chunkEnd, [&](std::uint64_t base) {
+            const std::uint64_t idxA = base + offsetA;
+            const std::uint64_t idxB = base + offsetB;
+            const Complex va = amps[idxA];
+            const Complex vb = amps[idxB];
+            amps[idxA] = m00 * va + m01 * vb;
+            amps[idxB] = m10 * va + m11 * vb;
+        });
     });
 }
 
 /// Apply a full dxd single-qudit matrix (Hadamard, Shift) across the
-/// register. Each (block, inner) base owns its d-entry column, so bases fan
-/// out over the pool with a per-chunk scratch column.
+/// register. The walk visits the bases whose target digit is 0 (controls
+/// are tested there); each owns its d-entry column, so bases fan out over
+/// the pool with a per-chunk scratch column.
 void applyDense(StateVector& state, std::size_t target, const DenseMatrix& matrix,
                 const std::vector<Control>& controls) {
     const auto& radix = state.radix();
-    const auto total = radix.totalDimension();
     const auto stride = radix.strideAt(target);
     const auto dim = radix.dimensionAt(target);
+    const TouchedWalk walk = touchedWalk(radix, target, 0, controls);
     auto& amps = state.amplitudes();
-    // The historical dense walk tests controls against the base index, whose
-    // target digit is 0.
-    const ControlSplit split = splitControls(radix, target, 0, controls);
-    if (split.neverFires) {
-        return;
-    }
-    const std::uint64_t blockSize = stride * dim;
-    const std::uint64_t numBases = (total / blockSize) * stride;
-    parallel::parallelFor(0, numBases, kKernelGrain, [&](std::uint64_t chunkBegin,
-                                                         std::uint64_t chunkEnd) {
+    parallel::parallelFor(0, walk.items, kKernelGrain, [&](std::uint64_t chunkBegin,
+                                                           std::uint64_t chunkEnd) {
         std::vector<Complex> scratch(dim);
-        std::uint64_t item = chunkBegin;
-        while (item < chunkEnd) {
-            const std::uint64_t block = item / stride;
-            const std::uint64_t blockBase = block * blockSize;
-            const std::uint64_t segmentEnd =
-                chunkEnd < (block + 1) * stride ? chunkEnd : (block + 1) * stride;
-            if (!satisfies(split.perBlock, blockBase)) {
-                item = segmentEnd;
-                continue;
+        walkTouched(walk, chunkBegin, chunkEnd, [&](std::uint64_t base) {
+            for (Dimension k = 0; k < dim; ++k) {
+                scratch[k] = amps[base + static_cast<std::uint64_t>(k) * stride];
             }
-            for (; item < segmentEnd; ++item) {
-                const std::uint64_t inner = item - block * stride;
-                if (!satisfies(split.perInner, inner)) {
-                    continue;
+            for (Dimension r = 0; r < dim; ++r) {
+                Complex acc{0.0, 0.0};
+                for (Dimension c = 0; c < dim; ++c) {
+                    acc += matrix(r, c) * scratch[c];
                 }
-                const std::uint64_t base = blockBase + inner;
-                for (Dimension k = 0; k < dim; ++k) {
-                    scratch[k] = amps[base + static_cast<std::uint64_t>(k) * stride];
-                }
-                for (Dimension r = 0; r < dim; ++r) {
-                    Complex acc{0.0, 0.0};
-                    for (Dimension c = 0; c < dim; ++c) {
-                        acc += matrix(r, c) * scratch[c];
-                    }
-                    amps[base + static_cast<std::uint64_t>(r) * stride] = acc;
-                }
+                amps[base + static_cast<std::uint64_t>(r) * stride] = acc;
             }
-        }
+        });
     });
 }
 

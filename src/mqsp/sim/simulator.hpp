@@ -11,9 +11,11 @@ namespace mqsp {
 ///
 /// This is the verification substrate of the repository: every synthesized
 /// circuit is replayed here and its output compared against the target state
-/// (Table 1's "Fidelity" column). Multi-controlled two-level rotations are
-/// applied in O(total_dimension) per gate without materializing the full
-/// operator.
+/// (Table 1's "Fidelity" column). A gate is applied without materializing
+/// the full operator, in time proportional to the amplitudes it touches:
+/// the kernel enumerates only the indices whose target and control digits
+/// match, O(total_dimension / (target dim * product of control dims)) bases
+/// per gate (docs/ARCHITECTURE.md, "Dense replay kernel").
 class Simulator {
 public:
     /// Apply a single (possibly multi-controlled) operation in place.

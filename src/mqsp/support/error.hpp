@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mqsp {
 
@@ -26,23 +27,30 @@ public:
 };
 
 namespace detail {
-[[noreturn]] inline void throwInvalidArgument(const std::string& message) {
-    throw InvalidArgumentError(message);
+[[noreturn]] inline void throwInvalidArgument(std::string_view message) {
+    throw InvalidArgumentError(std::string(message));
 }
-[[noreturn]] inline void throwInternal(const std::string& message) {
-    throw InternalError(message);
+[[noreturn]] inline void throwInternal(std::string_view message) {
+    throw InternalError(std::string(message));
 }
 } // namespace detail
 
 /// Check a caller-facing precondition; throws InvalidArgumentError on failure.
-inline void requireThat(bool condition, const std::string& message) {
+///
+/// The message is a view: the owning string is built only on the throwing
+/// path, so a passing check with a string literal costs one branch. Checks
+/// on hot paths (per-element accessors, per-amplitude kernels) must pass a
+/// literal; a concatenated message is built by the caller on every call,
+/// pass or fail.
+inline void requireThat(bool condition, std::string_view message) {
     if (!condition) {
         detail::throwInvalidArgument(message);
     }
 }
 
-/// Check an internal invariant; throws InternalError on failure.
-inline void ensureThat(bool condition, const std::string& message) {
+/// Check an internal invariant; throws InternalError on failure. The
+/// message contract is the same as requireThat's.
+inline void ensureThat(bool condition, std::string_view message) {
     if (!condition) {
         detail::throwInternal(message);
     }

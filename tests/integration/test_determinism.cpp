@@ -10,15 +10,18 @@
 #include "mqsp/sim/density_simulator.hpp"
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/states/states.hpp"
+#include "mqsp/support/error.hpp"
 #include "mqsp/support/parallel.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mqsp {
@@ -196,86 +199,215 @@ TEST(ThreadDeterminism, SynthesisQasmByteIdenticalAcrossThreadCounts) {
     }
 }
 
-/// Controlled-gate-heavy circuits exercise the hoisted (block, inner)
-/// control checks; the digit-check decomposition must agree with the
-/// generic per-index digitAt walk for every control placement.
-TEST(ThreadDeterminism, HoistedControlChecksMatchDigitWalk) {
-    const Dimensions dims{3, 2, 4, 2};
+// --- dense kernel against the digit walk -----------------------------------
+//
+// Simulator::apply enumerates only the bases a gate touches (an odometer over
+// the free digits, decoded once per chunk). The reference below is the
+// generic one-index-at-a-time digitAt walk; the kernel must reproduce it bit
+// for bit, because each touched amplitude gets the same floating-point
+// operations and untouched ones are never written.
+
+/// Reference semantics of Simulator::apply: visit every base whose target
+/// digit is 0. The two-level kinds test the controls on the index whose
+/// target digit is levelA, the dense kinds on the base itself.
+StateVector digitWalkApply(const StateVector& in, const Operation& op) {
+    const MixedRadix& radix = in.radix();
+    const Dimension dim = radix.dimensionAt(op.target);
+    const DenseMatrix local = op.localMatrix(dim);
+    const std::uint64_t stride = radix.strideAt(op.target);
+    const bool twoLevel = op.kind == GateKind::GivensRotation ||
+                          op.kind == GateKind::PhaseRotation || op.kind == GateKind::LevelSwap;
+    const auto satisfied = [&](std::uint64_t index) {
+        return std::all_of(op.controls.begin(), op.controls.end(), [&](const Control& ctrl) {
+            return radix.digitAt(index, ctrl.qudit) == ctrl.level;
+        });
+    };
+    std::vector<Complex> next(in.amplitudes().begin(), in.amplitudes().end());
+    for (std::uint64_t base = 0; base < radix.totalDimension(); ++base) {
+        if (radix.digitAt(base, op.target) != 0) {
+            continue;
+        }
+        if (twoLevel) {
+            const std::uint64_t idxA = base + static_cast<std::uint64_t>(op.levelA) * stride;
+            if (!satisfied(idxA)) {
+                continue;
+            }
+            const std::uint64_t idxB = base + static_cast<std::uint64_t>(op.levelB) * stride;
+            const Complex va = in[idxA];
+            const Complex vb = in[idxB];
+            next[idxA] = local(op.levelA, op.levelA) * va + local(op.levelA, op.levelB) * vb;
+            next[idxB] = local(op.levelB, op.levelA) * va + local(op.levelB, op.levelB) * vb;
+            continue;
+        }
+        if (!satisfied(base)) {
+            continue;
+        }
+        for (Dimension r = 0; r < dim; ++r) {
+            Complex acc{0.0, 0.0};
+            for (Dimension c = 0; c < dim; ++c) {
+                acc += local(r, c) * in[base + static_cast<std::uint64_t>(c) * stride];
+            }
+            next[base + static_cast<std::uint64_t>(r) * stride] = acc;
+        }
+    }
+    return StateVector(radix.dimensions(), std::move(next));
+}
+
+/// EXPECT_EQ on the bit patterns of every amplitude; reports the first
+/// mismatch only.
+void expectBitIdentical(const StateVector& actual, const StateVector& expected,
+                        const std::string& label) {
+    ASSERT_EQ(actual.size(), expected.size()) << label;
+    const auto bits = [](const Complex& z) {
+        return std::pair{std::bit_cast<std::uint64_t>(z.real()),
+                         std::bit_cast<std::uint64_t>(z.imag())};
+    };
+    for (std::uint64_t i = 0; i < actual.size(); ++i) {
+        if (bits(actual[i]) != bits(expected[i])) {
+            EXPECT_EQ(bits(actual[i]), bits(expected[i])) << label << ", amplitude " << i;
+            return;
+        }
+    }
+}
+
+/// One gate of every kind on `target`, under `controls`. The two-level
+/// kinds walk levelA = dim - 1 down to levelB = 0 or the reverse, so both
+/// orders of the (a, b) pair are covered.
+std::vector<Operation> everyKind(std::size_t target, Dimension dim,
+                                 const std::vector<Control>& controls) {
+    const Level top = dim - 1;
+    return {
+        Operation::givens(target, top, 0, 0.7, 0.3, controls),
+        Operation::phase(target, 0, top, -0.9, controls),
+        Operation::levelSwap(target, top, 0, controls),
+        Operation::hadamard(target, controls),
+        Operation::shift(target, 1, controls),
+    };
+}
+
+/// Every target and every subset of the other sites as controls (above,
+/// below and on both sides of the target; adjacent free sites merge into
+/// one odometer group), each gate kind applied in sequence to one evolving
+/// state.
+TEST(ThreadDeterminism, TouchedWalkMatchesDigitWalk) {
+    const Dimensions dims{3, 2, 4, 2, 3};
     const MixedRadix radix(dims);
     Rng rng(777);
     StateVector state = states::random(dims, rng);
-    // Controls on a more-significant site, a less-significant site, and
-    // both; targets at the register edges and middle.
-    const std::vector<Operation> ops = {
-        Operation::givens(1, 0, 1, 0.7, 0.3, {{0, 2}}),
-        Operation::givens(1, 0, 1, 0.7, 0.3, {{2, 3}}),
-        Operation::givens(2, 1, 3, 1.2, -0.4, {{0, 1}, {3, 1}}),
-        Operation::hadamard(0, {{2, 2}, {1, 1}}),
-        Operation::shift(3, 1, {{0, 0}, {2, 0}}),
-        Operation::phase(2, 0, 2, -0.9, {{1, 1}}),
-    };
-    StateVector expected = state;
-    for (const auto& op : ops) {
-        // Reference: the pre-hoist semantics, computed directly.
-        const Dimension dim = radix.dimensionAt(op.target);
-        const DenseMatrix local = op.localMatrix(dim);
-        std::vector<Complex> next(expected.amplitudes().begin(), expected.amplitudes().end());
-        const std::uint64_t stride = radix.strideAt(op.target);
-        for (std::uint64_t base = 0; base < radix.totalDimension(); ++base) {
-            if (radix.digitAt(base, op.target) != 0) {
+    const std::size_t n = dims.size();
+    for (std::size_t target = 0; target < n; ++target) {
+        for (std::uint32_t subset = 0; subset < (1U << n); ++subset) {
+            if ((subset >> target) & 1U) {
                 continue;
             }
-            bool satisfied = true;
-            for (const auto& ctrl : op.controls) {
-                if (radix.digitAt(base, ctrl.qudit) != ctrl.level) {
-                    satisfied = false;
-                    break;
+            std::vector<Control> controls;
+            for (std::size_t site = 0; site < n; ++site) {
+                if ((subset >> site) & 1U) {
+                    const auto level = static_cast<Level>((target + site + 1) % dims[site]);
+                    controls.push_back({site, level});
                 }
             }
-            if (op.kind == GateKind::GivensRotation || op.kind == GateKind::PhaseRotation ||
-                op.kind == GateKind::LevelSwap) {
-                // Two-level walk checks the controls on the index whose
-                // target digit is levelA.
-                const std::uint64_t idxA =
-                    base + static_cast<std::uint64_t>(op.levelA) * stride;
-                satisfied = true;
-                for (const auto& ctrl : op.controls) {
-                    if (radix.digitAt(idxA, ctrl.qudit) != ctrl.level) {
-                        satisfied = false;
-                        break;
-                    }
-                }
-                if (!satisfied) {
-                    continue;
-                }
-                const std::uint64_t idxB =
-                    base + static_cast<std::uint64_t>(op.levelB) * stride;
-                const Complex va = expected[idxA];
-                const Complex vb = expected[idxB];
-                next[idxA] = local(op.levelA, op.levelA) * va + local(op.levelA, op.levelB) * vb;
-                next[idxB] = local(op.levelB, op.levelA) * va + local(op.levelB, op.levelB) * vb;
-            } else {
-                if (!satisfied) {
-                    continue;
-                }
-                for (Dimension r = 0; r < dim; ++r) {
-                    Complex acc{0.0, 0.0};
-                    for (Dimension c = 0; c < dim; ++c) {
-                        acc += local(r, c) *
-                               expected[base + static_cast<std::uint64_t>(c) * stride];
-                    }
-                    next[base + static_cast<std::uint64_t>(r) * stride] = acc;
-                }
+            for (const Operation& op : everyKind(target, dims[target], controls)) {
+                const StateVector expected = digitWalkApply(state, op);
+                Simulator::apply(state, op);
+                expectBitIdentical(state, expected, op.toString());
             }
-        }
-        expected = StateVector(dims, std::move(next));
-
-        Simulator::apply(state, op);
-        for (std::uint64_t i = 0; i < state.size(); ++i) {
-            ASSERT_NEAR(state[i].real(), expected[i].real(), 1e-12) << op.toString();
-            ASSERT_NEAR(state[i].imag(), expected[i].imag(), 1e-12) << op.toString();
         }
     }
+}
+
+/// Gates whose touched set spans at least three kKernelGrain (4096-base)
+/// chunks, so at t2 and t4 chunks start mid-run and decode their start
+/// digits; the result must be the same bits at every width.
+TEST(ThreadDeterminism, TouchedWalkMatchesDigitWalkAcrossChunks) {
+    const Dimensions dims{2, 5, 3, 4, 2, 7, 4, 3, 2, 3}; // 120960 amplitudes
+    Rng rng(4242);
+    const StateVector initial = states::random(dims, rng);
+    const std::vector<Operation> ops = {
+        // 15120 bases: controls on both sides, three free groups.
+        Operation::givens(4, 1, 0, 1.1, -0.6, {{0, 1}, {8, 0}}),
+        // 20160 bases: dense kernel, control below.
+        Operation::hadamard(2, {{8, 1}}),
+        // 20160 bases: least-significant target, control above.
+        Operation::shift(9, 2, {{0, 0}}),
+        // 30240 bases: most-significant target, control below.
+        Operation::givens(0, 0, 1, 0.4, 0.8, {{4, 1}}),
+        // 17280 bases: uncontrolled, every other site free.
+        Operation::phase(5, 6, 2, 0.5),
+        // 20160 bases: control directly above the target.
+        Operation::levelSwap(7, 2, 0, {{4, 0}}),
+    };
+    StateVector expected = initial;
+    for (const auto& op : ops) {
+        expected = digitWalkApply(expected, op);
+    }
+    for (const unsigned threads : {1U, 2U, 4U}) {
+        const ScopedThreads scope(threads);
+        StateVector state = initial;
+        for (const auto& op : ops) {
+            Simulator::apply(state, op);
+        }
+        expectBitIdentical(state, expected, "t" + std::to_string(threads));
+    }
+}
+
+/// Gates no Circuit accepts but Simulator::apply takes directly: a control
+/// on the target (at the walked level it fires, at another level it is a
+/// no-op), an out-of-range control level (no-op), duplicate controls on one
+/// qudit (equal levels fire, contradictory levels are a no-op), and every
+/// non-target site controlled (one base per gate).
+TEST(ThreadDeterminism, TouchedWalkMatchesDigitWalkOnDegenerateGates) {
+    const Dimensions dims{3, 2, 4, 2, 3};
+    Rng rng(99);
+    StateVector state = states::random(dims, rng);
+    struct Case {
+        std::string label;
+        Operation op;
+        bool noOp;
+    };
+    const std::vector<Case> cases = {
+        {"target control at walked level", Operation::givens(2, 1, 3, 0.7, 0.2, {{2, 1}}), false},
+        {"target control at walked level (dense)", Operation::hadamard(2, {{2, 0}, {0, 1}}),
+         false},
+        {"target control at another level", Operation::givens(2, 1, 3, 0.7, 0.2, {{2, 3}}),
+         true},
+        {"target control at another level (dense)", Operation::shift(2, 1, {{2, 2}}), true},
+        {"out-of-range control level", Operation::givens(2, 0, 1, 0.7, 0.2, {{0, 5}}), true},
+        {"out-of-range control level (dense)", Operation::hadamard(4, {{1, 2}}), true},
+        {"duplicate equal controls", Operation::phase(1, 0, 1, 0.9, {{0, 1}, {3, 0}, {0, 1}}),
+         false},
+        {"duplicate contradictory controls",
+         Operation::givens(1, 0, 1, 0.9, 0.1, {{0, 1}, {0, 2}}), true},
+        {"duplicate contradictory controls (dense)", Operation::hadamard(0, {{4, 0}, {4, 1}}),
+         true},
+        {"every other site controlled",
+         Operation::givens(2, 0, 3, 1.3, -0.2, {{0, 1}, {1, 1}, {3, 0}, {4, 2}}), false},
+        {"every other site controlled (dense)",
+         Operation::hadamard(2, {{4, 2}, {0, 1}, {3, 0}, {1, 1}}), false},
+    };
+    for (const auto& c : cases) {
+        const StateVector before = state;
+        const StateVector expected = digitWalkApply(state, c.op);
+        Simulator::apply(state, c.op);
+        expectBitIdentical(state, expected, c.label);
+        if (c.noOp) {
+            expectBitIdentical(state, before, c.label + " (must leave the state untouched)");
+        } else {
+            EXPECT_NE(state.amplitudes(), before.amplitudes()) << c.label << " must fire";
+        }
+    }
+}
+
+TEST(ThreadDeterminism, TouchedWalkRejectsOutOfRangeControlQudit) {
+    StateVector state(Dimensions{3, 2, 4});
+    const StateVector before = state;
+    EXPECT_THROW(Simulator::apply(state, Operation::givens(1, 0, 1, 0.5, 0.0, {{0, 1}, {3, 0}})),
+                 InvalidArgumentError);
+    EXPECT_THROW(Simulator::apply(state, Operation::hadamard(0, {{7, 0}})), InvalidArgumentError);
+    // Validation precedes the walk: even a gate that would never fire throws.
+    EXPECT_THROW(Simulator::apply(state, Operation::shift(2, 1, {{0, 9}, {5, 0}})),
+                 InvalidArgumentError);
+    expectBitIdentical(state, before, "rejected gates leave the state untouched");
 }
 
 // --- shared-session batch determinism ---------------------------------------

@@ -37,6 +37,16 @@ struct Table1Row {
     std::uint64_t nodesApprox; // "Nodes" (approximated column)
 };
 
+// gtest writes the parameter into every registered test name. Its default
+// byte dump of this struct includes heap pointers, so the names would change
+// from one build to the next; print the row as "EmbW3 dims 3x6x2" instead.
+void PrintTo(const Table1Row& row, std::ostream* os) {
+    *os << row.name << " dims ";
+    for (std::size_t i = 0; i < row.dims.size(); ++i) {
+        *os << (i == 0 ? "" : "x") << row.dims[i];
+    }
+}
+
 StateVector makeState(const std::string& name, const Dimensions& dims) {
     if (name.find("GHZ") != std::string::npos) {
         return states::ghz(dims);
