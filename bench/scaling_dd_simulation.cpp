@@ -170,8 +170,8 @@ void addPastCeilingCase(Harness& harness, const std::string& family,
 /// above 1 the items fan out across the pool workers (and each item's
 /// kernels run serially inside its worker — the nested-use contract);
 /// at 1 thread the same batch runs sequentially, so the t1/tN pair is the
-/// batch-level speedup curve. (Single-item dd replays get *intra*-diagram
-/// concurrency instead — see addIntraApplyCase below.)
+/// batch-level speedup curve. (A single-item dd replay runs on one thread
+/// at any width — see addIntraApplyCase below.)
 void addBatchCase(Harness& harness, const std::string& family, const Dimensions& dims,
                   BackendKind kind, std::size_t count, unsigned threads, bool smoke) {
     SynthesisOptions lean;
@@ -225,13 +225,11 @@ void addBatchCase(Harness& harness, const std::string& family, const Dimensions&
 }
 
 /// Register an intra-apply case: ONE session-backed replay of a dense
-/// random-state preparation circuit, where the concurrency lives *inside*
-/// each gate application (dd/apply.cpp fans the target-level rebuild out
-/// across the sharded session tables) rather than across batch items. The
-/// t1/t2/t4/t8 rows read as the intra-diagram speedup curve; `dd_nodes`
-/// and `fidelity` are thread-count-invariant by the determinism contract
-/// and feed the CI metrics gate. The interleaving-dependent hit rates are
-/// deliberately NOT recorded on these rows.
+/// random-state preparation circuit. Parallelism stops at the item, so every
+/// gate application runs on the calling thread whatever the configured
+/// width: the t1/t2/t4/t8 rows check that a single replay pays nothing for
+/// the width (docs/BENCHMARKS.md). `dd_nodes` and `fidelity` are
+/// thread-count-invariant and feed the CI metrics gate.
 void addIntraApplyCase(Harness& harness, const Dimensions& dims, std::uint64_t caseSeed,
                        unsigned threads, bool smoke) {
     SynthesisOptions lean;
@@ -341,10 +339,9 @@ int main(int argc, char** argv) {
         addBatchCase(harness, "GHZ", batchRegister, BackendKind::Dd, 8, threads,
                      threads == 4);
     }
-    // Intra-diagram apply: one session replay whose parallelism lives
-    // inside each gate (dd/apply.cpp), on a dense random register whose
-    // diagram degenerates toward the full tree — the worst case for
-    // structure, the best case for intra-gate fan-out.
+    // Single-item dd replay at every width, on a dense random register
+    // whose diagram degenerates toward the full tree — the most per-gate
+    // work one item carries. The rows must stay flat from t1 to t8.
     const Dimensions intraRegister{9, 5, 6, 3};
     const std::uint64_t intraSeed = driverSeeder.childSeed();
     for (const unsigned threads : {1U, 2U, 4U, 8U}) {

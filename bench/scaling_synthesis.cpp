@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
         harness.add(std::move(spec));
     }
 
-    // Thread-scaling rows on the largest register: the cascade solves fan
-    // out across pool workers (compute-parallel / emit-sequential, see
-    // synth/synthesizer.cpp), so `operations` and `dd_nodes` are identical
-    // at every width — all four rows feed the metrics gate; only timings
-    // scale. The harness pins the case's thread count around the body.
+    // Thread-count rows on the largest register: synthesis of one diagram
+    // runs on one thread at any width, so `operations` and `dd_nodes` are
+    // identical at every width and the timings stay flat — all four rows
+    // feed the metrics gate. The harness pins the case's thread count
+    // around the body.
     {
         const Dimensions dims{6, 5, 5, 4, 4, 2};
         const std::uint64_t caseSeed = driverSeeder.childSeed();

@@ -1,13 +1,9 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/support/error.hpp"
-#include "mqsp/support/parallel.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -49,9 +45,6 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
         return; // the zero vector is fixed by every linear map
     }
 
-    const Dimension targetDim = radix_.dimensionAt(op.target);
-    const DenseMatrix local = op.localMatrix(targetDim);
-
     // Session compute cache: addition results keyed on the *canonical* call
     // (x's weight factored out). Entries persist across
     // gates and diagrams of the owning session — private diagrams carry no
@@ -64,149 +57,37 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
                                   ? &store_->computeCache()
                                   : nullptr;
 
-    // Normalized addition of weighted sub-trees (the classic DD add). The
-    // result edge's weight carries the norm; the node below is normalized.
-    // The recursion is evaluated in the canonical frame (in-weights (1,
-    // y/x)): addition is linear, so the absolute result is the canonical
-    // result scaled by x.weight — which makes one cache entry serve every
-    // scaled recurrence of the same structural addition.
-    const std::function<WeightedEdge(WeightedEdge, WeightedEdge)> add =
-        [&](WeightedEdge x, WeightedEdge y) -> WeightedEdge {
-        const bool xZero = x.isZero(tol);
-        const bool yZero = y.isZero(tol);
-        if (xZero && yZero) {
-            return {};
-        }
-        if (xZero) {
-            return y;
-        }
-        if (yZero) {
-            return x;
-        }
-        if (node(x.node).isTerminal()) {
-            ensureThat(node(y.node).isTerminal(),
-                       "applyOperation: level mismatch in addition");
-            const Complex sum = x.weight + y.weight;
-            if (approxZero(sum, tol)) {
-                return {};
-            }
-            return {/*terminal=*/0, sum};
-        }
-        ensureThat(node(x.node).site == node(y.node).site,
-                   "applyOperation: site mismatch in addition");
-        // No operand reordering: addition commutes mathematically, but
-        // NodeRef order is allocation order — scheduling-dependent in a
-        // concurrent session — and swapping changes the floating-point
-        // evaluation order, which would break bit-identical results across
-        // thread counts. The cache simply keys (x, y) as called.
-        const Complex scale = x.weight;
-        const Complex ratio = y.weight / scale;
-        if (cache != nullptr) {
-            if (const auto hit =
-                    cache->lookup(dd::ComputeCache::Op::Add, x.node, y.node, ratio)) {
-                if (hit->node == kNoNode) {
-                    return {};
-                }
-                return {hit->node, scale * hit->value};
-            }
-        }
-        // Node addresses are stable (chunked pool), so holding references
-        // across the allocating recursion below would be safe; per-edge
-        // re-fetches through the NodeRefs are kept for uniformity.
-        const std::uint32_t site = node(x.node).site;
-        const std::size_t arity = node(x.node).edges.size();
-        std::vector<DDEdge> edges(arity);
-        double sumSquares = 0.0;
-        bool any = false;
-        for (std::size_t k = 0; k < arity; ++k) {
-            const DDEdge ex = node(x.node).edges[k];
-            const DDEdge ey = node(y.node).edges[k];
-            const WeightedEdge xk{ex.node, ex.weight};
-            const WeightedEdge yk{ey.node, ratio * ey.weight};
-            const WeightedEdge sum = add(xk, yk);
-            if (sum.isZero(tol)) {
-                edges[k] = DDEdge{};
-                continue;
-            }
-            edges[k] = DDEdge{sum.node, sum.weight};
-            sumSquares += squaredMagnitude(sum.weight);
-            any = true;
-        }
-        if (!any) {
-            if (cache != nullptr) {
-                cache->store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
-                             dd::ComputeCache::Result{});
-            }
-            return {};
-        }
-        const double norm = std::sqrt(sumSquares);
-        for (auto& edge : edges) {
-            if (!edge.isZeroStub()) {
-                edge.weight /= norm;
-            }
-        }
-        const NodeRef ref = allocate(site, std::move(edges));
-        const Complex relativeWeight{norm, 0.0};
-        if (cache != nullptr) {
-            cache->store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
-                         dd::ComputeCache::Result{ref, relativeWeight});
-        }
-        return {ref, scale * relativeWeight};
-    };
+    // The gate kernel: a copy-on-write rebuild of the paths the gate
+    // reaches (`visit`) that mixes the target level's out-edges through
+    // normalized DD addition (`add`). Every rebuilt node goes through
+    // `intern`. A local class of this member function, so it may allocate
+    // on the diagram's store.
+    struct Kernel {
+        DecisionDiagram& diagram;
+        const Operation& op;
+        const DenseMatrix local;
+        double tol;
+        dd::ComputeCache* cache;
+        std::unordered_map<NodeRef, WeightedEdge> visitMemo;
 
-    // Rebuild the diagram along affected paths (copy-on-write: shared nodes
-    // on unaffected paths are reused). Returns the replacement edge for a
-    // sub-tree rooted at `ref` whose in-edge weight was `weight`. The
-    // rebuild of a sub-tree is independent of the path that reached it (the
-    // in-weight only scales the returned edge linearly), so results are
-    // memoized per node for in-weight 1 — on a reduced (shared) diagram a
-    // node is rebuilt once, not once per root-to-node path, which keeps
-    // gate application polynomial on DAG-shaped states like the uniform
-    // superposition.
-    std::unordered_map<NodeRef, WeightedEdge> visitMemo;
-    const std::function<WeightedEdge(NodeRef, Complex)> visit =
-        [&](NodeRef ref, Complex weight) -> WeightedEdge {
-        if (const auto it = visitMemo.find(ref); it != visitMemo.end()) {
-            const WeightedEdge& base = it->second;
-            if (base.node == kNoNode) {
-                return {};
-            }
-            return {base.node, weight * base.weight};
+        [[nodiscard]] DDEdge edgeOf(const WeightedEdge& edge) const {
+            return edge.isZero(tol) ? DDEdge{} : DDEdge{edge.node, edge.weight};
         }
-        ensureThat(!node(ref).isTerminal(),
-                   "applyOperation: traversal reached the terminal");
-        // Copy this node's shape up front (keeps the loops independent of
-        // the allocating add()/visit() recursion below).
-        const std::uint32_t site = node(ref).site;
-        const std::vector<DDEdge> sourceEdges = node(ref).edges;
 
-        if (site == op.target) {
-            // Mix the out-edges by the local matrix:
-            // new_edge_r = sum_c local(r, c) * edge_c.
-            const std::size_t arity = sourceEdges.size();
-            std::vector<DDEdge> edges(arity);
+        /// Normalize `edges` (zero stubs are absent children) and allocate
+        /// the node: sum |w|^2 over the non-stub edges in index order, divide
+        /// them by the norm, then allocate. Returns the node with its norm as
+        /// the (real) weight, or the zero edge when no child survived.
+        WeightedEdge intern(std::uint32_t site, std::vector<DDEdge> edges) {
             double sumSquares = 0.0;
             bool any = false;
-            for (std::size_t r = 0; r < arity; ++r) {
-                WeightedEdge acc;
-                for (std::size_t c = 0; c < arity; ++c) {
-                    const Complex coefficient = local(r, c);
-                    if (coefficient == Complex{0.0, 0.0} || sourceEdges[c].isZeroStub()) {
-                        continue;
-                    }
-                    acc = add(acc, WeightedEdge{sourceEdges[c].node,
-                                                coefficient * sourceEdges[c].weight});
+            for (const auto& edge : edges) {
+                if (!edge.isZeroStub()) {
+                    sumSquares += squaredMagnitude(edge.weight);
+                    any = true;
                 }
-                if (acc.isZero(tol)) {
-                    edges[r] = DDEdge{};
-                    continue;
-                }
-                edges[r] = DDEdge{acc.node, acc.weight};
-                sumSquares += squaredMagnitude(acc.weight);
-                any = true;
             }
             if (!any) {
-                visitMemo.emplace(ref, WeightedEdge{});
                 return {};
             }
             const double norm = std::sqrt(sumSquares);
@@ -215,164 +96,141 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
                     edge.weight /= norm;
                 }
             }
-            const NodeRef newRef = allocate(site, std::move(edges));
-            visitMemo.emplace(ref, WeightedEdge{newRef, Complex{norm, 0.0}});
-            return {newRef, weight * norm};
+            return {diagram.allocate(site, std::move(edges)), Complex{norm, 0.0}};
         }
 
-        // Above the target: check whether this site carries a control.
-        const Control* control = nullptr;
-        for (const auto& ctrl : op.controls) {
-            if (ctrl.qudit == site) {
-                control = &ctrl;
-                break;
+        /// Normalized addition of weighted sub-trees (the classic DD add).
+        /// The result edge's weight carries the norm; the node below is
+        /// normalized. The recursion is evaluated in the canonical frame
+        /// (in-weights (1, y/x)): addition is linear, so the absolute result
+        /// is the canonical result scaled by x.weight — which makes one
+        /// cache entry serve every scaled recurrence of the same structural
+        /// addition.
+        WeightedEdge add(WeightedEdge x, WeightedEdge y) {
+            const bool xZero = x.isZero(tol);
+            const bool yZero = y.isZero(tol);
+            if (xZero && yZero) {
+                return {};
             }
-        }
-        std::vector<DDEdge> edges = sourceEdges;
-        double sumSquares = 0.0;
-        bool any = false;
-        for (std::size_t k = 0; k < edges.size(); ++k) {
-            if (edges[k].isZeroStub()) {
-                continue;
+            if (xZero) {
+                return y;
             }
-            if (control == nullptr || control->level == k) {
-                const WeightedEdge replaced = visit(edges[k].node, edges[k].weight);
-                if (replaced.isZero(tol)) {
-                    edges[k] = DDEdge{};
-                    continue;
+            if (yZero) {
+                return x;
+            }
+            if (diagram.node(x.node).isTerminal()) {
+                ensureThat(diagram.node(y.node).isTerminal(),
+                           "applyOperation: level mismatch in addition");
+                const Complex sum = x.weight + y.weight;
+                if (approxZero(sum, tol)) {
+                    return {};
                 }
-                edges[k] = DDEdge{replaced.node, replaced.weight};
+                return {/*terminal=*/0, sum};
             }
-            sumSquares += squaredMagnitude(edges[k].weight);
-            any = true;
-        }
-        if (!any) {
-            visitMemo.emplace(ref, WeightedEdge{});
-            return {};
-        }
-        const double norm = std::sqrt(sumSquares);
-        for (auto& edge : edges) {
-            if (!edge.isZeroStub()) {
-                edge.weight /= norm;
+            ensureThat(diagram.node(x.node).site == diagram.node(y.node).site,
+                       "applyOperation: site mismatch in addition");
+            // No operand reordering: addition commutes mathematically, but
+            // NodeRef order is allocation order — scheduling-dependent in a
+            // concurrent session — and swapping changes the floating-point
+            // evaluation order, which would break bit-identical results
+            // across thread counts. The cache simply keys (x, y) as called.
+            const Complex scale = x.weight;
+            const Complex ratio = y.weight / scale;
+            if (cache != nullptr) {
+                if (const auto hit =
+                        cache->lookup(dd::ComputeCache::Op::Add, x.node, y.node, ratio)) {
+                    if (hit->node == kNoNode) {
+                        return {};
+                    }
+                    return {hit->node, scale * hit->value};
+                }
             }
+            // Node addresses are stable (chunked pool), so holding references
+            // across the allocating recursion below would be safe; per-edge
+            // re-fetches through the NodeRefs are kept for uniformity.
+            const std::uint32_t site = diagram.node(x.node).site;
+            std::vector<DDEdge> edges(diagram.node(x.node).edges.size());
+            for (std::size_t k = 0; k < edges.size(); ++k) {
+                const DDEdge ex = diagram.node(x.node).edges[k];
+                const DDEdge ey = diagram.node(y.node).edges[k];
+                edges[k] = edgeOf(add({ex.node, ex.weight}, {ey.node, ratio * ey.weight}));
+            }
+            const WeightedEdge sum = intern(site, std::move(edges));
+            if (cache != nullptr) {
+                cache->store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
+                             dd::ComputeCache::Result{sum.node, sum.weight});
+            }
+            if (sum.node == kNoNode) {
+                return {};
+            }
+            return {sum.node, scale * sum.weight};
         }
-        const NodeRef newRef = allocate(site, std::move(edges));
-        visitMemo.emplace(ref, WeightedEdge{newRef, Complex{norm, 0.0}});
-        return {newRef, weight * norm};
+
+        /// The replacement edge for the sub-tree rooted at `ref` whose
+        /// in-edge weight was `weight` (shared nodes on unaffected paths are
+        /// reused). The rebuild of a sub-tree is independent of the path that
+        /// reached it (the in-weight only scales the returned edge linearly),
+        /// so results are memoized per node for in-weight 1 — on a reduced
+        /// (shared) diagram a node is rebuilt once, not once per root-to-node
+        /// path, which keeps gate application polynomial on DAG-shaped states
+        /// like the uniform superposition.
+        WeightedEdge visit(NodeRef ref, Complex weight) {
+            if (const auto it = visitMemo.find(ref); it != visitMemo.end()) {
+                const WeightedEdge& base = it->second;
+                if (base.node == kNoNode) {
+                    return {};
+                }
+                return {base.node, weight * base.weight};
+            }
+            ensureThat(!diagram.node(ref).isTerminal(),
+                       "applyOperation: traversal reached the terminal");
+            // Copy this node's shape up front (keeps the loops independent of
+            // the allocating add()/visit() recursion below).
+            const std::uint32_t site = diagram.node(ref).site;
+            std::vector<DDEdge> edges = diagram.node(ref).edges;
+            if (site == op.target) {
+                // Mix the out-edges by the local matrix:
+                // new_edge_r = sum_c local(r, c) * edge_c.
+                const std::vector<DDEdge> source = std::move(edges);
+                edges.assign(source.size(), DDEdge{});
+                for (std::size_t r = 0; r < source.size(); ++r) {
+                    WeightedEdge acc;
+                    for (std::size_t c = 0; c < source.size(); ++c) {
+                        const Complex coefficient = local(r, c);
+                        if (coefficient == Complex{0.0, 0.0} || source[c].isZeroStub()) {
+                            continue;
+                        }
+                        acc = add(acc, {source[c].node, coefficient * source[c].weight});
+                    }
+                    edges[r] = edgeOf(acc);
+                }
+            } else {
+                // Above the target: a control on this site restricts the
+                // rebuild to the edge of its level.
+                const Control* control = nullptr;
+                for (const auto& ctrl : op.controls) {
+                    if (ctrl.qudit == site) {
+                        control = &ctrl;
+                        break;
+                    }
+                }
+                for (std::size_t k = 0; k < edges.size(); ++k) {
+                    if (!edges[k].isZeroStub() && (control == nullptr || control->level == k)) {
+                        edges[k] = edgeOf(visit(edges[k].node, edges[k].weight));
+                    }
+                }
+            }
+            const WeightedEdge rebuilt = intern(site, std::move(edges));
+            visitMemo.emplace(ref, rebuilt);
+            if (rebuilt.node == kNoNode) {
+                return {};
+            }
+            return {rebuilt.node, weight * rebuilt.weight.real()};
+        }
     };
 
-    // Intra-diagram fan-out (the PR 6 level-synchronous idiom applied
-    // *inside* one gate): the expensive part of a gate is the target-level
-    // rebuild — every target-site node mixes its out-edges through `local`,
-    // one independent add-chain per output row. Collect the distinct
-    // target-level nodes reachable through control-eligible paths, compute
-    // all (node, row) add-chains in parallel against the session's sharded
-    // uniquing table and striped compute cache, then normalize and intern
-    // sequentially in canonical (DFS collection) order, seeding visitMemo
-    // so the serial spine rebuild below hits every target node.
-    //
-    // Determinism: add() is a pure function of canonical node structure, so
-    // a parallel recomputation that misses a memo/cache entry the serial
-    // order would have hit produces bit-identical weights, and the interned
-    // node set — dd_nodes — is invariant under thread count and schedule
-    // (same argument as the level-synchronous session builders). Gated on
-    // sessionBacked(): a private store's table is Serial and must keep the
-    // historical single-threaded recursion.
-    if (sessionBacked() && parallel::globalThreads() > 1 &&
-        !parallel::insideParallelRegion()) {
-        std::vector<NodeRef> targets;
-        std::unordered_set<NodeRef> seen;
-        std::vector<NodeRef> stack{root_};
-        bool regular = true; // no path hits the terminal above the target
-        while (!stack.empty() && regular) {
-            const NodeRef ref = stack.back();
-            stack.pop_back();
-            if (!seen.insert(ref).second) {
-                continue;
-            }
-            if (node(ref).isTerminal()) {
-                regular = false;
-                break;
-            }
-            const std::uint32_t site = node(ref).site;
-            if (site == op.target) {
-                targets.push_back(ref);
-                continue;
-            }
-            const Control* control = nullptr;
-            for (const auto& ctrl : op.controls) {
-                if (ctrl.qudit == site) {
-                    control = &ctrl;
-                    break;
-                }
-            }
-            const auto& sourceEdges = node(ref).edges;
-            for (std::size_t k = 0; k < sourceEdges.size(); ++k) {
-                if (sourceEdges[k].isZeroStub()) {
-                    continue;
-                }
-                if (control == nullptr || control->level == k) {
-                    stack.push_back(sourceEdges[k].node);
-                }
-            }
-        }
-        const std::size_t arity = targetDim;
-        if (regular && targets.size() * arity > 1) {
-            std::vector<WeightedEdge> rows(targets.size() * arity);
-            parallel::parallelFor(
-                0, rows.size(), /*grainSize=*/1,
-                [&](std::uint64_t begin, std::uint64_t end) {
-                    for (std::uint64_t idx = begin; idx < end; ++idx) {
-                        const NodeRef target = targets[idx / arity];
-                        const auto r = static_cast<std::size_t>(idx % arity);
-                        const auto& sourceEdges = node(target).edges;
-                        WeightedEdge acc;
-                        for (std::size_t c = 0; c < arity; ++c) {
-                            const Complex coefficient = local(r, c);
-                            if (coefficient == Complex{0.0, 0.0} ||
-                                sourceEdges[c].isZeroStub()) {
-                                continue;
-                            }
-                            acc = add(acc,
-                                      WeightedEdge{sourceEdges[c].node,
-                                                   coefficient * sourceEdges[c].weight});
-                        }
-                        rows[idx] = acc;
-                    }
-                });
-            // Sequential intern in canonical order — byte-for-byte the
-            // site == op.target body of visit(), fed from the slots.
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                std::vector<DDEdge> edges(arity);
-                double sumSquares = 0.0;
-                bool any = false;
-                for (std::size_t r = 0; r < arity; ++r) {
-                    const WeightedEdge& acc = rows[t * arity + r];
-                    if (acc.isZero(tol)) {
-                        edges[r] = DDEdge{};
-                        continue;
-                    }
-                    edges[r] = DDEdge{acc.node, acc.weight};
-                    sumSquares += squaredMagnitude(acc.weight);
-                    any = true;
-                }
-                if (!any) {
-                    visitMemo.emplace(targets[t], WeightedEdge{});
-                    continue;
-                }
-                const double norm = std::sqrt(sumSquares);
-                for (auto& edge : edges) {
-                    if (!edge.isZeroStub()) {
-                        edge.weight /= norm;
-                    }
-                }
-                const NodeRef newRef = allocate(op.target, std::move(edges));
-                visitMemo.emplace(targets[t], WeightedEdge{newRef, Complex{norm, 0.0}});
-            }
-        }
-    }
-
-    const WeightedEdge newRoot = visit(root_, rootWeight_);
+    Kernel kernel{*this, op, op.localMatrix(radix_.dimensionAt(op.target)), tol, cache, {}};
+    const WeightedEdge newRoot = kernel.visit(root_, rootWeight_);
     if (newRoot.isZero(tol)) {
         cutRoot();
         return;

@@ -27,12 +27,10 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/support/error.hpp"
-#include "mqsp/support/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -200,8 +198,8 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims) {
 /// site s for a surviving shift set S partitions S by the digit the shifts
 /// put there; the edge to the part S_v carries weight sqrt(|S_v|/|S|) —
 /// exactly the block norms `fromStateVector` computes on the equal-amplitude
-/// dense vector, so the reduced tree and this DAG coincide. Sub-diagrams are
-/// memoized on (site, shift set).
+/// dense vector, so the reduced tree and this DAG coincide. Each level holds
+/// one node per distinct surviving shift set.
 DecisionDiagram DecisionDiagram::cyclicStateOn(std::shared_ptr<dd::DdNodeStore> store,
                                                const Dimensions& dims, const Digits& start,
                                                std::uint32_t count) {
@@ -231,108 +229,62 @@ DecisionDiagram DecisionDiagram::cyclicStateOn(std::shared_ptr<dd::DdNodeStore> 
         allShifts[k] = k;
     }
 
-    if (dd.sessionBacked()) {
-        // Level-synchronous build for session stores: the distinct shift
-        // sets of each level are partitioned in parallel (pure compute),
-        // then deduplicated and interned *sequentially* in canonical order
-        // — first-seen within a level, levels bottom-up — so the session's
-        // allocation order, and with it every downstream NodeRef-keyed
-        // metric, is identical at any thread count.
-        std::vector<std::vector<std::uint32_t>> sets{std::move(allShifts)};
-        // plans[s][i][v]: (child set index at level s+1, edge weight);
-        // index kNoNode = structural zero.
-        std::vector<std::vector<std::vector<std::pair<std::uint32_t, double>>>> plans(n);
-        std::vector<std::size_t> levelWidths(n + 1);
-        for (std::size_t site = 0; site < n; ++site) {
-            levelWidths[site] = sets.size();
-            const Dimension dim = dd.radix_.dimensionAt(site);
-            std::vector<std::vector<std::vector<std::uint32_t>>> parts(sets.size());
-            parallel::parallelFor(0, sets.size(), 1, [&](std::uint64_t b, std::uint64_t e) {
-                for (std::uint64_t i = b; i < e; ++i) {
-                    parts[i].assign(dim, {});
-                    for (const std::uint32_t k : sets[i]) {
-                        parts[i][(start[site] + k) % dim].push_back(k);
-                    }
-                }
-            });
-            std::map<std::vector<std::uint32_t>, std::uint32_t> index;
-            std::vector<std::vector<std::uint32_t>> next;
-            plans[site].resize(sets.size());
-            for (std::size_t i = 0; i < sets.size(); ++i) {
-                plans[site][i].assign(dim, {kNoNode, 0.0});
-                for (Dimension v = 0; v < dim; ++v) {
-                    std::vector<std::uint32_t>& part = parts[i][v];
-                    if (part.empty()) {
-                        continue;
-                    }
-                    const double weight = std::sqrt(static_cast<double>(part.size()) /
-                                                    static_cast<double>(sets[i].size()));
-                    const auto [it, inserted] =
-                        index.try_emplace(part, static_cast<std::uint32_t>(next.size()));
-                    if (inserted) {
-                        next.push_back(std::move(part));
-                    }
-                    plans[site][i][v] = {it->second, weight};
-                }
-            }
-            sets = std::move(next);
-        }
-        levelWidths[n] = sets.size();
-        // Bottom-up intern: every surviving set at level n is the terminal.
-        std::vector<NodeRef> below(levelWidths[n], 0);
-        for (std::size_t site = n; site-- > 0;) {
-            const Dimension dim = dd.radix_.dimensionAt(site);
-            std::vector<NodeRef> refs(levelWidths[site]);
-            for (std::size_t i = 0; i < levelWidths[site]; ++i) {
-                std::vector<DDEdge> edges(dim);
-                for (Dimension v = 0; v < dim; ++v) {
-                    const auto& [child, weight] = plans[site][i][v];
-                    if (child == kNoNode) {
-                        continue;
-                    }
-                    edges[v] = DDEdge{below[child], Complex{weight, 0.0}};
-                }
-                refs[i] = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
-            }
-            below = std::move(refs);
-        }
-        dd.root_ = below[0];
-        dd.rootWeight_ = Complex{1.0, 0.0};
-        return dd;
-    }
-
-    // Memoized recursive build over (site, surviving shift set). The shift
-    // sets are kept sorted, so the map key is canonical.
-    std::map<std::pair<std::size_t, std::vector<std::uint32_t>>, NodeRef> memo;
-    const std::function<NodeRef(std::size_t, const std::vector<std::uint32_t>&)> build =
-        [&](std::size_t site, const std::vector<std::uint32_t>& shifts) -> NodeRef {
-        if (site == n) {
-            return 0; // terminal
-        }
-        const auto key = std::make_pair(site, shifts);
-        if (const auto it = memo.find(key); it != memo.end()) {
-            return it->second;
-        }
+    // Level-synchronous build: each level partitions its distinct shift
+    // sets by the digit the shifts put there and deduplicates the parts
+    // first-seen, then the nodes are allocated bottom-up in that canonical
+    // order — so a session's allocation order, and with it every downstream
+    // NodeRef-keyed metric, is a function of the state alone.
+    std::vector<std::vector<std::uint32_t>> sets{std::move(allShifts)};
+    // plans[s][i][v]: (child set index at level s+1, edge weight);
+    // index kNoNode = structural zero.
+    std::vector<std::vector<std::vector<std::pair<std::uint32_t, double>>>> plans(n);
+    for (std::size_t site = 0; site < n; ++site) {
         const Dimension dim = dd.radix_.dimensionAt(site);
-        std::vector<std::vector<std::uint32_t>> parts(dim);
-        for (const std::uint32_t k : shifts) {
-            parts[(start[site] + k) % dim].push_back(k);
-        }
-        std::vector<DDEdge> edges(dim);
-        for (Dimension v = 0; v < dim; ++v) {
-            if (parts[v].empty()) {
-                continue;
+        std::map<std::vector<std::uint32_t>, std::uint32_t> index;
+        std::vector<std::vector<std::uint32_t>> next;
+        plans[site].resize(sets.size());
+        for (std::size_t i = 0; i < sets.size(); ++i) {
+            std::vector<std::vector<std::uint32_t>> parts(dim);
+            for (const std::uint32_t k : sets[i]) {
+                parts[(start[site] + k) % dim].push_back(k);
             }
-            const double weight = std::sqrt(static_cast<double>(parts[v].size()) /
-                                            static_cast<double>(shifts.size()));
-            edges[v] = DDEdge{build(site + 1, parts[v]), Complex{weight, 0.0}};
+            plans[site][i].assign(dim, {kNoNode, 0.0});
+            for (Dimension v = 0; v < dim; ++v) {
+                std::vector<std::uint32_t>& part = parts[v];
+                if (part.empty()) {
+                    continue;
+                }
+                const double weight = std::sqrt(static_cast<double>(part.size()) /
+                                                static_cast<double>(sets[i].size()));
+                const auto [it, inserted] =
+                    index.try_emplace(part, static_cast<std::uint32_t>(next.size()));
+                if (inserted) {
+                    next.push_back(std::move(part));
+                }
+                plans[site][i][v] = {it->second, weight};
+            }
         }
-        const NodeRef ref = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
-        memo.emplace(key, ref);
-        return ref;
-    };
-
-    dd.root_ = build(0, allShifts);
+        sets = std::move(next);
+    }
+    // Bottom-up allocation: every surviving set at level n is the terminal.
+    std::vector<NodeRef> below(sets.size(), 0);
+    for (std::size_t site = n; site-- > 0;) {
+        const Dimension dim = dd.radix_.dimensionAt(site);
+        std::vector<NodeRef> refs(plans[site].size());
+        for (std::size_t i = 0; i < plans[site].size(); ++i) {
+            std::vector<DDEdge> edges(dim);
+            for (Dimension v = 0; v < dim; ++v) {
+                const auto& [child, weight] = plans[site][i][v];
+                if (child == kNoNode) {
+                    continue;
+                }
+                edges[v] = DDEdge{below[child], Complex{weight, 0.0}};
+            }
+            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+        }
+        below = std::move(refs);
+    }
+    dd.root_ = below[0];
     dd.rootWeight_ = Complex{1.0, 0.0};
     return dd;
 }
@@ -380,98 +332,54 @@ DecisionDiagram DecisionDiagram::dickeStateOn(std::shared_ptr<dd::DdNodeStore> s
     requireThat(counts[0][weight] > 0,
                 "DecisionDiagram::dickeState: no basis state has the requested weight");
 
-    if (dd.sessionBacked()) {
-        // Level-synchronous build for session stores: the reachable
-        // remaining-weight sets are computed forward from the root, each
-        // level's edge lists are staged in parallel (pure compute), and the
-        // nodes are interned sequentially in ascending-weight order — so
-        // the session's allocation order is identical at any thread count.
-        std::vector<std::vector<std::uint64_t>> reach(n + 1);
-        reach[0] = {weight};
-        for (std::size_t site = 0; site < n; ++site) {
-            const Dimension dim = dd.radix_.dimensionAt(site);
-            std::vector<char> mark(weight + 1, 0);
-            for (const std::uint64_t w : reach[site]) {
-                for (Dimension level = 0; level < dim && level <= w; ++level) {
-                    if (counts[site + 1][w - level] > 0) {
-                        mark[w - level] = 1;
-                    }
-                }
-            }
-            for (std::uint64_t w = 0; w <= weight; ++w) {
-                if (mark[w] != 0) {
-                    reach[site + 1].push_back(w);
-                }
-            }
-        }
-        std::vector<NodeRef> below(reach[n].size(), 0); // level n: the terminal
-        for (std::size_t site = n; site-- > 0;) {
-            const Dimension dim = dd.radix_.dimensionAt(site);
-            std::vector<std::uint32_t> childIndex(weight + 1,
-                                                  std::numeric_limits<std::uint32_t>::max());
-            for (std::size_t i = 0; i < reach[site + 1].size(); ++i) {
-                childIndex[reach[site + 1][i]] = static_cast<std::uint32_t>(i);
-            }
-            std::vector<std::vector<DDEdge>> staged(reach[site].size());
-            parallel::parallelFor(0, reach[site].size(), 1,
-                                  [&](std::uint64_t b, std::uint64_t e) {
-                for (std::uint64_t i = b; i < e; ++i) {
-                    const std::uint64_t w = reach[site][i];
-                    const auto total = static_cast<double>(counts[site][w]);
-                    std::vector<DDEdge> edges(dim);
-                    for (Dimension level = 0; level < dim && level <= w; ++level) {
-                        const std::uint64_t belowCount = counts[site + 1][w - level];
-                        if (belowCount == 0) {
-                            continue;
-                        }
-                        const double edgeWeight =
-                            std::sqrt(static_cast<double>(belowCount) / total);
-                        edges[level] = DDEdge{below[childIndex[w - level]],
-                                              Complex{edgeWeight, 0.0}};
-                    }
-                    staged[i] = std::move(edges);
-                }
-            });
-            std::vector<NodeRef> refs(reach[site].size());
-            for (std::size_t i = 0; i < reach[site].size(); ++i) {
-                refs[i] = dd.allocate(static_cast<std::uint32_t>(site),
-                                      std::move(staged[i]));
-            }
-            below = std::move(refs);
-        }
-        dd.root_ = below[0];
-        dd.rootWeight_ = Complex{1.0, 0.0};
-        return dd;
-    }
-
-    // One node per reachable (site, remaining weight); memoized directly.
-    std::vector<std::vector<NodeRef>> memo(n, std::vector<NodeRef>(weight + 1, kNoNode));
-    const std::function<NodeRef(std::size_t, std::uint64_t)> build =
-        [&](std::size_t site, std::uint64_t remaining) -> NodeRef {
-        if (site == n) {
-            return 0; // terminal (remaining == 0 by construction)
-        }
-        if (memo[site][remaining] != kNoNode) {
-            return memo[site][remaining];
-        }
+    // Level-synchronous build: the reachable remaining-weight sets are
+    // computed forward from the root, then the nodes are allocated
+    // bottom-up in ascending-weight order within each level — a canonical
+    // order fixed by the state alone.
+    std::vector<std::vector<std::uint64_t>> reach(n + 1);
+    reach[0] = {weight};
+    for (std::size_t site = 0; site < n; ++site) {
         const Dimension dim = dd.radix_.dimensionAt(site);
-        const auto total = static_cast<double>(counts[site][remaining]);
-        std::vector<DDEdge> edges(dim);
-        for (Dimension level = 0; level < dim && level <= remaining; ++level) {
-            const std::uint64_t below = counts[site + 1][remaining - level];
-            if (below == 0) {
-                continue;
+        std::vector<char> mark(weight + 1, 0);
+        for (const std::uint64_t w : reach[site]) {
+            for (Dimension level = 0; level < dim && level <= w; ++level) {
+                if (counts[site + 1][w - level] > 0) {
+                    mark[w - level] = 1;
+                }
             }
-            const double edgeWeight = std::sqrt(static_cast<double>(below) / total);
-            edges[level] =
-                DDEdge{build(site + 1, remaining - level), Complex{edgeWeight, 0.0}};
         }
-        const NodeRef ref = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
-        memo[site][remaining] = ref;
-        return ref;
-    };
-
-    dd.root_ = build(0, weight);
+        for (std::uint64_t w = 0; w <= weight; ++w) {
+            if (mark[w] != 0) {
+                reach[site + 1].push_back(w);
+            }
+        }
+    }
+    std::vector<NodeRef> below(reach[n].size(), 0); // level n: the terminal
+    for (std::size_t site = n; site-- > 0;) {
+        const Dimension dim = dd.radix_.dimensionAt(site);
+        std::vector<std::uint32_t> childIndex(weight + 1,
+                                              std::numeric_limits<std::uint32_t>::max());
+        for (std::size_t i = 0; i < reach[site + 1].size(); ++i) {
+            childIndex[reach[site + 1][i]] = static_cast<std::uint32_t>(i);
+        }
+        std::vector<NodeRef> refs(reach[site].size());
+        for (std::size_t i = 0; i < reach[site].size(); ++i) {
+            const std::uint64_t w = reach[site][i];
+            const auto total = static_cast<double>(counts[site][w]);
+            std::vector<DDEdge> edges(dim);
+            for (Dimension level = 0; level < dim && level <= w; ++level) {
+                const std::uint64_t belowCount = counts[site + 1][w - level];
+                if (belowCount == 0) {
+                    continue;
+                }
+                const double edgeWeight = std::sqrt(static_cast<double>(belowCount) / total);
+                edges[level] = DDEdge{below[childIndex[w - level]], Complex{edgeWeight, 0.0}};
+            }
+            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+        }
+        below = std::move(refs);
+    }
+    dd.root_ = below[0];
     dd.rootWeight_ = Complex{1.0, 0.0};
     return dd;
 }

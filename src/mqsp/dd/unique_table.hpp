@@ -322,9 +322,6 @@ public:
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::size_t capacity() const;
     [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
-    /// True for tables built with Concurrency::Sharded — the gate intra-
-    /// diagram fan-outs check before interning from worker threads.
-    [[nodiscard]] bool sharded() const noexcept { return sharded_; }
     void resetStats();
 
     /// Weight-bucketing shared with the historical reduce(): values within

@@ -1,7 +1,6 @@
 #include "mqsp/mdd/matrix_dd.hpp"
 
 #include "mqsp/support/error.hpp"
-#include "mqsp/support/parallel.hpp"
 
 #include <cmath>
 #include <functional>
@@ -274,11 +273,10 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
     result.radix_ = radix_;
 
     // product(aRef, bRef) of canonical (weight-1) nodes, memoized; weights
-    // factor out linearly. The memo is a parameter so the top-level fan-out
-    // below can run cells against per-worker memos.
-    using ProductMemo = std::unordered_map<std::uint64_t, Edge>;
-    const std::function<Edge(NodeRef, NodeRef, ProductMemo&)> product =
-        [&](NodeRef aRef, NodeRef bRef, ProductMemo& memo) -> Edge {
+    // factor out linearly.
+    std::unordered_map<std::uint64_t, Edge> memo;
+    const std::function<Edge(NodeRef, NodeRef)> product = [&](NodeRef aRef,
+                                                              NodeRef bRef) -> Edge {
         if (node(aRef).site == kTerminalSite) {
             ensureThat(rhs.node(bRef).site == kTerminalSite,
                        "MatrixDD::multiply: level mismatch");
@@ -307,7 +305,7 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
                     if (ea.isZero() || eb.isZero()) {
                         continue;
                     }
-                    const Edge sub = product(ea.node, eb.node, memo);
+                    const Edge sub = product(ea.node, eb.node);
                     if (sub.isZero()) {
                         continue;
                     }
@@ -328,62 +326,7 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
         result.root_ = Edge{};
         return result;
     }
-
-    // Intra-diagram fan-out: the root node's dim^2 product cells are
-    // independent add-chains — compute them in parallel with per-worker
-    // memos against the shared Sharded store, then intern the root
-    // sequentially. Recomputation across workers (lost memo sharing) is
-    // bit-identical — product and addEdges are pure functions of canonical
-    // node structure and interning dedupes — so the result diagram and the
-    // store's node set match the serial recursion exactly. Gated on one
-    // shared concurrent store; operands on private (Serial) stores keep the
-    // historical single-threaded recursion.
-    const bool fanOut = store_ == rhs.store_ && store_->concurrent() &&
-                        parallel::globalThreads() > 1 &&
-                        !parallel::insideParallelRegion() &&
-                        node(root_.node).site != kTerminalSite;
-    Edge top;
-    if (fanOut) {
-        const NodeRef aRef = root_.node;
-        const NodeRef bRef = rhs.root_.node;
-        ensureThat(node(aRef).site == rhs.node(bRef).site,
-                   "MatrixDD::multiply: site mismatch");
-        const std::uint32_t siteA = node(aRef).site;
-        const std::vector<Edge> aEdges = node(aRef).edges;
-        const std::vector<Edge> bEdges = rhs.node(bRef).edges;
-        const Dimension dim = radix_.dimensionAt(siteA);
-        std::vector<Edge> cells(static_cast<std::size_t>(dim) * dim);
-        parallel::parallelFor(
-            0, cells.size(), /*grainSize=*/1,
-            [&](std::uint64_t begin, std::uint64_t end) {
-                ProductMemo localMemo;
-                for (std::uint64_t idx = begin; idx < end; ++idx) {
-                    const auto r = static_cast<Dimension>(idx / dim);
-                    const auto c = static_cast<Dimension>(idx % dim);
-                    Edge acc;
-                    for (Dimension k = 0; k < dim; ++k) {
-                        const Edge& ea = aEdges[static_cast<std::size_t>(r) * dim + k];
-                        const Edge& eb = bEdges[static_cast<std::size_t>(k) * dim + c];
-                        if (ea.isZero() || eb.isZero()) {
-                            continue;
-                        }
-                        const Edge sub = product(ea.node, eb.node, localMemo);
-                        if (sub.isZero()) {
-                            continue;
-                        }
-                        acc = result.addEdges(
-                            acc, Edge{sub.node, sub.weight * ea.weight * eb.weight}, tol);
-                    }
-                    cells[idx] = acc;
-                }
-            });
-        Complex weight;
-        const NodeRef ref = result.makeNode(siteA, std::move(cells), weight, tol);
-        top = Edge{ref, weight};
-    } else {
-        ProductMemo memo;
-        top = product(root_.node, rhs.root_.node, memo);
-    }
+    const Edge top = product(root_.node, rhs.root_.node);
     result.root_ = Edge{top.node, top.weight * root_.weight * rhs.root_.weight};
     return result;
 }

@@ -48,9 +48,6 @@ public:
     [[nodiscard]] const Node& node(NodeRef ref) const;
     [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
     [[nodiscard]] double tolerance() const noexcept { return table_.tolerance(); }
-    /// True when the store was built Sharded — safe to intern from
-    /// concurrent workers; multiply's intra-diagram fan-out gates on it.
-    [[nodiscard]] bool concurrent() const noexcept { return table_.sharded(); }
 
     /// Hash-consed allocation: the canonical ref of an existing structural
     /// twin, or a freshly appended node. On a Sharded store, exactly one

@@ -155,22 +155,26 @@ void stampSessionMetrics(VerifyReport& report, const std::shared_ptr<dd::DdSessi
     report.cacheHits = after.hits - before.hits;
 }
 
-} // namespace
-
-VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
+/// The body of one verify item, shared by `verify` and `verifyBatch`:
+/// replay `repeat` times (at least once) and stamp the session metrics. A
+/// null circuit or target, or a throw, is this item's failure, reported in
+/// its own report — a throw out of a batch item would tear down every
+/// sibling mid-flight.
+VerifyReport verifyItem(const EvaluationBackend& backend,
+                        const std::shared_ptr<dd::DdSession>& session,
+                        const VerifyRequest& request, const char* nullError) {
     VerifyReport report;
     if (request.circuit == nullptr || request.target == nullptr) {
         report.failed = true;
-        report.error = "verify: null circuit or target";
+        report.error = nullError;
         return report;
     }
-    const std::shared_ptr<dd::DdSession> session = ddSession();
     const dd::ComputeCacheStats before = cacheCounters(session);
     report.ops = request.circuit->numOperations();
     try {
         const std::uint64_t repeats = request.repeat == 0 ? 1 : request.repeat;
         for (std::uint64_t run = 0; run < repeats; ++run) {
-            report.fidelity = preparationFidelity(*request.circuit, *request.target);
+            report.fidelity = backend.preparationFidelity(*request.circuit, *request.target);
         }
     } catch (const std::exception& error) {
         report.failed = true;
@@ -178,6 +182,12 @@ VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
     }
     stampSessionMetrics(report, session, before);
     return report;
+}
+
+} // namespace
+
+VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
+    return verifyItem(*this, ddSession(), request, "verify: null circuit or target");
 }
 
 std::vector<VerifyReport>
@@ -191,26 +201,8 @@ EvaluationBackend::verifyBatch(const std::vector<VerifyRequest>& items) const {
     const std::shared_ptr<dd::DdSession> session = ddSession();
     const auto runItem = [&](std::uint64_t begin, std::uint64_t end) {
         for (std::uint64_t i = begin; i < end; ++i) {
-            if (items[i].circuit == nullptr || items[i].target == nullptr) {
-                // A null item is that item's failure, not the batch's: a
-                // throw here would tear down every sibling mid-flight.
-                results[i].failed = true;
-                results[i].error = "verifyBatch: null circuit or target";
-                continue;
-            }
-            const dd::ComputeCacheStats before = cacheCounters(session);
-            results[i].ops = items[i].circuit->numOperations();
-            try {
-                const std::uint64_t repeats = items[i].repeat == 0 ? 1 : items[i].repeat;
-                for (std::uint64_t run = 0; run < repeats; ++run) {
-                    results[i].fidelity =
-                        preparationFidelity(*items[i].circuit, *items[i].target);
-                }
-            } catch (const std::exception& error) {
-                results[i].failed = true;
-                results[i].error = error.what();
-            }
-            stampSessionMetrics(results[i], session, before);
+            results[i] =
+                verifyItem(*this, session, items[i], "verifyBatch: null circuit or target");
         }
     };
     // Pin the process width to this backend's configuration for the whole
@@ -392,10 +384,6 @@ EvalState DdBackend::zeroState(const Dimensions& dims) const {
 }
 
 EvalState DdBackend::runFromZero(const Circuit& circuit) const {
-    // Pin the configured width so the intra-diagram apply fan-out
-    // (dd/apply.cpp) sees it. No-op when called from inside a parallel
-    // region (e.g. batch workers), where the fan-out stays serial anyway.
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
     return EvalState(session_->simulate(circuit));
 }
 
@@ -418,18 +406,13 @@ double DdBackend::preparationFidelity(const Circuit& circuit,
     // Concurrent batch items land here on pool workers and intern into the
     // same shared session: the table is sharded and safe for this
     // (dd/unique_table.hpp), and cross-item sharing is the point.
-    // Single-item callers get the intra-diagram apply fan-out instead: pin
-    // the configured width (a no-op on pool workers, which are already
-    // inside a region — there the fan-out stays serial).
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
-    const std::shared_ptr<dd::DdSession>& session = session_;
-    const DecisionDiagram prepared = session->simulate(circuit);
+    const DecisionDiagram prepared = session_->simulate(circuit);
     // Interning the target into the same session makes the overlap a
     // same-store traversal: sub-trees the replay reproduced exactly compare
     // by NodeRef identity instead of by descent.
     const DecisionDiagram targetDiagram =
-        target.isDiagram() ? session->intern(target.diagram())
-                           : session->intern(DecisionDiagram::fromStateVector(target.dense()));
+        target.isDiagram() ? session_->intern(target.diagram())
+                           : session_->intern(DecisionDiagram::fromStateVector(target.dense()));
     return squaredMagnitude(targetDiagram.innerProductWith(prepared));
 }
 
@@ -439,9 +422,7 @@ bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double to
     // Sharded MatrixDdStore, so concurrent batch items intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
-    // short-circuit on root identity. The pinned width reaches multiply's
-    // intra-diagram fan-out (mdd/matrix_dd.cpp).
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
+    // short-circuit on root identity.
     const MatrixDD lhs = MatrixDD::fromCircuit(a, tolerance_, matrixStore_);
     const MatrixDD rhs = MatrixDD::fromCircuit(b, tolerance_, matrixStore_);
     return lhs.equivalentUpToGlobalPhase(rhs, tol);

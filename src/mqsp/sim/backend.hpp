@@ -160,22 +160,18 @@ struct VerifyReport {
 /// Threading: each backend carries an ExecutionConfig (default: a snapshot
 /// of the process-wide one at construction; `threads == 0` = follow the
 /// ambient setting) and pins the process width to it for the duration of
-/// its evaluation entry points — a 1-thread backend is genuinely
-/// single-threaded whatever the ambient width. Within one evaluation the
-/// dense backend parallelizes the amplitude walks of its kernels;
-/// `verifyBatch` additionally fans *independent* items out
-/// across the pool workers — whereupon each item's inner kernels run
-/// serially (nested-use refusal), which is the right split for many small
-/// cases. The dd backend parallelizes *within* one diagram on single-item
-/// calls: gate application fans the target-level rebuild out across the
-/// session's sharded tables (dd/apply.cpp), and equivalence checking fans
-/// multiply's top-level product cells out on the shared operator store
-/// (mdd/matrix_dd.cpp) — both with deterministic sequential interning, so
-/// fidelities and `dd_nodes` stay bit-identical across thread counts. On
-/// batch workers (inside a region) those fan-outs stay serial and the
-/// concurrency comes from the batch level. (`apply`, the per-operation
-/// primitive, is the one exception: it is called in tight loops and
-/// follows the ambient width rather than re-pinning per call.)
+/// `verifyBatch`, `verifyStream`, `reverifyAppended` and the dense
+/// backend's evaluation entry points — a 1-thread backend is genuinely
+/// single-threaded whatever the ambient width. Parallelism lives in two
+/// places only: `verifyBatch` fans *independent* items out across the pool
+/// workers (each item's inner kernels then run serially — nested-use
+/// refusal), and the dense backend parallelizes the amplitude walks of its
+/// kernels. The dd backend never splits one item: a diagram of a few
+/// thousand nodes is too little work per gate to pay for the pool, so its
+/// single-item calls run on the calling thread at any width and its
+/// fidelities and `dd_nodes` cannot depend on the width. (`apply`, the
+/// per-operation primitive, follows the ambient width rather than
+/// re-pinning per call: it is called in tight loops.)
 ///
 /// Because the width is process-wide, evaluation entry points on backends
 /// with *different* configs must not overlap from different application

@@ -1,11 +1,7 @@
 #include "mqsp/synth/synthesizer.hpp"
 
 #include "mqsp/support/error.hpp"
-#include "mqsp/support/parallel.hpp"
 
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace mqsp {
@@ -23,43 +19,18 @@ std::vector<Complex> nodeWeights(const DDNode& node) {
     return weights;
 }
 
-/// Pre-solved cascades for the nodes the emission traversal will visit:
-/// slot i holds cascadeFor(weights of nodes[i]). Empty when the precompute
-/// phase did not run (single-threaded, nested, or trivial diagrams) — the
-/// traversal then solves inline, exactly as it always has.
-struct CascadeSlots {
-    std::unordered_map<NodeRef, std::size_t> index;
-    std::vector<std::vector<CascadeStep>> steps;
-
-    [[nodiscard]] const std::vector<CascadeStep>* find(NodeRef ref) const {
-        const auto it = index.find(ref);
-        return it == index.end() ? nullptr : &steps[it->second];
-    }
-};
-
 class SynthesisTraversal {
 public:
     SynthesisTraversal(const DecisionDiagram& dd, const SynthesisOptions& options,
-                       Circuit& circuit, const CascadeSlots& slots)
-        : dd_(dd), options_(options), circuit_(circuit), slots_(slots) {}
+                       Circuit& circuit)
+        : dd_(dd), options_(options), circuit_(circuit) {}
 
     void visit(NodeRef ref, std::vector<Control>& pathControls) {
         const DDNode& node = dd_.node(ref);
         ensureThat(!node.isTerminal(), "synthesize: traversal reached the terminal node");
 
-        // 1. Realize this node's weight vector on its qudit via the cascade
-        //    — from the pre-solved slot when the parallel phase ran, else
-        //    solved inline. The solve is a pure function of the node's
-        //    weights, so both routes yield bit-identical steps; emission
-        //    order below is the historical traversal order either way,
-        //    keeping the QASM byte-identical at any thread count.
-        const std::vector<CascadeStep>* preSolved = slots_.find(ref);
-        const std::vector<CascadeStep> inlineSteps =
-            preSolved != nullptr ? std::vector<CascadeStep>{}
-                                 : cascadeFor(nodeWeights(node));
-        const std::vector<CascadeStep>& steps =
-            preSolved != nullptr ? *preSolved : inlineSteps;
-        for (const auto& step : steps) {
+        // 1. Realize this node's weight vector on its qudit via the cascade.
+        for (const auto& step : cascadeFor(nodeWeights(node))) {
             Operation op =
                 (step.kind == CascadeStep::Kind::Phase)
                     ? Operation::phase(node.site, step.levelA, step.levelB, step.theta,
@@ -99,34 +70,7 @@ private:
     const DecisionDiagram& dd_;
     const SynthesisOptions& options_;
     Circuit& circuit_;
-    const CascadeSlots& slots_;
 };
-
-/// The distinct internal nodes the emission traversal will visit, in
-/// deterministic DFS order: every non-stub, non-terminal child, visited
-/// once. (Tensor-product elision changes which *paths* are walked, not
-/// which nodes are reachable — all nonzero edges of such a node share one
-/// child — so this set matches the traversal's exactly.)
-std::vector<NodeRef> collectEmissionNodes(const DecisionDiagram& dd) {
-    std::vector<NodeRef> nodes;
-    std::unordered_set<NodeRef> seen;
-    std::vector<NodeRef> stack{dd.rootNode()};
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        if (!seen.insert(ref).second) {
-            continue;
-        }
-        nodes.push_back(ref);
-        const DDNode& node = dd.node(ref);
-        for (const auto& edge : node.edges) {
-            if (!edge.isZeroStub() && !dd.node(edge.node).isTerminal()) {
-                stack.push_back(edge.node);
-            }
-        }
-    }
-    return nodes;
-}
 
 } // namespace
 
@@ -136,34 +80,7 @@ Circuit synthesize(const DecisionDiagram& dd, const SynthesisOptions& options) {
         return circuit; // the zero diagram prepares |0...0| trivially
     }
 
-    // Compute-parallel / emit-sequential: the per-node cascade solves are
-    // independent pure functions of each node's weight vector — the
-    // expensive trigonometry of synthesis — so solve them all via
-    // parallelFor into pre-sized slots, then run the historical recursive
-    // emission, which reads the slots and appends Operations in the
-    // historical node order. The circuit (and its QASM) is byte-identical
-    // to the serial result at any thread count. Works on private diagrams
-    // too: the precompute only reads the diagram.
-    CascadeSlots slots;
-    if (parallel::globalThreads() > 1 && !parallel::insideParallelRegion()) {
-        const std::vector<NodeRef> nodes = collectEmissionNodes(dd);
-        if (nodes.size() > 1) {
-            slots.steps.resize(nodes.size());
-            slots.index.reserve(nodes.size());
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                slots.index.emplace(nodes[i], i);
-            }
-            parallel::parallelFor(
-                0, nodes.size(), /*grainSize=*/1,
-                [&](std::uint64_t begin, std::uint64_t end) {
-                    for (std::uint64_t i = begin; i < end; ++i) {
-                        slots.steps[i] = cascadeFor(nodeWeights(dd.node(nodes[i])));
-                    }
-                });
-        }
-    }
-
-    SynthesisTraversal traversal(dd, options, circuit, slots);
+    SynthesisTraversal traversal(dd, options, circuit);
     std::vector<Control> pathControls;
     traversal.visit(dd.rootNode(), pathControls);
     return circuit;

@@ -9,6 +9,8 @@
 #include "mqsp/support/rng.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
+#include "common/random_circuit.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -171,48 +173,7 @@ TEST(DDInnerProduct, WorksOnReducedDiagrams) {
 class DDApplyRandomCircuits : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DDApplyRandomCircuits, AgreesWithDenseSimulatorOnAllGateKinds) {
-    Rng rng(GetParam());
-    const Dimensions dims{3, 4, 2};
-    const MixedRadix radix(dims);
-    Circuit circuit(dims);
-    for (int i = 0; i < 25; ++i) {
-        const auto target = static_cast<std::size_t>(rng.uniformIndex(3));
-        const Dimension dim = radix.dimensionAt(target);
-        auto a = static_cast<Level>(rng.uniformIndex(dim));
-        auto b = static_cast<Level>(rng.uniformIndex(dim));
-        if (a == b) {
-            b = (b + 1) % dim;
-        }
-        std::vector<Control> controls;
-        if (target > 0 && rng.uniform01() < 0.5) {
-            const auto ctrl = static_cast<std::size_t>(rng.uniformIndex(target));
-            controls.push_back(
-                {ctrl, static_cast<Level>(rng.uniformIndex(radix.dimensionAt(ctrl)))});
-        }
-        switch (rng.uniformIndex(5)) {
-        case 0:
-            circuit.append(Operation::hadamard(target, controls));
-            break;
-        case 1:
-            circuit.append(Operation::shift(
-                target, static_cast<Level>(rng.uniformIndex(dim)), controls));
-            break;
-        case 2:
-            circuit.append(Operation::levelSwap(target, std::min(a, b), std::max(a, b),
-                                                controls));
-            break;
-        case 3:
-            circuit.append(Operation::phase(target, std::min(a, b), std::max(a, b),
-                                            rng.uniform(-kPi, kPi), controls));
-            break;
-        default:
-            circuit.append(Operation::givens(target, std::min(a, b), std::max(a, b),
-                                             rng.uniform(-kPi, kPi),
-                                             rng.uniform(-kPi, kPi), controls));
-            break;
-        }
-    }
-    expectMatchesDense(circuit, 1e-7);
+    expectMatchesDense(randomAllKindCircuit({3, 4, 2}, 25, GetParam()), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DDApplyRandomCircuits,

@@ -14,6 +14,8 @@
 #include "mqsp/support/parallel.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
+#include "common/random_circuit.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,10 +177,9 @@ TEST(ThreadDeterminism, DensityReplayBitIdenticalAcrossThreadCounts) {
     }
 }
 
-// Synthesis is compute-parallel / emit-sequential (synth/synthesizer.cpp):
-// the cascade solves fan out, but emission replays the historical
-// traversal order, so the circuit — and its QASM text — must be
-// byte-identical at every thread count.
+// Synthesis of one diagram runs on the calling thread at any width, so the
+// circuit — and its QASM text — must be byte-identical at every thread
+// count.
 TEST(ThreadDeterminism, SynthesisQasmByteIdenticalAcrossThreadCounts) {
     for (const auto& target : targets()) {
         const StateVector state = makeTarget(target);
@@ -448,7 +449,7 @@ struct SharedSessionFixture {
 
 /// Run the fixture's batch on a fresh backend pinned to `threads`; also
 /// build the cyclic and dicke targets as session diagrams first, so the
-/// level-synchronous parallel builders contribute to the session's node
+/// level-synchronous builders contribute to the session's node
 /// population at every thread count.
 struct SharedSessionRun {
     std::vector<double> fidelities;
@@ -518,28 +519,36 @@ TEST(SharedSessionDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
     EXPECT_EQ(reversed.poolNodes, forward.poolNodes);
 }
 
-// --- session-backed intra-apply determinism ----------------------------------
+// --- session-backed apply determinism --------------------------------------
 //
-// Single-item DdBackend calls fan *within* one diagram: gate application
-// rebuilds all target-level nodes in parallel against the session's
-// sharded uniquing table (dd/apply.cpp), and equivalence checking fans
-// multiply's top-level product cells out on the shared operator store
-// (mdd/matrix_dd.cpp). Both compute in parallel and intern sequentially
-// in canonical order, so the session's `dd_nodes` and every fidelity are
-// functions of the work alone — invariant across thread counts and item
-// order, bit-for-bit.
+// A single-item DdBackend call runs its gate applications and equivalence
+// checks on the calling thread at any configured width; only batches fan
+// out, across items. The session's `dd_nodes`, every fidelity and every
+// replayed amplitude are therefore functions of the work alone — invariant
+// across thread counts, bit for bit. The preparation circuits never add two
+// populated edges; the random all-kind circuits do, so they also pin the
+// session's cached addition against a dense reference.
 
 struct SessionApplyFixture {
     std::vector<StateVector> denseTargets;
     std::vector<Circuit> circuits;
 
-    SessionApplyFixture() {
+    /// The preparation circuits, then (with `randomCircuits`) random
+    /// all-kind circuits whose expected states are their dense replays.
+    explicit SessionApplyFixture(bool randomCircuits = true) {
         Rng rng(424242);
         denseTargets.push_back(states::random({9, 5, 6, 3}, rng));
         denseTargets.push_back(states::ghz({3, 4, 2, 5}));
         denseTargets.push_back(states::wState({2, 3, 2, 3, 2}));
         for (const auto& target : denseTargets) {
             circuits.push_back(prepareExact(target).circuit);
+        }
+        if (!randomCircuits) {
+            return;
+        }
+        for (std::uint64_t seed = 21; seed <= 28; ++seed) {
+            circuits.push_back(randomAllKindCircuit({3, 4, 2, 5}, 60, seed));
+            denseTargets.push_back(Simulator::runFromZero(circuits.back()));
         }
     }
 };
@@ -548,6 +557,7 @@ struct SessionApplyFixture {
 /// `threads`, optionally in reverse item order (results are re-indexed to
 /// the fixture order either way, so runs compare element-wise).
 struct SessionApplyRun {
+    std::vector<StateVector> replays;
     std::vector<double> replayFidelities;
     std::vector<double> verifyFidelities;
     std::uint64_t poolNodes = 0;
@@ -562,16 +572,27 @@ struct SessionApplyRun {
         if (reverseItems) {
             std::reverse(order.begin(), order.end());
         }
+        replays.resize(order.size());
         replayFidelities.resize(order.size(), 0.0);
         verifyFidelities.resize(order.size(), 0.0);
         for (const std::size_t i : order) {
-            const EvalState out = backend.runFromZero(fixture.circuits[i]);
-            replayFidelities[i] =
-                fixture.denseTargets[i].fidelityWith(out.toStateVector(4096));
+            replays[i] = backend.runFromZero(fixture.circuits[i]).toStateVector(4096);
+            replayFidelities[i] = fixture.denseTargets[i].fidelityWith(replays[i]);
             verifyFidelities[i] = backend.preparationFidelity(
                 fixture.circuits[i], EvalState(fixture.denseTargets[i]));
         }
         poolNodes = backend.ddSession()->stats().poolNodes;
+    }
+
+    /// Bit-identical replays and fidelities, item by item.
+    void expectSameBits(const SessionApplyRun& other, const std::string& label) const {
+        ASSERT_EQ(replays.size(), other.replays.size());
+        for (std::size_t i = 0; i < replays.size(); ++i) {
+            const std::string item = label + ", item " + std::to_string(i);
+            expectBitIdentical(replays[i], other.replays[i], item + " replay");
+            EXPECT_EQ(replayFidelities[i], other.replayFidelities[i]) << item;
+            EXPECT_EQ(verifyFidelities[i], other.verifyFidelities[i]) << item;
+        }
     }
 };
 
@@ -583,14 +604,8 @@ TEST(SessionApplyDeterminism, FidelitiesBitIdenticalAcrossThreadCounts) {
         EXPECT_NEAR(baseline.verifyFidelities[i], 1.0, 1e-9) << "item " << i;
     }
     for (const unsigned threads : {2U, 4U, 7U}) {
-        const SessionApplyRun run(fixture, threads);
-        for (std::size_t i = 0; i < run.replayFidelities.size(); ++i) {
-            // Bit-identical, not merely close.
-            EXPECT_EQ(run.replayFidelities[i], baseline.replayFidelities[i])
-                << "replay item " << i << " at " << threads << " threads";
-            EXPECT_EQ(run.verifyFidelities[i], baseline.verifyFidelities[i])
-                << "verify item " << i << " at " << threads << " threads";
-        }
+        SessionApplyRun(fixture, threads)
+            .expectSameBits(baseline, std::to_string(threads) + " threads");
     }
 }
 
@@ -604,17 +619,19 @@ TEST(SessionApplyDeterminism, SessionNodeCountInvariantAcrossThreadCounts) {
     }
 }
 
+// Item order fixes which of two bucketed-equal but bit-different weights a
+// session interns first (see SharedSessionFixture). The random circuits
+// produce such pairs, so with them only `dd_nodes` is order-invariant; the
+// preparation circuits alone keep every bit.
 TEST(SessionApplyDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
     const SessionApplyFixture fixture;
-    const SessionApplyRun forward(fixture, 4);
-    const SessionApplyRun reversed(fixture, 4, /*reverseItems=*/true);
-    ASSERT_EQ(reversed.replayFidelities.size(), forward.replayFidelities.size());
-    for (std::size_t i = 0; i < forward.replayFidelities.size(); ++i) {
-        EXPECT_EQ(reversed.replayFidelities[i], forward.replayFidelities[i])
-            << "replay item " << i;
-        EXPECT_EQ(reversed.verifyFidelities[i], forward.verifyFidelities[i])
-            << "verify item " << i;
-    }
+    EXPECT_EQ(SessionApplyRun(fixture, 4, /*reverseItems=*/true).poolNodes,
+              SessionApplyRun(fixture, 4).poolNodes);
+
+    const SessionApplyFixture preparations(/*randomCircuits=*/false);
+    const SessionApplyRun forward(preparations, 4);
+    const SessionApplyRun reversed(preparations, 4, /*reverseItems=*/true);
+    reversed.expectSameBits(forward, "reversed order");
     EXPECT_EQ(reversed.poolNodes, forward.poolNodes);
 }
 

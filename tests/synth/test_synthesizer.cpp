@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace mqsp {
 namespace {
 
@@ -138,6 +141,16 @@ struct SynthesizerCase {
     std::string name;
     Dimensions dims;
 };
+
+// gtest writes the parameter into every registered test name. Its default
+// byte dump of this struct includes heap pointers, so the names would change
+// from one build to the next; print the case as "mixed4 dims 2x3x4x2" instead.
+void PrintTo(const SynthesizerCase& param, std::ostream* os) {
+    *os << param.name << " dims ";
+    for (std::size_t i = 0; i < param.dims.size(); ++i) {
+        *os << (i == 0 ? "" : "x") << param.dims[i];
+    }
+}
 
 class SynthesizerFidelityProperty : public ::testing::TestWithParam<SynthesizerCase> {};
 

@@ -38,10 +38,10 @@
 //   --max-line <n>        longest accepted command line, bytes
 //   --max-requests <n>    exit after n connections (TCP test hook; 0 = run
 //                         until terminated)
-//   --threads <n>         worker threads; inherited by BATCH (item fan-out),
-//                         PREP (parallel cascade solves in synthesis) and
-//                         VERIFY (intra-diagram apply + fidelity kernels).
-//                         Replies are identical at any width
+//   --threads <n>         worker threads; BATCH spreads its items across
+//                         them. PREP and VERIFY do their diagram work on
+//                         one thread (PREP's dense amplitude vectors use
+//                         the pool). Replies are identical at any width
 //
 // Every command yields exactly one "OK ..." / "ERR ..." line; errors leave
 // the daemon serving (see docs/USER_GUIDE.md "mqsp_serve").
