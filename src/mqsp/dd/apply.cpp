@@ -30,7 +30,7 @@ DecisionDiagram DecisionDiagram::zeroState(const Dimensions& dims) {
     return basisState(dims, Digits(MixedRadix(dims).numQudits(), 0));
 }
 
-void DecisionDiagram::applyOperation(const Operation& op, double tol) {
+void DecisionDiagram::applyOperation(const Operation& op) {
     requireThat(op.target < radix_.numQudits(), "applyOperation: target out of range");
     for (const auto& ctrl : op.controls) {
         requireThat(ctrl.qudit < radix_.numQudits(),
@@ -45,17 +45,13 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
         return; // the zero vector is fixed by every linear map
     }
 
-    // Session compute cache: addition results keyed on the *canonical* call
-    // (x's weight factored out). Entries persist across
-    // gates and diagrams of the owning session — private diagrams carry no
-    // cache and always recompute. Cached results embed the tolerance they
-    // were pruned at, so a call at a tolerance other than the session's
-    // bypasses the cache instead of consuming entries computed under a
-    // different pruning regime.
-    dd::ComputeCache* cache = (store_ != nullptr && store_->interning() &&
-                               tol == store_->tolerance())
-                                  ? &store_->computeCache()
-                                  : nullptr;
+    // Pruning runs at the store's tolerance, the one its cached results
+    // were computed under. Session compute cache: addition results keyed on
+    // the *canonical* call (x's weight factored out). Entries persist
+    // across gates and diagrams of the owning session — private diagrams
+    // carry no cache and always recompute.
+    const double tol = store_->tolerance();
+    dd::ComputeCache* cache = store_->interning() ? &store_->computeCache() : nullptr;
 
     // The gate kernel: a copy-on-write rebuild of the paths the gate
     // reaches (`visit`) that mixes the target level's out-edges through
@@ -237,38 +233,6 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
     }
     root_ = newRoot.node;
     rootWeight_ = newRoot.weight;
-}
-
-DecisionDiagram DecisionDiagram::simulateCircuit(const Circuit& circuit, double tol) {
-    DecisionDiagram dd = zeroState(circuit.dimensions());
-    for (const auto& op : circuit.operations()) {
-        dd.applyOperation(op, tol);
-        // On a private store applyOperation rebuilds affected paths
-        // copy-on-write without hash-consing, so identical sub-trees
-        // proliferate: without re-sharing, a product-state superposition
-        // (e.g. the uniform state mid-preparation) would blow up to the
-        // full exponential tree. Reduce after every gate to keep the
-        // diagram canonical-small, then drop the disconnected garbage.
-        dd.reduce(tol);
-        dd.garbageCollect();
-    }
-    return dd;
-}
-
-DecisionDiagram DecisionDiagram::simulateCircuitOn(
-    const std::shared_ptr<dd::DdNodeStore>& store, const Circuit& circuit) {
-    const double tol = store->tolerance();
-    DecisionDiagram dd =
-        basisStateOn(store, circuit.dimensions(),
-                     Digits(MixedRadix(circuit.dimensions()).numQudits(), 0));
-    for (const auto& op : circuit.operations()) {
-        // Interning keeps every allocation canonical, so the per-gate
-        // reduce of the private path is structurally a no-op here, and
-        // intermediates stay in the session pool for later gates (and
-        // later diagrams) to hit.
-        dd.applyOperation(op, tol);
-    }
-    return dd;
 }
 
 } // namespace mqsp

@@ -208,12 +208,12 @@ public:
     /// affected paths. Controls must sit on sites more significant than the
     /// target (always true for synthesized preparation circuits); an
     /// InvalidArgumentError is thrown otherwise. The diagram stays
-    /// normalized (|rootWeight| is preserved up to rounding).
-    void applyOperation(const Operation& op, double tol = Tolerance::kDefault);
-
-    /// Run a whole circuit on the |0...0> diagram — DD-native simulation.
-    [[nodiscard]] static DecisionDiagram simulateCircuit(const Circuit& circuit,
-                                                         double tol = Tolerance::kDefault);
+    /// normalized (|rootWeight| is preserved up to rounding), and pruned at
+    /// the store's tolerance. Replay circuits on a session store
+    /// (DdBackend, or DdSession::zeroState plus this call): there every
+    /// rebuilt node is interned and the replay stays canonical, while a
+    /// private store only appends copy-on-write nodes.
+    void applyOperation(const Operation& op);
 
     /// The |0...0> diagram on a register.
     [[nodiscard]] static DecisionDiagram zeroState(const Dimensions& dims);
@@ -317,7 +317,7 @@ private:
     /// garbageCollect on a private diagram).
     [[nodiscard]] DecisionDiagram compactedCopy() const;
 
-    /// Store-parameterized builder cores (structured.cpp / apply.cpp); the
+    /// Store-parameterized builder cores (structured.cpp); the
     /// public statics pass nullptr (fresh private store), dd::DdSession
     /// passes its shared interning store.
     [[nodiscard]] static DecisionDiagram basisStateOn(std::shared_ptr<dd::DdNodeStore> store,
@@ -337,8 +337,6 @@ private:
     [[nodiscard]] static DecisionDiagram dickeStateOn(std::shared_ptr<dd::DdNodeStore> store,
                                                       const Dimensions& dims,
                                                       std::uint64_t weight);
-    [[nodiscard]] static DecisionDiagram
-    simulateCircuitOn(const std::shared_ptr<dd::DdNodeStore>& store, const Circuit& circuit);
 
     DDEdge buildTree(std::size_t site, const Complex* amps, std::uint64_t count, double tol);
     DDEdge buildDenseTree(std::size_t site, const Complex* amps, std::uint64_t count);

@@ -4,7 +4,8 @@
 // allocated, so these run on registers whose total dimension exceeds memory
 // by orders of magnitude — the target-construction half of breaking the
 // dense O(∏dims) verification ceiling (the simulation half is
-// DecisionDiagram::simulateCircuit and the backend layer in sim/backend.hpp).
+// DecisionDiagram::applyOperation, replayed on a session by the backend
+// layer in sim/backend.hpp).
 //
 // Each tree builder reproduces the tree `fromStateVector` returns on the
 // same state: the canonical normalization pushes every node's norm into its
@@ -26,6 +27,7 @@
 
 #include "mqsp/dd/decision_diagram.hpp"
 
+#include "mqsp/states/states.hpp"
 #include "mqsp/support/error.hpp"
 
 #include <algorithm>
@@ -34,7 +36,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -212,17 +213,8 @@ DecisionDiagram DecisionDiagram::cyclicStateOn(std::shared_ptr<dd::DdNodeStore> 
                     "DecisionDiagram::cyclicState: start digit exceeds dimension");
     }
 
-    // Distinct shifts: cap count at lcm(dims) (saturating — once the lcm
-    // passes `count` every requested shift is already distinct).
-    std::uint64_t lcmSoFar = 1;
-    for (const Dimension dim : dims) {
-        lcmSoFar = std::lcm(lcmSoFar, static_cast<std::uint64_t>(dim));
-        if (lcmSoFar >= count) {
-            lcmSoFar = count;
-            break;
-        }
-    }
-    const auto numShifts = static_cast<std::uint32_t>(std::min<std::uint64_t>(count, lcmSoFar));
+    // Distinct shifts: the requested count, capped at lcm(dims).
+    const std::uint32_t numShifts = std::min(count, states::distinctCyclicShifts(dims));
 
     std::vector<std::uint32_t> allShifts(numShifts);
     for (std::uint32_t k = 0; k < numShifts; ++k) {
@@ -308,11 +300,7 @@ DecisionDiagram DecisionDiagram::dickeStateOn(std::shared_ptr<dd::DdNodeStore> s
     const std::size_t n = dd.radix_.numQudits();
 
     // Reject unreachable weights before sizing the DP tables by `weight`.
-    std::uint64_t maxWeight = 0;
-    for (const Dimension dim : dims) {
-        maxWeight += dim - 1;
-    }
-    requireThat(weight <= maxWeight,
+    requireThat(weight <= states::maxDickeWeight(dims),
                 "DecisionDiagram::dickeState: no basis state has the requested weight");
 
     // N(s, w) for w <= weight, bottom-up. N(n, 0) = 1.

@@ -623,12 +623,12 @@ DecisionDiagram DdSession::dickeState(const Dimensions& dims, std::uint64_t weig
     return DecisionDiagram::dickeStateOn(store_, dims, weight);
 }
 
-DecisionDiagram DdSession::simulate(const Circuit& circuit) const {
-    return DecisionDiagram::simulateCircuitOn(store_, circuit);
+bool DdSession::owns(const DecisionDiagram& diagram) const noexcept {
+    return diagram.store_ == store_;
 }
 
 DecisionDiagram DdSession::intern(const DecisionDiagram& diagram) const {
-    if (diagram.store_ == store_) {
+    if (owns(diagram)) {
         return diagram; // already session-backed: O(1) aliasing copy
     }
     DecisionDiagram result(store_, diagram.dimensions());
@@ -669,7 +669,7 @@ DdSessionGcStats DdSession::garbageCollect(const std::vector<DecisionDiagram*>& 
     roots.reserve(live.size());
     for (DecisionDiagram* diagram : live) {
         requireThat(diagram != nullptr, "DdSession::garbageCollect: null live diagram");
-        requireThat(diagram->store_ == store_,
+        requireThat(owns(*diagram),
                     "DdSession::garbageCollect: live diagram is not backed by this session");
         if (diagram->root_ != kNoNode) {
             roots.push_back(diagram->root_);

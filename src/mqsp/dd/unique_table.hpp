@@ -60,7 +60,6 @@
 namespace mqsp {
 
 class DecisionDiagram;
-class Circuit;
 
 /// Handle into a node pool (a DdNodeStore).
 using NodeRef = std::uint32_t;
@@ -589,14 +588,13 @@ public:
     [[nodiscard]] DecisionDiagram dickeState(const Dimensions& dims,
                                              std::uint64_t weight) const;
 
-    /// DD-native replay of a circuit from |0...0> on the shared store.
-    /// Interning keeps every intermediate canonical, so no per-gate
-    /// reduce/garbage-collect pass is needed (or performed).
-    [[nodiscard]] DecisionDiagram simulate(const Circuit& circuit) const;
+    /// True when `diagram` lives on this session's store.
+    [[nodiscard]] bool owns(const DecisionDiagram& diagram) const noexcept;
 
     /// Import a foreign diagram: rebuild its reachable nodes through the
     /// session table (bottom-up, memoized). Sub-trees the session has
-    /// already built elsewhere come back as table hits.
+    /// already built elsewhere come back as table hits; a diagram the
+    /// session already owns comes back as an O(1) aliasing copy.
     [[nodiscard]] DecisionDiagram intern(const DecisionDiagram& diagram) const;
 
     /// Mark-and-compact the session store down to the diagrams in `live`

@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <initializer_list>
-#include <numeric>
+#include <limits>
 #include <utility>
 
 namespace mqsp::serve {
@@ -48,29 +48,6 @@ void rejectUnknownOptions(const Request& request,
                                        std::uint64_t fallback) {
     const std::string* text = request.option(key);
     return text == nullptr ? fallback : parse::uint64(*text, std::string("--") + key);
-}
-
-/// Σ(dim_i − 1): the largest Dicke excitation weight the register admits.
-[[nodiscard]] std::uint64_t maxDickeWeight(const Dimensions& dims) {
-    std::uint64_t maxWeight = 0;
-    for (const auto dim : dims) {
-        maxWeight += dim - 1;
-    }
-    return maxWeight;
-}
-
-/// Default cyclic shift count: every distinct shift, lcm(dims) saturated
-/// to the 32-bit count range (shifts repeat beyond the lcm anyway).
-[[nodiscard]] std::uint32_t defaultCyclicCount(const Dimensions& dims) {
-    std::uint64_t lcmSoFar = 1;
-    constexpr std::uint64_t kCap = std::numeric_limits<std::uint32_t>::max();
-    for (const auto dim : dims) {
-        lcmSoFar = std::lcm(lcmSoFar, static_cast<std::uint64_t>(dim));
-        if (lcmSoFar >= kCap) {
-            return static_cast<std::uint32_t>(kCap);
-        }
-    }
-    return static_cast<std::uint32_t>(lcmSoFar);
 }
 
 struct FamilySpec {
@@ -318,14 +295,15 @@ std::string VerificationService::handlePrep(const Request& request) {
                        family.name == "cyclic" || family.name == "random";
     requireThat(known, "unknown state family '" + parse::clipForMessage(family.name) +
                            "' (ghz, w, embw, uniform, dicke, cyclic, random)");
-    family.weight = uintOption(request, "weight",
-                               std::min<std::uint64_t>(2, maxDickeWeight(dims)));
+    const std::uint64_t maxWeight = states::maxDickeWeight(dims);
+    family.weight = uintOption(request, "weight", std::min<std::uint64_t>(2, maxWeight));
     requireThat(family.name == "dicke" || request.option("weight") == nullptr,
                 "--weight only applies to PREP:DICKE");
-    requireThat(family.weight <= maxDickeWeight(dims),
-                "--weight needs a value in [0, " + u64(maxDickeWeight(dims)) +
+    requireThat(family.weight <= maxWeight,
+                "--weight needs a value in [0, " + u64(maxWeight) +
                     "] for this register (sum of dim_i - 1), got " + u64(family.weight));
-    const std::uint64_t countRaw = uintOption(request, "count", defaultCyclicCount(dims));
+    const std::uint64_t countRaw =
+        uintOption(request, "count", states::distinctCyclicShifts(dims));
     requireThat(family.name == "cyclic" || request.option("count") == nullptr,
                 "--count only applies to PREP:CYCLIC");
     requireThat(countRaw >= 1 && countRaw <= std::numeric_limits<std::uint32_t>::max(),
@@ -414,12 +392,11 @@ std::string VerificationService::handleVerify(const Request& request) {
     requireThat(repeat >= 1 && repeat <= limits_.maxVerifyRepeat,
                 "--repeat needs a value in [1, " + u64(limits_.maxVerifyRepeat) + "]");
 
-    double fidelity = 0.0;
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-        fidelity = backend_->preparationFidelity(entry->circuit, entry->target);
-    }
+    const VerifyReport report =
+        backend_->verify(VerifyRequest{&entry->circuit, &entry->target, repeat, 0});
+    requireThat(!report.failed, report.error);
     verified_.fetch_add(repeat, std::memory_order_relaxed);
-    return "OK id=" + u64(entry->id) + " fidelity=" + fixed(fidelity, 9) +
+    return "OK id=" + u64(entry->id) + " fidelity=" + fixed(report.fidelity, 9) +
            " repeats=" + u64(repeat);
 }
 

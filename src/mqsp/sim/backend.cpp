@@ -120,17 +120,24 @@ StateVector EvalState::toStateVector(std::uint64_t ceiling) const {
 
 namespace {
 
-/// Lift a target into the backend's session (when it has one) so repeated
-/// overlaps against it are same-store traversals that resolve through the
-/// session caches. Without a session the target passes through untouched.
-EvalState liftTarget(const std::shared_ptr<dd::DdSession>& session, const EvalState& target) {
+/// The target as a backend measures against it. With a session it is
+/// interned there (into `holder`), so every overlap against it is a
+/// same-store traversal that resolves through the session caches. Without
+/// one the overlap stays dense: a dense target is used in place, a diagram
+/// target is expanded into `holder`.
+const EvalState& liftTarget(const std::shared_ptr<dd::DdSession>& session,
+                            const EvalState& target, EvalState& holder) {
     if (session == nullptr) {
-        return target;
+        if (target.isDense()) {
+            return target;
+        }
+        holder = EvalState(target.toStateVector());
+    } else if (target.isDiagram()) {
+        holder = EvalState(session->intern(target.diagram()));
+    } else {
+        holder = EvalState(session->intern(DecisionDiagram::fromStateVector(target.dense())));
     }
-    if (target.isDiagram()) {
-        return EvalState(session->intern(target.diagram()));
-    }
-    return EvalState(session->intern(DecisionDiagram::fromStateVector(target.dense())));
+    return holder;
 }
 
 /// Session compute-cache counters, or zeros on a session-less backend.
@@ -186,6 +193,23 @@ VerifyReport verifyItem(const EvaluationBackend& backend,
 
 } // namespace
 
+EvalState EvaluationBackend::runFromZero(const Circuit& circuit) const {
+    const parallel::ScopedThreadCount scope(executionConfig().threads);
+    EvalState state = zeroState(circuit.dimensions());
+    for (const Operation& op : circuit.operations()) {
+        apply(state, op);
+    }
+    return state;
+}
+
+double EvaluationBackend::preparationFidelity(const Circuit& circuit,
+                                              const EvalState& target) const {
+    const parallel::ScopedThreadCount scope(executionConfig().threads);
+    const EvalState prepared = runFromZero(circuit);
+    EvalState holder;
+    return liftTarget(ddSession(), target, holder).fidelityWith(prepared);
+}
+
 VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
     return verifyItem(*this, ddSession(), request, "verify: null circuit or target");
 }
@@ -221,15 +245,13 @@ VerifyReport EvaluationBackend::verifyStream(OperationSource& source,
     const dd::ComputeCacheStats before = cacheCounters(session);
     VerifyReport report;
     EvalState state = zeroState(source.dimensions());
-    // Lift the target once so every checkpoint overlap is a same-store
-    // traversal; the per-checkpoint fidelity then reuses whatever the
-    // replay already interned.
-    EvalState lifted;
-    if (request.target != nullptr) {
-        lifted = liftTarget(session, *request.target);
-    }
+    // Lift the target once, before the replay, so every checkpoint overlap
+    // is a same-store traversal that reuses whatever the replay interned.
+    EvalState holder;
+    const EvalState* lifted =
+        request.target == nullptr ? nullptr : &liftTarget(session, *request.target, holder);
     const auto fidelityNow = [&]() {
-        return request.target == nullptr ? state.normSquared() : lifted.fidelityWith(state);
+        return lifted == nullptr ? state.normSquared() : lifted->fidelityWith(state);
     };
     while (auto op = source.next()) {
         apply(state, *op);
@@ -260,48 +282,26 @@ VerifyReport EvaluationBackend::reverifyAppended(const Circuit& circuit, std::ui
         apply(replayed, circuit[static_cast<std::size_t>(i)]);
         ++report.ops;
     }
-    report.fidelity = liftTarget(session, target).fidelityWith(replayed);
+    EvalState holder;
+    report.fidelity = liftTarget(session, target, holder).fidelityWith(replayed);
     stampSessionMetrics(report, session, before);
     return report;
 }
 
 // --- DenseBackend ----------------------------------------------------------
 
-void DenseBackend::requireWithinCeiling(std::uint64_t totalDimension,
-                                        const char* what) const {
-    requireThat(totalDimension <= maxAmplitudes_,
-                std::string(what) + ": register has " +
-                    formatAmplitudeCount(totalDimension) +
+EvalState DenseBackend::zeroState(const Dimensions& dims) const {
+    const std::uint64_t total = MixedRadix(dims).totalDimension();
+    requireThat(total <= maxAmplitudes_,
+                "DenseBackend::zeroState: register has " + formatAmplitudeCount(total) +
                     " amplitudes, past the dense backend ceiling of " +
                     formatAmplitudeCount(maxAmplitudes_) +
                     " — use the dd backend (--backend dd)");
-}
-
-EvalState DenseBackend::zeroState(const Dimensions& dims) const {
-    const MixedRadix radix(dims);
-    requireWithinCeiling(radix.totalDimension(), "DenseBackend::zeroState");
     return EvalState(StateVector::basis(dims, Digits(dims.size(), 0)));
-}
-
-EvalState DenseBackend::runFromZero(const Circuit& circuit) const {
-    requireWithinCeiling(circuit.radix().totalDimension(), "DenseBackend::runFromZero");
-    const parallel::ScopedThreadCount scope(executionConfig().threads);
-    return EvalState(Simulator::runFromZero(circuit));
 }
 
 void DenseBackend::apply(EvalState& state, const Operation& op) const {
     Simulator::apply(state.dense(), op);
-}
-
-double DenseBackend::preparationFidelity(const Circuit& circuit,
-                                         const EvalState& target) const {
-    requireWithinCeiling(circuit.radix().totalDimension(),
-                         "DenseBackend::preparationFidelity");
-    const parallel::ScopedThreadCount scope(executionConfig().threads);
-    if (target.isDense()) {
-        return Simulator::preparationFidelity(circuit, target.dense());
-    }
-    return Simulator::preparationFidelity(circuit, target.toStateVector(maxAmplitudes_));
 }
 
 bool DenseBackend::circuitsEquivalent(const Circuit& a, const Circuit& b,
@@ -367,14 +367,10 @@ bool DenseBackend::circuitsEquivalent(const Circuit& a, const Circuit& b,
 // --- DdBackend -------------------------------------------------------------
 
 DdBackend::DdBackend(double tolerance)
-    : tolerance_(tolerance),
-      session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(
-          tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
+    : DdBackend(tolerance, parallel::globalExecutionConfig()) {}
 
 DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
     : EvaluationBackend(config),
-      tolerance_(tolerance),
       session_(std::make_shared<dd::DdSession>(tolerance)),
       matrixStore_(std::make_shared<MatrixDdStore>(
           tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
@@ -383,37 +379,12 @@ EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(session_->zeroState(dims));
 }
 
-EvalState DdBackend::runFromZero(const Circuit& circuit) const {
-    return EvalState(session_->simulate(circuit));
-}
-
 void DdBackend::apply(EvalState& state, const Operation& op) const {
-    // Per-gate hygiene on a *private* diagram: applyOperation's
-    // copy-on-write rebuild does not hash-cons there, so without re-sharing
-    // and compaction a sequence of apply() calls would grow the diagram
-    // toward the full exponential tree on DAG-shaped states (e.g. the
-    // uniform superposition mid-preparation). On a session-backed diagram
-    // interning already keeps every allocation canonical and both calls
-    // are structural no-ops.
     DecisionDiagram& diagram = state.diagram();
-    diagram.applyOperation(op, tolerance_);
-    diagram.reduce(tolerance_);
-    diagram.garbageCollect();
-}
-
-double DdBackend::preparationFidelity(const Circuit& circuit,
-                                      const EvalState& target) const {
-    // Concurrent batch items land here on pool workers and intern into the
-    // same shared session: the table is sharded and safe for this
-    // (dd/unique_table.hpp), and cross-item sharing is the point.
-    const DecisionDiagram prepared = session_->simulate(circuit);
-    // Interning the target into the same session makes the overlap a
-    // same-store traversal: sub-trees the replay reproduced exactly compare
-    // by NodeRef identity instead of by descent.
-    const DecisionDiagram targetDiagram =
-        target.isDiagram() ? session_->intern(target.diagram())
-                           : session_->intern(DecisionDiagram::fromStateVector(target.dense()));
-    return squaredMagnitude(targetDiagram.innerProductWith(prepared));
+    if (!session_->owns(diagram)) {
+        diagram = session_->intern(diagram);
+    }
+    diagram.applyOperation(op);
 }
 
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {
@@ -423,8 +394,8 @@ bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double to
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
     // short-circuit on root identity.
-    const MatrixDD lhs = MatrixDD::fromCircuit(a, tolerance_, matrixStore_);
-    const MatrixDD rhs = MatrixDD::fromCircuit(b, tolerance_, matrixStore_);
+    const MatrixDD lhs = MatrixDD::fromCircuit(a, session_->tolerance(), matrixStore_);
+    const MatrixDD rhs = MatrixDD::fromCircuit(b, session_->tolerance(), matrixStore_);
     return lhs.equivalentUpToGlobalPhase(rhs, tol);
 }
 

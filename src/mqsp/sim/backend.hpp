@@ -145,33 +145,40 @@ struct VerifyReport {
 };
 
 /// The pluggable evaluation substrate: everything the toolchain needs to
-/// *run* and *verify* circuits — replay from |0...0>, single-op application,
-/// preparation fidelity against a target, and whole-unitary equivalence —
-/// behind one interface, so callers (CLI tools, bench drivers, tests) are
-/// written once and switch substrate with a flag.
+/// *run* and *verify* circuits behind one interface, so callers (CLI tools,
+/// bench drivers, serve, tests) are written once and switch substrate with
+/// a flag.
 ///
-/// Verification goes through the shared VerifyRequest/VerifyReport shapes:
-/// `verify` (one item), `verifyBatch` (independent items fanned out across
-/// the pool), `verifyStream` (replay an OperationSource one gate at a time
-/// in O(state) space with periodic checkpoints), and `reverifyAppended`
-/// (advance an already-replayed state by just the delta of a grown
-/// circuit). All are built on the substrate virtuals below.
+/// A backend implements four primitives: `kind`, `zeroState`, `apply` (one
+/// operation in place) and `circuitsEquivalent` (whole-unitary
+/// equivalence). Verification is replay, and replay is defined once here
+/// on those primitives: `runFromZero` is `zeroState` followed by one
+/// `apply` per operation, and `preparationFidelity` overlaps that replay
+/// with the target. The verify entry points share the
+/// VerifyRequest/VerifyReport shapes: `verify` (one item) and
+/// `verifyBatch` (independent items fanned out across the pool) run
+/// `preparationFidelity`; `verifyStream` (replay an OperationSource one
+/// gate at a time in O(state) space with periodic checkpoints) and
+/// `reverifyAppended` (advance an already-replayed state by just the delta
+/// of a grown circuit) drive `apply` themselves.
 ///
 /// Threading: each backend carries an ExecutionConfig (default: a snapshot
 /// of the process-wide one at construction; `threads == 0` = follow the
 /// ambient setting) and pins the process width to it for the duration of
-/// `verifyBatch`, `verifyStream`, `reverifyAppended` and the dense
-/// backend's evaluation entry points — a 1-thread backend is genuinely
-/// single-threaded whatever the ambient width. Parallelism lives in two
-/// places only: `verifyBatch` fans *independent* items out across the pool
-/// workers (each item's inner kernels then run serially — nested-use
-/// refusal), and the dense backend parallelizes the amplitude walks of its
-/// kernels. The dd backend never splits one item: a diagram of a few
-/// thousand nodes is too little work per gate to pay for the pool, so its
-/// single-item calls run on the calling thread at any width and its
-/// fidelities and `dd_nodes` cannot depend on the width. (`apply`, the
-/// per-operation primitive, follows the ambient width rather than
-/// re-pinning per call: it is called in tight loops.)
+/// every evaluation entry point: the pin lives in `runFromZero` and
+/// `preparationFidelity` (so `verify` and each batch item inherit it), in
+/// `verifyBatch`, `verifyStream` and `reverifyAppended`, and in the dense
+/// `circuitsEquivalent` — a 1-thread backend is genuinely single-threaded
+/// whatever the ambient width. Parallelism lives in two places only:
+/// `verifyBatch` fans *independent* items out across the pool workers
+/// (each item's inner kernels then run serially — nested-use refusal), and
+/// the dense backend parallelizes the amplitude walks of its kernels. The
+/// dd backend never splits one item: a diagram of a few thousand nodes is
+/// too little work per gate to pay for the pool, so its single-item calls
+/// run on the calling thread at any width and its fidelities and
+/// `dd_nodes` cannot depend on the width. (`apply`, the per-operation
+/// primitive, follows the ambient width rather than re-pinning per call:
+/// it is called in tight loops.)
 ///
 /// Because the width is process-wide, evaluation entry points on backends
 /// with *different* configs must not overlap from different application
@@ -191,6 +198,34 @@ public:
     [[nodiscard]] const parallel::ExecutionConfig& executionConfig() const noexcept {
         return config_;
     }
+
+    // --- primitives: what a backend implements -------------------------
+
+    /// |0...0> over `dims` in this backend's native representation — the
+    /// seed of every replay.
+    [[nodiscard]] virtual EvalState zeroState(const Dimensions& dims) const = 0;
+
+    /// Apply a single (possibly multi-controlled) operation in place. The
+    /// state must be in this backend's native representation.
+    virtual void apply(EvalState& state, const Operation& op) const = 0;
+
+    /// True when the two circuits implement the same unitary up to a global
+    /// phase (full-operator equivalence, not merely equal action on |0>).
+    [[nodiscard]] virtual bool circuitsEquivalent(const Circuit& a, const Circuit& b,
+                                                  double tol = 1e-9) const = 0;
+
+    // --- replay and verification, defined once on the primitives --------
+
+    /// Replay the circuit from |0...0> — the state-preparation setting:
+    /// `zeroState`, then `apply` for every operation in order.
+    [[nodiscard]] EvalState runFromZero(const Circuit& circuit) const;
+
+    /// |<target|circuit(|0...0>)>|^2 — the verification metric. The target
+    /// is taken after the replay: interned into the session when the
+    /// backend has one (same-store overlap), else overlapped densely (a
+    /// dense target in place, a diagram target expanded).
+    [[nodiscard]] double preparationFidelity(const Circuit& circuit,
+                                             const EvalState& target) const;
 
     /// Replay + verify one item, with the full report (fidelity, ops,
     /// dd_nodes, session cache deltas; honors `repeat`). Exceptions land in
@@ -230,26 +265,6 @@ public:
                                                 EvalState& replayed,
                                                 const EvalState& target) const;
 
-    /// |0...0> over `dims` in this backend's native representation — the
-    /// seed of every streaming replay.
-    [[nodiscard]] virtual EvalState zeroState(const Dimensions& dims) const = 0;
-
-    /// Replay the circuit from |0...0> — the state-preparation setting.
-    [[nodiscard]] virtual EvalState runFromZero(const Circuit& circuit) const = 0;
-
-    /// Apply a single (possibly multi-controlled) operation in place. The
-    /// state must be in this backend's native representation.
-    virtual void apply(EvalState& state, const Operation& op) const = 0;
-
-    /// |<target|circuit(|0...0>)>|^2 — the verification metric.
-    [[nodiscard]] virtual double preparationFidelity(const Circuit& circuit,
-                                                     const EvalState& target) const = 0;
-
-    /// True when the two circuits implement the same unitary up to a global
-    /// phase (full-operator equivalence, not merely equal action on |0>).
-    [[nodiscard]] virtual bool circuitsEquivalent(const Circuit& a, const Circuit& b,
-                                                  double tol = 1e-9) const = 0;
-
     /// The DD memory session backing this backend's evaluations, when it
     /// has one (the dd backend does, for its whole lifetime); callers use
     /// it to build targets on the shared store and to read the
@@ -272,18 +287,13 @@ public:
 
     [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::Dense; }
     [[nodiscard]] EvalState zeroState(const Dimensions& dims) const override;
-    [[nodiscard]] EvalState runFromZero(const Circuit& circuit) const override;
     void apply(EvalState& state, const Operation& op) const override;
-    [[nodiscard]] double preparationFidelity(const Circuit& circuit,
-                                             const EvalState& target) const override;
     [[nodiscard]] bool circuitsEquivalent(const Circuit& a, const Circuit& b,
                                           double tol = 1e-9) const override;
 
     [[nodiscard]] std::uint64_t maxAmplitudes() const noexcept { return maxAmplitudes_; }
 
 private:
-    void requireWithinCeiling(std::uint64_t totalDimension, const char* what) const;
-
     std::uint64_t maxAmplitudes_ = kDenseBackendCeiling;
 };
 
@@ -314,10 +324,10 @@ public:
 
     [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::Dd; }
     [[nodiscard]] EvalState zeroState(const Dimensions& dims) const override;
-    [[nodiscard]] EvalState runFromZero(const Circuit& circuit) const override;
+    /// A diagram from another store (a private one, or another session's)
+    /// is interned into this backend's session once, then the gate applies
+    /// there: the replay stays canonical whatever the input.
     void apply(EvalState& state, const Operation& op) const override;
-    [[nodiscard]] double preparationFidelity(const Circuit& circuit,
-                                             const EvalState& target) const override;
     [[nodiscard]] bool circuitsEquivalent(const Circuit& a, const Circuit& b,
                                           double tol = 1e-9) const override;
 
@@ -326,7 +336,6 @@ public:
     }
 
 private:
-    double tolerance_ = Tolerance::kDefault;
     std::shared_ptr<dd::DdSession> session_;
     std::shared_ptr<MatrixDdStore> matrixStore_;
 };

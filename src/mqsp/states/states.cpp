@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <numeric>
 #include <unordered_set>
 
 namespace mqsp::states {
@@ -147,6 +149,18 @@ StateVector cyclic(const Dimensions& dims, const Digits& start, std::uint32_t co
     return state;
 }
 
+std::uint32_t distinctCyclicShifts(const Dimensions& dims) {
+    std::uint64_t lcmSoFar = 1;
+    constexpr std::uint64_t kCap = std::numeric_limits<std::uint32_t>::max();
+    for (const auto dim : dims) {
+        lcmSoFar = std::lcm(lcmSoFar, static_cast<std::uint64_t>(dim));
+        if (lcmSoFar >= kCap) {
+            return static_cast<std::uint32_t>(kCap);
+        }
+    }
+    return static_cast<std::uint32_t>(lcmSoFar);
+}
+
 StateVector dicke(const Dimensions& dims, std::uint64_t weight) {
     const MixedRadix radix(dims);
     StateVector state = zeroState(dims);
@@ -165,6 +179,14 @@ StateVector dicke(const Dimensions& dims, std::uint64_t weight) {
     requireThat(terms > 0, "dicke: no basis state has the requested weight");
     state.normalize();
     return state;
+}
+
+std::uint64_t maxDickeWeight(const Dimensions& dims) {
+    std::uint64_t maxWeight = 0;
+    for (const auto dim : dims) {
+        maxWeight += dim - 1;
+    }
+    return maxWeight;
 }
 
 } // namespace mqsp::states

@@ -60,11 +60,20 @@ enum class RandomKind {
 [[nodiscard]] StateVector cyclic(const Dimensions& dims, const Digits& start,
                                  std::uint32_t count);
 
+/// The number of distinct cyclic shifts on the register, lcm(dims),
+/// saturated to the 32-bit count range (shifts repeat beyond the lcm
+/// anyway): the default `count` of a bare cyclic request.
+[[nodiscard]] std::uint32_t distinctCyclicShifts(const Dimensions& dims);
+
 /// Generalized Dicke-like state: equal superposition of all basis states
 /// whose digits sum to `weight`. (Dicke states are the symmetric fixed-
 /// excitation states; on mixed dimensions the digit sum plays the role of
 /// the total excitation number.) Throws if no basis state has that weight.
 [[nodiscard]] StateVector dicke(const Dimensions& dims, std::uint64_t weight);
+
+/// Σ(dim_i − 1): the largest digit sum, and so the largest Dicke weight,
+/// the register admits.
+[[nodiscard]] std::uint64_t maxDickeWeight(const Dimensions& dims);
 
 } // namespace states
 } // namespace mqsp

@@ -21,13 +21,31 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
+/// DD-native replay of `circuit` gate by gate, starting from `state`.
+DecisionDiagram replayFrom(DecisionDiagram state, const Circuit& circuit) {
+    for (const Operation& op : circuit.operations()) {
+        state.applyOperation(op);
+    }
+    return state;
+}
+
+/// Replay from |0...0> on a fresh session store, the evaluation regime.
+DecisionDiagram replay(const Circuit& circuit) {
+    return replayFrom(dd::DdSession().zeroState(circuit.dimensions()), circuit);
+}
+
 void expectMatchesDense(const Circuit& circuit, double tol = 1e-9) {
-    const DecisionDiagram dd = DecisionDiagram::simulateCircuit(circuit);
     const StateVector dense = Simulator::runFromZero(circuit);
-    EXPECT_EQ(dd.checkInvariants(), "");
-    const StateVector fromDD = dd.toStateVector();
-    for (std::uint64_t i = 0; i < dense.size(); ++i) {
-        EXPECT_NEAR(std::abs(fromDD[i] - dense[i]), 0.0, tol) << "amplitude " << i;
+    // Both store regimes: interning on a session, and copy-on-write
+    // appends on a private store.
+    for (const DecisionDiagram& dd :
+         {replay(circuit), replayFrom(DecisionDiagram::zeroState(circuit.dimensions()), circuit)}) {
+        EXPECT_EQ(dd.checkInvariants(), "");
+        const StateVector fromDD = dd.toStateVector();
+        for (std::uint64_t i = 0; i < dense.size(); ++i) {
+            EXPECT_NEAR(std::abs(fromDD[i] - dense[i]), 0.0, tol)
+                << "amplitude " << i << (dd.sessionBacked() ? " (session)" : " (private)");
+        }
     }
 }
 
@@ -58,7 +76,7 @@ TEST(DDApply, ControlledOperations) {
     circuit.append(Operation::shift(1, 2, {{0, 2}}));
     expectMatchesDense(circuit);
     // This is Figure 1's GHZ circuit: the DD result must be the GHZ state.
-    const DecisionDiagram dd = DecisionDiagram::simulateCircuit(circuit);
+    const DecisionDiagram dd = replay(circuit);
     EXPECT_NEAR(dd.fidelityWith(states::ghz({3, 3})), 1.0, 1e-10);
 }
 
@@ -107,7 +125,7 @@ TEST(DDApply, NormStaysOneThroughLongCircuits) {
                                          rng.uniform(-kPi, kPi), rng.uniform(-kPi, kPi),
                                          controls));
     }
-    const DecisionDiagram dd = DecisionDiagram::simulateCircuit(circuit);
+    const DecisionDiagram dd = replay(circuit);
     EXPECT_NEAR(std::abs(dd.rootWeight()), 1.0, 1e-8);
     expectMatchesDense(circuit, 1e-7);
 }
@@ -120,7 +138,7 @@ TEST(DDApply, SynthesizedCircuitsReproduceTheirTargetsNatively) {
         const StateVector target = states::random(dims, rng);
         const DecisionDiagram targetDD = DecisionDiagram::fromStateVector(target);
         const auto prep = prepareExact(target);
-        const DecisionDiagram prepared = DecisionDiagram::simulateCircuit(prep.circuit);
+        const DecisionDiagram prepared = replay(prep.circuit);
         const Complex overlap = targetDD.innerProductWith(prepared);
         EXPECT_NEAR(std::abs(overlap), 1.0, 1e-8) << formatDimensionSpec(dims);
     }

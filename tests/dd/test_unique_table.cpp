@@ -227,7 +227,10 @@ TEST(DdSession, ReplayInternsIntoTheTargetsPool) {
     lean.emitIdentityOperations = false;
     const Circuit circuit = synthesize(target, lean);
 
-    const DecisionDiagram replayed = session.simulate(circuit);
+    DecisionDiagram replayed = session.zeroState(dims);
+    for (const Operation& op : circuit.operations()) {
+        replayed.applyOperation(op);
+    }
     EXPECT_TRUE(replayed.sharesStoreWith(target));
     EXPECT_NEAR(squaredMagnitude(target.innerProductWith(replayed)), 1.0, 1e-9);
     // The replay re-derived the target's structure through the table:

@@ -6,8 +6,9 @@
 //  1. representation: a diagram built from a random dense state must
 //     reproduce every amplitude (amplitudeOf / toStateVector) to 1e-10;
 //  2. simulation: DD-native replay of the synthesized preparation circuit
-//     (DecisionDiagram::simulateCircuit) must agree with the dense
-//     simulator (Simulator::runFromZero) amplitude-by-amplitude to 1e-10;
+//     (DdBackend::runFromZero, gate by gate on the backend's session) must
+//     agree with the dense simulator (Simulator::runFromZero)
+//     amplitude-by-amplitude to 1e-10;
 //  3. backends: the pluggable DenseBackend and DdBackend (sim/backend.hpp)
 //     must agree on preparation fidelity and circuit equivalence to 1e-10
 //     on randomized registers — the parity contract that makes the dd
@@ -85,7 +86,7 @@ TEST(CrossValidation, DdSimulationMatchesDenseSimulatorOnRandomStates) {
 
             const StateVector dense = Simulator::runFromZero(prep.circuit);
             const DecisionDiagram simulated =
-                DecisionDiagram::simulateCircuit(prep.circuit);
+                DdBackend().runFromZero(prep.circuit).diagram();
 
             for (std::uint64_t i = 0; i < dense.size(); ++i) {
                 const Complex viaDd = simulated.amplitudeOf(dense.radix().digitsOf(i));
@@ -337,10 +338,11 @@ TEST(BackendParity, DdBackendVerifiesPastTheDenseCeiling) {
 
 TEST(BackendParity, UniformReplayStaysPolynomialPastTheCeiling) {
     // The uniform superposition is the adversarial case for DD replay: its
-    // intermediate states are product superpositions, which without the
-    // per-gate reduction + memoized rebuild in simulateCircuit would blow
-    // up to the full exponential tree. This must finish in well under a
-    // second on 2^27 amplitudes.
+    // intermediate states are product superpositions, which without session
+    // interning (every rebuilt node hash-consed as it is allocated) and the
+    // memoized rebuild in applyOperation would blow up to the full
+    // exponential tree. This must finish in well under a second on 2^27
+    // amplitudes.
     const Dimensions dims(27, 2);
     const DecisionDiagram target = DecisionDiagram::uniformState(dims);
     SynthesisOptions lean;

@@ -5,6 +5,7 @@
 
 #include "mqsp/approx/approximation.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
+#include "mqsp/sim/backend.hpp"
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/rng.hpp"
@@ -42,7 +43,7 @@ TEST(EdgeRegisters, DeepQubitChain) {
     const auto prep = prepareExact(target, lean);
     EXPECT_NEAR(Simulator::preparationFidelity(prep.circuit, target), 1.0, 1e-9);
     // DD-native verification agrees.
-    const DecisionDiagram simulated = DecisionDiagram::simulateCircuit(prep.circuit);
+    const DecisionDiagram simulated = DdBackend().runFromZero(prep.circuit).diagram();
     EXPECT_NEAR(simulated.fidelityWith(target), 1.0, 1e-8);
 }
 

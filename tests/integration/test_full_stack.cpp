@@ -8,6 +8,7 @@
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/hardware/router.hpp"
 #include "mqsp/opt/optimizer.hpp"
+#include "mqsp/sim/backend.hpp"
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/rng.hpp"
@@ -35,7 +36,7 @@ TEST(FullStack, OptimizedCircuitsStillMatchOnDDSimulation) {
     const StateVector target = states::random({2, 3, 3}, rng);
     auto prep = prepareExact(target);
     (void)optimizeCircuit(prep.circuit);
-    const DecisionDiagram simulated = DecisionDiagram::simulateCircuit(prep.circuit);
+    const DecisionDiagram simulated = DdBackend().runFromZero(prep.circuit).diagram();
     EXPECT_NEAR(simulated.fidelityWith(target), 1.0, 1e-8);
 }
 
@@ -118,8 +119,7 @@ TEST(FullStack, EveryPipelineStageAgreesOnTheGhzState) {
     const auto prep = prepareExact(target);
 
     const StateVector dense = Simulator::runFromZero(prep.circuit);
-    const StateVector viaDD =
-        DecisionDiagram::simulateCircuit(prep.circuit).toStateVector();
+    const StateVector viaDD = DdBackend().runFromZero(prep.circuit).diagram().toStateVector();
     const StateVector viaDiagram = prep.diagram.toStateVector();
     const StateVector viaQasm =
         Simulator::runFromZero(parseQasmString(toQasm(prep.circuit)));

@@ -1,8 +1,11 @@
 // Unit tests for the pluggable evaluation-backend layer (sim/backend.hpp):
 // backend resolution and auto-selection, EvalState representation handling
 // and mixed dense/diagram overlaps, the dense backend's ceiling guard,
-// per-operation apply parity between the two substrates, and the batched
-// prepare-and-verify API (concurrent-item semantics and per-item errors).
+// per-operation apply parity between the two substrates, the primitives
+// contract (a backend implementing only kind/zeroState/apply/
+// circuitsEquivalent gets every verify entry point from the base class),
+// and the batched prepare-and-verify API (concurrent-item semantics and
+// per-item errors).
 
 #include "mqsp/sim/backend.hpp"
 
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,6 +135,109 @@ TEST(ApplyParity, PerOperationApplicationMatchesAcrossBackends) {
     EXPECT_THROW(dense.apply(diagram, prep.circuit.operations().front()),
                  InvalidArgumentError);
     EXPECT_THROW(dd.apply(dv, prep.circuit.operations().front()), InvalidArgumentError);
+}
+
+/// A backend that implements only the four primitives — on the dense
+/// simulator — and counts its `apply` calls. Everything else it answers
+/// comes from EvaluationBackend. (Atomic: verifyBatch may apply from pool
+/// workers.)
+class CountingBackend final : public EvaluationBackend {
+public:
+    [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::Dense; }
+    [[nodiscard]] EvalState zeroState(const Dimensions& dims) const override {
+        return EvalState(StateVector(dims));
+    }
+    void apply(EvalState& state, const Operation& op) const override {
+        applies.fetch_add(1, std::memory_order_relaxed);
+        Simulator::apply(state.dense(), op);
+    }
+    [[nodiscard]] bool circuitsEquivalent(const Circuit& /*a*/, const Circuit& /*b*/,
+                                          double /*tol*/) const override {
+        return false;
+    }
+
+    /// `apply` calls made while `run` executes.
+    template <typename Run> std::uint64_t appliesDuring(Run&& run) const {
+        applies.store(0);
+        run();
+        return applies.load();
+    }
+
+private:
+    mutable std::atomic<std::uint64_t> applies{0};
+};
+
+TEST(BackendContract, EveryVerifyEntryPointIsReplayOnThePrimitives) {
+    const Dimensions dims{3, 4, 2};
+    Rng rng(2024);
+    const StateVector target = states::random(dims, rng);
+    SynthesisOptions lean;
+    lean.emitIdentityOperations = false;
+    const Circuit circuit = prepareExact(target, lean).circuit;
+    const std::uint64_t ops = circuit.numOperations();
+    ASSERT_GT(ops, 0U);
+    const double expected = Simulator::preparationFidelity(circuit, target);
+    const EvalState evalTarget(target);
+    const CountingBackend backend;
+
+    EvalState replayed;
+    EXPECT_EQ(backend.appliesDuring([&] { replayed = backend.runFromZero(circuit); }), ops);
+    EXPECT_EQ(evalTarget.fidelityWith(replayed), expected);
+
+    double fidelity = 0.0;
+    EXPECT_EQ(backend.appliesDuring(
+                  [&] { fidelity = backend.preparationFidelity(circuit, evalTarget); }),
+              ops);
+    EXPECT_EQ(fidelity, expected);
+
+    VerifyReport report;
+    EXPECT_EQ(backend.appliesDuring(
+                  [&] { report = backend.verify({&circuit, &evalTarget, /*repeat=*/2}); }),
+              2 * ops);
+    EXPECT_FALSE(report.failed) << report.error;
+    EXPECT_EQ(report.ops, ops);
+    EXPECT_EQ(report.fidelity, expected);
+
+    std::vector<VerifyReport> batch;
+    EXPECT_EQ(backend.appliesDuring([&] {
+                  batch = backend.verifyBatch({{&circuit, &evalTarget}, {&circuit, &evalTarget}});
+              }),
+              2 * ops);
+    ASSERT_EQ(batch.size(), 2U);
+    for (const VerifyReport& item : batch) {
+        EXPECT_FALSE(item.failed) << item.error;
+        EXPECT_EQ(item.fidelity, expected);
+    }
+
+    CircuitSource source(circuit);
+    EXPECT_EQ(backend.appliesDuring(
+                  [&] { report = backend.verifyStream(source, {nullptr, &evalTarget}); }),
+              ops);
+    EXPECT_EQ(report.ops, ops);
+    EXPECT_EQ(report.fidelity, expected);
+
+    EvalState advanced = backend.zeroState(dims);
+    EXPECT_EQ(backend.appliesDuring([&] {
+                  report = backend.reverifyAppended(circuit, 0, advanced, evalTarget);
+              }),
+              ops);
+    EXPECT_EQ(report.fidelity, expected);
+}
+
+TEST(BackendContract, DdApplyInternsAPrivateInputIntoItsSession) {
+    // A diagram from a private store is interned once, then every gate
+    // allocates canonically on the session: the uniform state comes out as
+    // one shared node per site, not the tree.
+    const Dimensions dims{3, 2};
+    const DdBackend backend;
+    EvalState state(DecisionDiagram::zeroState(dims));
+    ASSERT_FALSE(state.diagram().sessionBacked());
+    backend.apply(state, Operation::hadamard(0));
+    backend.apply(state, Operation::hadamard(1));
+    EXPECT_TRUE(state.diagram().sessionBacked());
+    EXPECT_TRUE(state.diagram().sharesStoreWith(backend.zeroState(dims).diagram()));
+    EXPECT_EQ(state.diagram().nodeCount(NodeCountMode::Internal), dims.size());
+    EXPECT_NEAR(state.fidelityWith(EvalState(states::uniform(dims))), 1.0, 1e-12);
 }
 
 TEST(RunFromZeroTest, BothBackendsPrepareTheSameState) {

@@ -35,7 +35,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -60,8 +59,9 @@ void usage() {
   --optimize           run the peephole optimizer on the result
   --backend <name>     evaluation substrate: dense | dd | auto (default auto;
                        dd scales past the dense memory ceiling)
-  --threads <n>        worker threads for the dense kernels and the DD
-                       session builders (default: the MQSP_THREADS env var,
+  --threads <n>        worker threads for the dense simulation kernels and
+                       the --noise replay; synthesis and the dd backend run
+                       on one thread (default: the MQSP_THREADS env var,
                        else hardware concurrency; 1 = single-threaded —
                        results are bit-identical at any count)
   --qasm               print the circuit in MQSP-QASM
@@ -79,25 +79,7 @@ void usage() {
 /// term count (and therefore the synthesized circuit) quadratic in the
 /// register size, so the family stays usable on 10^8-amplitude registers.
 std::uint64_t defaultDickeWeight(const Dimensions& dims) {
-    std::uint64_t maxWeight = 0;
-    for (const auto dim : dims) {
-        maxWeight += dim - 1;
-    }
-    return std::min<std::uint64_t>(2, maxWeight);
-}
-
-/// Default cyclic shift count for a bare `--state cyclic`: every distinct
-/// shift, i.e. lcm(dims) (saturated — shifts repeat beyond the lcm anyway).
-std::uint32_t defaultCyclicCount(const Dimensions& dims) {
-    std::uint64_t lcmSoFar = 1;
-    constexpr std::uint64_t kCap = std::numeric_limits<std::uint32_t>::max();
-    for (const auto dim : dims) {
-        lcmSoFar = std::lcm(lcmSoFar, static_cast<std::uint64_t>(dim));
-        if (lcmSoFar >= kCap) {
-            return static_cast<std::uint32_t>(kCap);
-        }
-    }
-    return static_cast<std::uint32_t>(lcmSoFar);
+    return std::min<std::uint64_t>(2, states::maxDickeWeight(dims));
 }
 
 StateVector loadAmplitudes(const Dimensions& dims, const std::string& path) {
@@ -163,10 +145,7 @@ StateSpec parseStateSpec(const std::string& name, const Dimensions& dims) {
         // weight is then range-checked against the register's maximum
         // excitation count, mirroring the cyclic= bounds check below.
         const std::uint64_t weight = parse::uint64(name.substr(6), "--state dicke=<weight>");
-        std::uint64_t maxWeight = 0;
-        for (const auto dim : dims) {
-            maxWeight += dim - 1;
-        }
+        const std::uint64_t maxWeight = states::maxDickeWeight(dims);
         requireThat(weight <= maxWeight,
                     "dicke=<weight> needs a weight in [0, " + std::to_string(maxWeight) +
                         "] for this register (sum of dim_i - 1), got " +
@@ -174,7 +153,7 @@ StateSpec parseStateSpec(const std::string& name, const Dimensions& dims) {
         return {StateSpec::Family::Dicke, weight};
     }
     if (name == "cyclic") {
-        return {StateSpec::Family::Cyclic, defaultCyclicCount(dims)};
+        return {StateSpec::Family::Cyclic, states::distinctCyclicShifts(dims)};
     }
     if (name.rfind("cyclic=", 0) == 0) {
         const std::uint64_t count = parse::uint64(name.substr(7), "--state cyclic=<count>");
