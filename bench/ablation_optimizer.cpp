@@ -2,14 +2,18 @@
 // how much of the paper-faithful operation count the optimizer recovers
 // (identity stripping should match the synthesizer's own elision mode) and
 // what rotation merging / control-fan collapsing add on top: 'optimized_ops'
-// at or below 'elided_ops' everywhere. The timed region is the optimizer
-// pass alone (synthesis is setup).
+// at or below 'elided_ops' everywhere. A full-mode row runs the optimizer on
+// a transpiled circuit, where lowering to two-qudit gates multiplies the op
+// count and leaves thousands of same-axis neighbours to merge: it shows how
+// the passes scale with circuit length. The timed region is the optimizer
+// pass alone (synthesis and transpilation are setup).
 
 #include "bench_common.hpp"
 #include "harness.hpp"
 
 #include "mqsp/opt/optimizer.hpp"
 #include "mqsp/synth/synthesizer.hpp"
+#include "mqsp/transpile/transpiler.hpp"
 
 
 int main(int argc, char** argv) {
@@ -52,5 +56,26 @@ int main(int argc, char** argv) {
         };
         harness.add(std::move(spec));
     }
+
+    const std::uint64_t transpiledSeed = driverSeeder.childSeed();
+    CaseSpec transpiled;
+    transpiled.name = "Transpiled Random State";
+    transpiled.dims = {9, 5, 6, 3};
+    transpiled.threads = 1;
+    transpiled.reps = 5;
+    transpiled.body = [dims = transpiled.dims, transpiledSeed, lean](Repetition& rep) {
+        Rng rng = repetitionRng(transpiledSeed, rep.index());
+        const auto prep = prepareExact(states::random(dims, rng), lean);
+        Circuit lowered = transpileToTwoQudit(prep.circuit).circuit;
+        OptimizerReport report;
+        rep.time([&] { report = optimizeCircuit(lowered); });
+
+        rep.metric("transpiled_ops", static_cast<double>(report.opsBefore));
+        rep.metric("optimized_ops", static_cast<double>(report.opsAfter));
+        rep.metric("merged_rotations", static_cast<double>(report.mergedRotations));
+        rep.metric("dropped_identities", static_cast<double>(report.droppedIdentities));
+        rep.metric("merged_control_fans", static_cast<double>(report.mergedControlFans));
+    };
+    harness.add(std::move(transpiled));
     return harness.main(argc, argv);
 }

@@ -3,6 +3,7 @@
 #include "mqsp/support/error.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mqsp {
 
@@ -95,6 +96,8 @@ void Circuit::validate(const Operation& op) const { validateOperation(op, radix_
 
 void validateOperation(const Operation& op, const MixedRadix& radix) {
     requireThat(op.target < radix.numQudits(), "Circuit: operation target out of range");
+    requireThat(std::isfinite(op.theta) && std::isfinite(op.phi),
+                "Circuit: rotation angles must be finite");
     const Dimension targetDim = radix.dimensionAt(op.target);
     if (op.kind == GateKind::GivensRotation || op.kind == GateKind::PhaseRotation ||
         op.kind == GateKind::LevelSwap) {

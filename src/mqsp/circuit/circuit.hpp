@@ -27,8 +27,8 @@ struct CircuitStats {
 class Circuit;
 
 /// Validate one operation against a register geometry — target and control
-/// sites in range, levels within each site's dimension, no control on the
-/// target, no duplicate controls. This is the check Circuit::append runs on
+/// sites in range, finite angles, levels within each site's dimension, no
+/// control on the target, no duplicate controls. This is the check Circuit::append runs on
 /// every materialized append; streaming consumers (circuit::GateStream, the
 /// serve APPEND verb) call it directly so a gate can be admitted without a
 /// Circuit to append it to. Throws InvalidArgumentError ("Circuit: ...").

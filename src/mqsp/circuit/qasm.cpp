@@ -4,64 +4,85 @@
 #include "mqsp/support/parse.hpp"
 
 #include <cctype>
-#include <iomanip>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace mqsp {
 
+namespace {
+
+void put(std::string& out, std::string_view text) { out.append(text); }
+
+template <std::unsigned_integral Integer>
+void put(std::string& out, Integer value) {
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+/// Angles print as printf's "%.17g": enough digits to read back every double.
+void put(std::string& out, double value) {
+    char text[32];
+    const auto result =
+        std::to_chars(text, text + sizeof text, value, std::chars_format::general, 17);
+    out.append(text, result.ptr);
+}
+
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+    (put(out, parts), ...);
+}
+
+} // namespace
+
 void emitQasm(std::ostream& out, const Circuit& circuit) {
-    out << "MQSPQASM 1.0;\n";
-    out << "// " << circuit.name() << "\n";
-    out << "qreg q[" << circuit.numQudits() << "] = [";
-    const auto& dims = circuit.dimensions();
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-        if (i > 0) {
-            out << ", ";
-        }
-        out << dims[i];
-    }
-    out << "];\n";
-    out << std::setprecision(17);
-    for (const auto& op : circuit.operations()) {
-        switch (op.kind) {
-        case GateKind::GivensRotation:
-            out << "rxy q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ", "
-                << op.theta << ", " << op.phi << ")";
-            break;
-        case GateKind::PhaseRotation:
-            out << "rz q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ", "
-                << op.theta << ")";
-            break;
-        case GateKind::Hadamard:
-            out << "h q[" << op.target << "]";
-            break;
-        case GateKind::Shift:
-            out << "x q[" << op.target << "] (+" << op.shiftAmount << ")";
-            break;
-        case GateKind::LevelSwap:
-            out << "swp q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ")";
-            break;
-        }
-        if (!op.controls.empty()) {
-            out << " ctl ";
-            for (std::size_t i = 0; i < op.controls.size(); ++i) {
-                if (i > 0) {
-                    out << ", ";
-                }
-                out << "q[" << op.controls[i].qudit << "]=" << op.controls[i].level;
-            }
-        }
-        out << ";\n";
-    }
+    const std::string text = toQasm(circuit);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string toQasm(const Circuit& circuit) {
-    std::ostringstream out;
-    emitQasm(out, circuit);
-    return out.str();
+    const auto& dims = circuit.dimensions();
+    std::string out;
+    out.reserve(64 + circuit.name().size() + 8 * dims.size() + 96 * circuit.numOperations());
+    append(out, "MQSPQASM 1.0;\n// ", circuit.name(), "\nqreg q[", circuit.numQudits(), "] = [");
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+        append(out, i == 0 ? "" : ", ", dims[i]);
+    }
+    append(out, "];\n");
+    for (const auto& op : circuit.operations()) {
+        switch (op.kind) {
+        case GateKind::GivensRotation:
+            append(out, "rxy q[", op.target, "] (", op.levelA, ", ", op.levelB, ", ", op.theta,
+                   ", ", op.phi, ")");
+            break;
+        case GateKind::PhaseRotation:
+            append(out, "rz q[", op.target, "] (", op.levelA, ", ", op.levelB, ", ", op.theta,
+                   ")");
+            break;
+        case GateKind::Hadamard:
+            append(out, "h q[", op.target, "]");
+            break;
+        case GateKind::Shift:
+            append(out, "x q[", op.target, "] (+", op.shiftAmount, ")");
+            break;
+        case GateKind::LevelSwap:
+            append(out, "swp q[", op.target, "] (", op.levelA, ", ", op.levelB, ")");
+            break;
+        }
+        for (std::size_t i = 0; i < op.controls.size(); ++i) {
+            append(out, i == 0 ? " ctl q[" : ", q[", op.controls[i].qudit, "]=",
+                   op.controls[i].level);
+        }
+        append(out, ";\n");
+    }
+    return out;
 }
 
 namespace {
@@ -247,16 +268,19 @@ private:
         return *value;
     }
 
+    /// A strtod number read in place. Subnormals convert (strtod flags
+    /// them ERANGE, but they are exact doubles the writer emits); only
+    /// no conversion at all or an overflow to infinity is refused.
     double number() {
         skipSpace();
-        std::size_t consumed = 0;
-        double value = 0.0;
-        try {
-            value = std::stod(line_->substr(cursor_), &consumed);
-        } catch (const std::exception&) {
+        const char* start = line_->c_str() + cursor_;
+        char* end = nullptr;
+        errno = 0;
+        const double value = std::strtod(start, &end);
+        if (end == start || (errno == ERANGE && std::isinf(value))) {
             fail("expected a number");
         }
-        cursor_ += consumed;
+        cursor_ += static_cast<std::size_t>(end - start);
         return value;
     }
 

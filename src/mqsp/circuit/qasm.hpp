@@ -24,10 +24,12 @@ namespace mqsp {
 /// rxy q[1] (0, 1, 3.1416, 1.5708) ctl q[0]=2, q[2]=1;
 /// ```
 ///
-/// Angles are printed with 17 significant digits and round-trip exactly.
+/// Angles are finite and printed as printf's "%.17g", so they round-trip
+/// exactly, subnormals included. Writes toQasm(circuit); the stream's
+/// formatting flags are left as they were.
 void emitQasm(std::ostream& out, const Circuit& circuit);
 
-/// Convenience wrapper returning the dialect text.
+/// The dialect text of `circuit`.
 [[nodiscard]] std::string toQasm(const Circuit& circuit);
 
 /// Incremental MQSP-QASM reader: the streaming counterpart of parseQasm.

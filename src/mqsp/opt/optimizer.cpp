@@ -5,30 +5,41 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace mqsp {
 
 namespace {
 
-/// All sites an operation touches (target + controls).
-std::vector<std::size_t> sitesOf(const Operation& op) {
-    std::vector<std::size_t> sites{op.target};
-    for (const auto& ctrl : op.controls) {
-        sites.push_back(ctrl.qudit);
+/// True when `op` acts on `site` (as target or control).
+bool touches(const Operation& op, std::size_t site) {
+    if (op.target == site) {
+        return true;
     }
-    std::sort(sites.begin(), sites.end());
-    return sites;
+    return std::any_of(op.controls.begin(), op.controls.end(),
+                       [site](const Control& ctrl) { return ctrl.qudit == site; });
 }
 
 bool disjointSites(const Operation& a, const Operation& b) {
-    const auto sa = sitesOf(a);
-    const auto sb = sitesOf(b);
-    std::vector<std::size_t> common;
-    std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                          std::back_inserter(common));
-    return common.empty();
+    if (touches(b, a.target)) {
+        return false;
+    }
+    return std::none_of(a.controls.begin(), a.controls.end(),
+                        [&b](const Control& ctrl) { return touches(b, ctrl.qudit); });
+}
+
+/// Drop the ops a pass marked dead, keeping the survivors in order.
+void compact(std::vector<Operation>& ops, const std::vector<char>& dead) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (dead[i] == 0) {
+            if (kept != i) {
+                ops[kept] = std::move(ops[i]);
+            }
+            ++kept;
+        }
+    }
+    ops.resize(kept);
 }
 
 /// Same rotation axis: merging candidates must agree in everything except
@@ -73,29 +84,34 @@ bool samePayload(const Operation& a, const Operation& b, double tol) {
     detail::throwInternal("samePayload: unknown gate kind");
 }
 
-/// One pass of neighbouring-rotation merging over the op list. Returns the
-/// number of merges performed.
+/// One pass of neighbouring-rotation merging over the op list. Merged ops
+/// are marked dead and dropped in one compaction at the end, so a merge
+/// moves nothing. Returns the number of merges performed.
 std::size_t mergeRotationsPass(std::vector<Operation>& ops, double tol) {
+    std::vector<char> dead(ops.size(), 0);
     std::size_t merges = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         Operation& current = ops[i];
-        if (current.kind != GateKind::GivensRotation &&
-            current.kind != GateKind::PhaseRotation) {
+        if (dead[i] != 0 || (current.kind != GateKind::GivensRotation &&
+                             current.kind != GateKind::PhaseRotation)) {
             continue;
         }
-        for (std::size_t j = i + 1; j < ops.size();) {
+        for (std::size_t j = i + 1; j < ops.size(); ++j) {
+            if (dead[j] != 0) {
+                continue;
+            }
             if (sameAxis(current, ops[j], tol)) {
                 current.theta += ops[j].theta;
-                ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(j));
+                dead[j] = 1;
                 ++merges;
                 continue; // the window keeps extending past the merged slot
             }
             if (!disjointSites(current, ops[j])) {
                 break;
             }
-            ++j;
         }
     }
+    compact(ops, dead);
     return merges;
 }
 
@@ -107,13 +123,17 @@ std::size_t dropIdentitiesPass(std::vector<Operation>& ops, double tol) {
 
 /// Reverse multiplexing: ops identical up to the level of one shared control
 /// and jointly covering all of that control's levels collapse into one
-/// uncontrolled (on that qudit) op.
+/// uncontrolled (on that qudit) op. Collapsed partners are marked dead and
+/// dropped in one compaction at the end.
 std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& radix,
                                  double tol) {
+    std::vector<char> dead(ops.size(), 0);
+    std::vector<char> covered; // covered[level]: some op of the fan fires on it
+    std::vector<std::size_t> partners;
     std::size_t merges = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Operation& seed = ops[i];
-        if (seed.controls.empty()) {
+        if (dead[i] != 0 || seed.controls.empty()) {
             continue;
         }
         for (std::size_t ctrlIndex = 0; ctrlIndex < seed.controls.size(); ++ctrlIndex) {
@@ -142,14 +162,21 @@ std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& 
                 return true;
             };
 
-            std::set<Level> covered{seed.controls[ctrlIndex].level};
-            std::vector<std::size_t> partners;
+            covered.assign(fanDim, 0);
+            covered[seed.controls[ctrlIndex].level] = 1;
+            std::size_t coveredCount = 1;
+            partners.clear();
             for (std::size_t j = i + 1; j < ops.size(); ++j) {
+                if (dead[j] != 0) {
+                    continue;
+                }
                 Level level = 0;
                 if (isCandidate(ops[j], level)) {
-                    if (covered.insert(level).second) {
+                    if (covered[level] == 0) {
+                        covered[level] = 1;
+                        ++coveredCount;
                         partners.push_back(j);
-                        if (covered.size() == fanDim) {
+                        if (coveredCount == fanDim) {
                             break;
                         }
                     }
@@ -159,19 +186,20 @@ std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& 
                     break;
                 }
             }
-            if (covered.size() != fanDim) {
+            if (coveredCount != fanDim) {
                 continue;
             }
-            // Collapse: remove the fan control from the seed, delete partners.
+            // Collapse: remove the fan control from the seed, drop partners.
             ops[i].controls.erase(ops[i].controls.begin() +
                                   static_cast<std::ptrdiff_t>(ctrlIndex));
-            for (std::size_t k = partners.size(); k-- > 0;) {
-                ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(partners[k]));
+            for (const std::size_t partner : partners) {
+                dead[partner] = 1;
             }
             merges += partners.size();
             break; // seed changed; restart its control scan on a later round
         }
     }
+    compact(ops, dead);
     return merges;
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mqsp {
 namespace {
 
@@ -52,6 +54,19 @@ TEST(Circuit, AppendValidatesShiftAmount) {
     Circuit circuit({3});
     EXPECT_THROW(circuit.append(Operation::shift(0, 3)), InvalidArgumentError);
     EXPECT_NO_THROW(circuit.append(Operation::shift(0, 2)));
+}
+
+TEST(Circuit, AppendRejectsNonFiniteAngles) {
+    Circuit circuit({3, 2});
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double largest = std::numeric_limits<double>::max();
+    EXPECT_THROW(circuit.append(Operation::givens(0, 0, 1, nan, 0.0)), InvalidArgumentError);
+    EXPECT_THROW(circuit.append(Operation::givens(0, 0, 1, 0.5, inf, {{1, 1}})),
+                 InvalidArgumentError);
+    EXPECT_THROW(circuit.append(Operation::phase(1, 0, 1, -inf)), InvalidArgumentError);
+    EXPECT_TRUE(circuit.empty());
+    EXPECT_NO_THROW(circuit.append(Operation::phase(1, 0, 1, largest)));
 }
 
 TEST(Circuit, OperationsKeepApplicationOrder) {

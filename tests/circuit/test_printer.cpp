@@ -110,6 +110,13 @@ TEST(PrinterJson, RejectsNonNumericValueNamingKeyAndLine) {
                      "value for key 'theta'");
 }
 
+TEST(PrinterJson, RejectsNonFiniteAngles) {
+    expectParseError(std::string(kHeader) +
+                         "{\"kind\":\"phase\",\"target\":0,\"levelA\":0,\"levelB\":1,"
+                         "\"theta\":nan,\"phi\":0,\"shift\":0,\"controls\":[]}\n",
+                     "rotation angles must be finite");
+}
+
 TEST(PrinterJson, RejectsTruncatedOperationLine) {
     // A line cut mid-object (torn write, truncated download) names the
     // first missing key instead of crashing in a raw substring scan.

@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <numbers>
 #include <sstream>
 
 namespace mqsp {
@@ -289,6 +295,77 @@ TEST(Qasm, RoundTripsEveryBenchmarkFamilyCircuit) {
             expectSameOps(prep.circuit, parsed);
         }
     }
+}
+
+/// printf's "%.17g" rendering of one double.
+std::string percentG17(double value) {
+    char buffer[40];
+    const int length = std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return std::string(buffer, static_cast<std::size_t>(length));
+}
+
+TEST(QasmWriter, AnglesPrintExactlyAsPercentG17) {
+    const double angles[] = {-0.0, 0.1, 1.0 / 3.0, std::numbers::pi, 1e17, DBL_MAX};
+    Circuit circuit({3, 2}, "angles");
+    std::string want = "MQSPQASM 1.0;\n// angles\nqreg q[2] = [3, 2];\n";
+    for (const double angle : angles) {
+        circuit.append(Operation::givens(0, 0, 2, angle, -angle, {{1, 1}}));
+        circuit.append(Operation::phase(1, 0, 1, angle));
+        want += "rxy q[0] (0, 2, " + percentG17(angle) + ", " + percentG17(-angle) +
+                ") ctl q[1]=1;\n";
+        want += "rz q[1] (0, 1, " + percentG17(angle) + ");\n";
+    }
+    EXPECT_EQ(toQasm(circuit), want);
+}
+
+TEST(QasmWriter, EmitLeavesTheCallersStreamFormatting) {
+    std::ostringstream out;
+    out.precision(4);
+    emitQasm(out, sampleCircuit());
+    EXPECT_EQ(out.precision(), 4);
+    EXPECT_EQ(out.str(), toQasm(sampleCircuit()));
+}
+
+TEST(Qasm, TinyAndSignedZeroAnglesReadBackBitIdentical) {
+    // Subnormals underflow in strtod's eyes (ERANGE), but they are exact
+    // doubles and the dialect promises an exact round trip.
+    const double angles[] = {9.9999999999999694e-311, std::numeric_limits<double>::denorm_min(),
+                             std::nextafter(DBL_MIN, 0.0), DBL_MIN, -0.0};
+    Circuit circuit({3});
+    for (const double angle : angles) {
+        circuit.append(Operation::givens(0, 0, 1, angle, -angle));
+        circuit.append(Operation::phase(0, 1, 2, angle));
+    }
+    const Circuit parsed = parseQasmString(toQasm(circuit));
+    ASSERT_EQ(parsed.numOperations(), circuit.numOperations());
+    for (std::size_t i = 0; i < circuit.numOperations(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed[i].theta),
+                  std::bit_cast<std::uint64_t>(circuit[i].theta))
+            << "op " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed[i].phi),
+                  std::bit_cast<std::uint64_t>(circuit[i].phi))
+            << "op " << i;
+    }
+}
+
+/// Parse `text` and require an InvalidArgumentError carrying `fragment`.
+void expectParseError(const std::string& text, const std::string& fragment) {
+    try {
+        (void)parseQasmString(text);
+        FAIL() << "expected InvalidArgumentError for:\n" << text;
+    } catch (const InvalidArgumentError& error) {
+        EXPECT_NE(std::string(error.what()).find(fragment), std::string::npos) << error.what();
+    }
+}
+
+TEST(Qasm, NonFiniteAnglesAreRefusedWithTheLineNumber) {
+    const std::string header = "MQSPQASM 1.0;\nqreg q[2] = [3, 2];\n";
+    const std::string refused = "line 3: Circuit: rotation angles must be finite";
+    expectParseError(header + "rxy q[0] (0, 1, nan, 0);\n", refused);
+    expectParseError(header + "rxy q[0] (0, 1, 0.5, inf);\n", refused);
+    expectParseError(header + "rz q[1] (0, 1, -inf);\n", refused);
+    // Out-of-range text is still not a number at all.
+    expectParseError(header + "rz q[1] (0, 1, 1e999);\n", "line 3: expected a number");
 }
 
 } // namespace

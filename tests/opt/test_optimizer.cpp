@@ -4,10 +4,14 @@
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/rng.hpp"
 #include "mqsp/synth/synthesizer.hpp"
+#include "mqsp/transpile/transpiler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace mqsp {
@@ -169,14 +173,15 @@ TEST(Optimizer, ReportsRoundsAndCounts) {
     EXPECT_GE(report.rounds, 1U);
 }
 
-class OptimizerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
-    Rng rng(GetParam());
+/// The fuzz generator: `count` rotations on [3,2,4] with angles from a
+/// small discrete set (to provoke merges and cancellations), half of them
+/// carrying one control.
+Circuit discreteAngleCircuit(std::uint64_t seed, int count) {
+    Rng rng(seed);
     const Dimensions dims{3, 2, 4};
     const MixedRadix radix(dims);
     Circuit circuit(dims);
-    for (int i = 0; i < 60; ++i) {
+    for (int i = 0; i < count; ++i) {
         const auto target = static_cast<std::size_t>(rng.uniformIndex(3));
         const Dimension dim = radix.dimensionAt(target);
         auto a = static_cast<Level>(rng.uniformIndex(dim));
@@ -190,7 +195,6 @@ TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
             controls.push_back(
                 {ctrl, static_cast<Level>(rng.uniformIndex(radix.dimensionAt(ctrl)))});
         }
-        // Small discrete angle set to provoke merges and cancellations.
         const double angles[] = {0.0, kPi / 4, -kPi / 4, kPi / 2};
         const double phis[] = {0.0, kPi / 2};
         if (rng.uniform01() < 0.7) {
@@ -202,6 +206,13 @@ TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
                                             angles[rng.uniformIndex(4)], controls));
         }
     }
+    return circuit;
+}
+
+class OptimizerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
+    const Circuit circuit = discreteAngleCircuit(GetParam(), 60);
     Circuit optimized = circuit;
     const auto report = optimizeCircuit(optimized);
     EXPECT_LE(report.opsAfter, report.opsBefore);
@@ -210,6 +221,97 @@ TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerFuzz,
                          ::testing::Values(1U, 2U, 3U, 4U, 5U, 6U, 7U, 8U, 9U, 10U));
+
+// Output identity: the optimizer's exact result on four inputs, pinned as
+// the whole report plus a digest of every op field. Any change to a pass
+// must leave these constants alone unless it means to change the output.
+
+/// FNV-1a over every field of every op: angles by bit pattern, controls in
+/// order.
+std::uint64_t opDigest(const Circuit& circuit) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xFFU;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    mix(circuit.numOperations());
+    for (const auto& op : circuit.operations()) {
+        mix(static_cast<std::uint64_t>(op.kind));
+        mix(op.target);
+        mix(op.levelA);
+        mix(op.levelB);
+        mix(std::bit_cast<std::uint64_t>(op.theta));
+        mix(std::bit_cast<std::uint64_t>(op.phi));
+        mix(op.shiftAmount);
+        mix(op.controls.size());
+        for (const auto& ctrl : op.controls) {
+            mix(ctrl.qudit);
+            mix(ctrl.level);
+        }
+    }
+    return hash;
+}
+
+/// opsBefore, opsAfter, mergedRotations, droppedIdentities,
+/// mergedControlFans, rounds.
+using ReportFields = std::array<std::size_t, 6>;
+
+ReportFields fieldsOf(const OptimizerReport& report) {
+    return {report.opsBefore,         report.opsAfter,          report.mergedRotations,
+            report.droppedIdentities, report.mergedControlFans, report.rounds};
+}
+
+struct Pinned {
+    ReportFields report;
+    std::uint64_t digest;
+};
+
+void expectPinned(Circuit circuit, const Pinned& want) {
+    const OptimizerReport report = optimizeCircuit(circuit);
+    EXPECT_EQ(fieldsOf(report), want.report);
+    EXPECT_EQ(opDigest(circuit), want.digest);
+}
+
+TEST(OptimizerIdentity, FuzzSeeds) {
+    const std::array<Pinned, 10> pinned{{
+        {{60, 45, 1, 14, 0, 2}, 0x6fc1678608aaca5fULL},
+        {{60, 47, 2, 11, 0, 1}, 0xf814193edf83dd0fULL},
+        {{60, 33, 6, 21, 0, 1}, 0x79374cd371e43799ULL},
+        {{60, 43, 1, 16, 0, 1}, 0x58a56e9b643e81d6ULL},
+        {{60, 45, 1, 14, 0, 1}, 0x3f516b1bb2ef7c09ULL},
+        {{60, 45, 2, 13, 0, 2}, 0xb62cb8be054fb0e5ULL},
+        {{60, 40, 4, 16, 0, 2}, 0xb5a3264067f1ea66ULL},
+        {{60, 40, 0, 20, 0, 1}, 0x0e079f9b5430c8baULL},
+        {{60, 43, 1, 16, 0, 1}, 0x2e94bce537c3e47bULL},
+        {{60, 48, 0, 12, 0, 1}, 0x0aec7c3cc7bfe5a7ULL},
+    }};
+    for (std::uint64_t seed = 1; seed <= pinned.size(); ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectPinned(discreteAngleCircuit(seed, 60), pinned[seed - 1]);
+    }
+}
+
+TEST(OptimizerIdentity, LongDiscreteAngleCircuit) {
+    expectPinned(discreteAngleCircuit(2024, 5000),
+                 {{5000, 3584, 179, 1233, 4, 2}, 0x13f1a1d3367485a5ULL});
+}
+
+TEST(OptimizerIdentity, TranspiledRandomState) {
+    Rng rng(7);
+    SynthesisOptions lean;
+    lean.emitIdentityOperations = false;
+    const auto prep = prepareExact(states::random({3, 6, 2}, rng), lean);
+    expectPinned(transpileToTwoQudit(prep.circuit).circuit,
+                 {{953, 917, 36, 0, 0, 1}, 0xde581b36502351f0ULL});
+}
+
+TEST(OptimizerIdentity, FaithfulRandomPreparation) {
+    Rng rng(7);
+    const auto prep = prepareExact(states::random({9, 5, 6, 3}, rng));
+    expectPinned(prep.circuit, {{1134, 1079, 0, 55, 0, 1}, 0x49c6328166829959ULL});
+}
 
 } // namespace
 } // namespace mqsp

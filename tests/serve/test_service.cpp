@@ -407,5 +407,23 @@ TEST(ServeStream, BadStreamInputKeepsServing) {
     EXPECT_EQ(uintField(stats, "reverified"), 0U);
 }
 
+TEST(ServeStream, NonFiniteAngleAppendIsRefusedAndLeavesTheTargetIntact) {
+    VerificationService service;
+    const std::uint64_t ops = uintField(ok(service, "PREP:GHZ --dims 3,6,2"), "ops");
+
+    err(service, "APPEND --gate rxy q[1] (0, 1, nan, 0) ctl q[0]=1;",
+        "rotation angles must be finite");
+    err(service, "APPEND --gate rxy q[1] (0, 1, 0.5, inf) ctl q[0]=1;",
+        "rotation angles must be finite");
+    err(service, "APPEND --gate rz q[1] (0, 1, -inf);", "rotation angles must be finite");
+
+    // Neither the circuit nor the target moved.
+    EXPECT_EQ(field(ok(service, "VERIFY"), "fidelity"), "1.000000000");
+    const std::string reverify = ok(service, "REVERIFY");
+    EXPECT_EQ(field(reverify, "fidelity"), "1.000000000");
+    EXPECT_EQ(uintField(reverify, "total_ops"), ops);
+    EXPECT_EQ(uintField(ok(service, "STATS?"), "appended"), 0U);
+}
+
 } // namespace
 } // namespace mqsp::serve
