@@ -10,6 +10,58 @@ namespace mqsp {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
+
+// exp(-i t/2 (cos(phi) sx + sin(phi) sy)) restricted to {a, b}:
+//   [ cos(t/2)                  , -i e^{-i phi} sin(t/2) ]
+//   [ -i e^{+i phi} sin(t/2)    ,  cos(t/2)              ]
+[[nodiscard]] TwoLevelBlock givensBlock(double theta, double phi) {
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    return {Complex{c, 0.0}, Complex{0.0, -1.0} * Complex{std::cos(-phi), std::sin(-phi)} * s,
+            Complex{0.0, -1.0} * Complex{std::cos(phi), std::sin(phi)} * s, Complex{c, 0.0}};
+}
+
+// Sign convention chosen so the paper's decomposition identity holds
+// verbatim: Z(t) = R(-pi/2, 0) * R(t, pi/2) * R(pi/2, 0).
+[[nodiscard]] TwoLevelBlock phaseBlock(double theta) {
+    return {Complex{std::cos(theta / 2.0), std::sin(theta / 2.0)}, Complex{0.0, 0.0},
+            Complex{0.0, 0.0}, Complex{std::cos(theta / 2.0), -std::sin(theta / 2.0)}};
+}
+
+[[nodiscard]] TwoLevelBlock levelSwapBlock() {
+    return {Complex{0.0, 0.0}, Complex{1.0, 0.0}, Complex{1.0, 0.0}, Complex{0.0, 0.0}};
+}
+
+void writeHadamard(Dimension dim, DenseMatrix& m) {
+    requireThat(dim >= 2, "hadamardMatrix: dimension must be >= 2");
+    m.setZero(dim);
+    const double invSqrt = 1.0 / std::sqrt(static_cast<double>(dim));
+    for (Dimension r = 0; r < dim; ++r) {
+        for (Dimension c = 0; c < dim; ++c) {
+            const double angle = 2.0 * kPi * static_cast<double>(r) * static_cast<double>(c) /
+                                 static_cast<double>(dim);
+            m(r, c) = invSqrt * Complex{std::cos(angle), std::sin(angle)};
+        }
+    }
+}
+
+void writeShift(Dimension dim, Level amount, DenseMatrix& m) {
+    requireThat(dim >= 2, "shiftMatrix: dimension must be >= 2");
+    m.setZero(dim);
+    for (Dimension c = 0; c < dim; ++c) {
+        m((c + amount) % dim, c) = Complex{1.0, 0.0};
+    }
+}
+
+/// The identity of dimension `dim` with `block` on levels a, b.
+[[nodiscard]] DenseMatrix embedBlock(Dimension dim, Level a, Level b, const TwoLevelBlock& block) {
+    DenseMatrix m = DenseMatrix::identity(dim);
+    m(a, a) = block.aa;
+    m(a, b) = block.ab;
+    m(b, a) = block.ba;
+    m(b, b) = block.bb;
+    return m;
+}
 } // namespace
 
 Operation Operation::givens(std::size_t target, Level levelA, Level levelB, double theta,
@@ -158,66 +210,64 @@ std::string Operation::toString() const {
 }
 
 DenseMatrix hadamardMatrix(Dimension dim) {
-    requireThat(dim >= 2, "hadamardMatrix: dimension must be >= 2");
-    DenseMatrix m(dim);
-    const double invSqrt = 1.0 / std::sqrt(static_cast<double>(dim));
-    for (Dimension r = 0; r < dim; ++r) {
-        for (Dimension c = 0; c < dim; ++c) {
-            const double angle = 2.0 * kPi * static_cast<double>(r) * static_cast<double>(c) /
-                                 static_cast<double>(dim);
-            m(r, c) = invSqrt * Complex{std::cos(angle), std::sin(angle)};
-        }
-    }
+    DenseMatrix m;
+    writeHadamard(dim, m);
     return m;
 }
 
 DenseMatrix shiftMatrix(Dimension dim, Level amount) {
-    requireThat(dim >= 2, "shiftMatrix: dimension must be >= 2");
-    DenseMatrix m(dim);
-    for (Dimension c = 0; c < dim; ++c) {
-        m((c + amount) % dim, c) = Complex{1.0, 0.0};
-    }
+    DenseMatrix m;
+    writeShift(dim, amount, m);
     return m;
+}
+
+void mixingMatrixInto(const Operation& op, Dimension dim, DenseMatrix& out) {
+    switch (op.kind) {
+    case GateKind::Hadamard:
+        writeHadamard(dim, out);
+        return;
+    case GateKind::Shift:
+        writeShift(dim, op.shiftAmount, out);
+        return;
+    case GateKind::GivensRotation:
+    case GateKind::PhaseRotation:
+    case GateKind::LevelSwap:
+        break;
+    }
+    detail::throwInvalidArgument("mixingMatrixInto: not a Hadamard or Shift operation");
 }
 
 DenseMatrix givensMatrix(Dimension dim, Level levelA, Level levelB, double theta, double phi) {
     requireThat(levelA < dim && levelB < dim, "givensMatrix: level out of range");
     requireThat(levelA != levelB, "givensMatrix: levels must differ");
-    DenseMatrix m = DenseMatrix::identity(dim);
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    // exp(-i t/2 (cos(phi) sx + sin(phi) sy)) restricted to {a, b}:
-    //   [ cos(t/2)                  , -i e^{-i phi} sin(t/2) ]
-    //   [ -i e^{+i phi} sin(t/2)    ,  cos(t/2)              ]
-    const Complex offAB = Complex{0.0, -1.0} * Complex{std::cos(-phi), std::sin(-phi)} * s;
-    const Complex offBA = Complex{0.0, -1.0} * Complex{std::cos(phi), std::sin(phi)} * s;
-    m(levelA, levelA) = Complex{c, 0.0};
-    m(levelB, levelB) = Complex{c, 0.0};
-    m(levelA, levelB) = offAB;
-    m(levelB, levelA) = offBA;
-    return m;
+    return embedBlock(dim, levelA, levelB, givensBlock(theta, phi));
 }
 
 DenseMatrix levelSwapMatrix(Dimension dim, Level levelA, Level levelB) {
     requireThat(levelA < dim && levelB < dim, "levelSwapMatrix: level out of range");
     requireThat(levelA != levelB, "levelSwapMatrix: levels must differ");
-    DenseMatrix m = DenseMatrix::identity(dim);
-    m(levelA, levelA) = Complex{0.0, 0.0};
-    m(levelB, levelB) = Complex{0.0, 0.0};
-    m(levelA, levelB) = Complex{1.0, 0.0};
-    m(levelB, levelA) = Complex{1.0, 0.0};
-    return m;
+    return embedBlock(dim, levelA, levelB, levelSwapBlock());
 }
 
 DenseMatrix phaseMatrix(Dimension dim, Level levelA, Level levelB, double theta) {
     requireThat(levelA < dim && levelB < dim, "phaseMatrix: level out of range");
     requireThat(levelA != levelB, "phaseMatrix: levels must differ");
-    DenseMatrix m = DenseMatrix::identity(dim);
-    // Sign convention chosen so the paper's decomposition identity holds
-    // verbatim: Z(t) = R(-pi/2, 0) * R(t, pi/2) * R(pi/2, 0).
-    m(levelA, levelA) = Complex{std::cos(theta / 2.0), std::sin(theta / 2.0)};
-    m(levelB, levelB) = Complex{std::cos(theta / 2.0), -std::sin(theta / 2.0)};
-    return m;
+    return embedBlock(dim, levelA, levelB, phaseBlock(theta));
+}
+
+std::optional<TwoLevelBlock> twoLevelBlock(const Operation& op) {
+    switch (op.kind) {
+    case GateKind::GivensRotation:
+        return givensBlock(op.theta, op.phi);
+    case GateKind::PhaseRotation:
+        return phaseBlock(op.theta);
+    case GateKind::LevelSwap:
+        return levelSwapBlock();
+    case GateKind::Hadamard:
+    case GateKind::Shift:
+        break;
+    }
+    return std::nullopt;
 }
 
 } // namespace mqsp

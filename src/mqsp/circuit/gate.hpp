@@ -4,6 +4,7 @@
 #include "mqsp/support/mixed_radix.hpp"
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,29 @@ struct Operation {
     /// Human-readable rendering, e.g. "R(1,2| th=1.9106, ph=-1.5708) @ q1 ctrl[q2=1]".
     [[nodiscard]] std::string toString() const;
 };
+
+/// The 2x2 block of a two-level gate (GivensRotation, PhaseRotation,
+/// LevelSwap) in the (levelA, levelB) basis: `aa` maps levelA to levelA,
+/// `ab` levelB to levelA, and so on. The gate is the identity on every other
+/// level, so the simulator and the DD gate kernel read a two-level gate
+/// from this stack block instead of a dim x dim matrix; the embedded
+/// matrices below are built from the same block.
+struct TwoLevelBlock {
+    Complex aa;
+    Complex ab;
+    Complex ba;
+    Complex bb;
+};
+
+/// The block of a two-level operation; nullopt for Hadamard and Shift,
+/// which mix every level.
+[[nodiscard]] std::optional<TwoLevelBlock> twoLevelBlock(const Operation& op);
+
+/// The local matrix of a Hadamard or Shift operation (the gates that mix
+/// every level) on a level of dimension `dim`, written into `out` with its
+/// storage reused; hadamardMatrix and shiftMatrix are built the same way.
+/// Throws for a two-level operation.
+void mixingMatrixInto(const Operation& op, Dimension dim, DenseMatrix& out);
 
 /// The generalized Hadamard (DFT) matrix of dimension d:
 /// H[r][c] = omega^{r c} / sqrt(d), omega = exp(2 pi i / d).

@@ -9,6 +9,11 @@ namespace mqsp {
 
 DenseMatrix::DenseMatrix(std::size_t n) : n_(n), data_(n * n, Complex{0.0, 0.0}) {}
 
+void DenseMatrix::setZero(std::size_t n) {
+    n_ = n;
+    data_.assign(n * n, Complex{0.0, 0.0});
+}
+
 DenseMatrix DenseMatrix::identity(std::size_t n) {
     DenseMatrix m(n);
     for (std::size_t i = 0; i < n; ++i) {

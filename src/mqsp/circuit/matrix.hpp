@@ -24,6 +24,9 @@ public:
 
     [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
+    /// Make this the zero matrix of size n x n, reusing its storage.
+    void setZero(std::size_t n);
+
     [[nodiscard]] const Complex& operator()(std::size_t row, std::size_t col) const;
     [[nodiscard]] Complex& operator()(std::size_t row, std::size_t col);
 

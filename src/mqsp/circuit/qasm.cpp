@@ -13,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 namespace mqsp {
@@ -87,28 +88,31 @@ std::string toQasm(const Circuit& circuit) {
 
 namespace {
 
-/// Strip a trailing `//` comment and surrounding whitespace; empty result
-/// means the line carries no statement.
-[[nodiscard]] std::string stripLine(std::string raw) {
-    const auto comment = raw.find("//");
-    if (comment != std::string::npos) {
-        raw.erase(comment);
+/// Strip a trailing `//` comment and surrounding whitespace; an empty
+/// result means the line carries no statement. A view into `raw`.
+[[nodiscard]] std::string_view stripLine(std::string_view raw) {
+    if (const auto comment = raw.find("//"); comment != std::string_view::npos) {
+        raw = raw.substr(0, comment);
     }
     const auto begin = raw.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) {
+    if (begin == std::string_view::npos) {
         return {};
     }
     const auto end = raw.find_last_not_of(" \t\r");
     return raw.substr(begin, end - begin + 1);
 }
 
-/// Recursive-descent scanner over ONE stripped dialect line. Both the
-/// streaming reader and the single-statement entry point drive it; the
-/// line number is carried only for the "parseQasm: line N: ..." messages.
+/// Recursive-descent scanner over ONE stripped dialect line, in place: its
+/// tokens are views into the line. Both the streaming reader and the
+/// single-statement entry point drive it; the line number is carried only
+/// for the "parseQasm: line N: ..." messages. The line is a stripLine view
+/// into a NUL-terminated string, so it is followed by whitespace, a `//`
+/// comment or the terminator, none of which continues a number: strtod
+/// may read it in place.
 class LineParser {
 public:
-    LineParser(const std::string& line, std::size_t lineNumber)
-        : line_(&line), lineNumber_(lineNumber) {}
+    LineParser(std::string_view line, std::size_t lineNumber)
+        : line_(line), lineNumber_(lineNumber) {}
 
     [[noreturn]] void fail(const std::string& message) const {
         detail::throwInvalidArgument("parseQasm: line " + std::to_string(lineNumber_) +
@@ -117,13 +121,13 @@ public:
 
     /// "MQSPQASM 1.0;" — the whole header line.
     void header() {
-        const std::string keyword = word();
+        const std::string_view keyword = word();
         if (keyword != "MQSPQASM") {
-            fail("expected MQSPQASM header, got '" + keyword + "'");
+            fail("expected MQSPQASM header, got '" + std::string(keyword) + "'");
         }
-        const std::string version = word();
+        const std::string_view version = word();
         if (version != "1.0") {
-            fail("unsupported version '" + version + "'");
+            fail("unsupported version '" + std::string(version) + "'");
         }
         expect(';', "header");
     }
@@ -156,7 +160,7 @@ public:
     /// operation is syntax-only — the caller validates it against the
     /// register (and re-raises through fail for the line-numbered message).
     [[nodiscard]] Operation gateStatement() {
-        const std::string gate = word();
+        const std::string_view gate = word();
         if (gate.empty()) {
             fail("expected a gate name");
         }
@@ -199,17 +203,17 @@ public:
             expect(')', "swap levels");
             op = Operation::levelSwap(target, a, b);
         } else {
-            fail("unknown gate '" + gate + "'");
+            fail("unknown gate '" + std::string(gate) + "'");
         }
 
         skipSpace();
-        if (line_->compare(cursor_, 3, "ctl") == 0) {
+        if (line_.substr(cursor_, 3) == "ctl") {
             cursor_ += 3;
             op.controls = parseControls();
         }
         expect(';', "statement");
         skipSpace();
-        if (cursor_ != line_->size()) {
+        if (cursor_ != line_.size()) {
             fail("trailing characters after ';'");
         }
         return op;
@@ -217,15 +221,15 @@ public:
 
 private:
     void skipSpace() {
-        while (cursor_ < line_->size() &&
-               std::isspace(static_cast<unsigned char>((*line_)[cursor_])) != 0) {
+        while (cursor_ < line_.size() &&
+               std::isspace(static_cast<unsigned char>(line_[cursor_])) != 0) {
             ++cursor_;
         }
     }
 
     bool consume(char ch) {
         skipSpace();
-        if (cursor_ < line_->size() && (*line_)[cursor_] == ch) {
+        if (cursor_ < line_.size() && line_[cursor_] == ch) {
             ++cursor_;
             return true;
         }
@@ -238,28 +242,28 @@ private:
         }
     }
 
-    std::string word() {
+    std::string_view word() {
         skipSpace();
-        std::size_t start = cursor_;
-        while (cursor_ < line_->size() &&
-               (std::isalnum(static_cast<unsigned char>((*line_)[cursor_])) != 0 ||
-                (*line_)[cursor_] == '.' || (*line_)[cursor_] == '_')) {
+        const std::size_t start = cursor_;
+        while (cursor_ < line_.size() &&
+               (std::isalnum(static_cast<unsigned char>(line_[cursor_])) != 0 ||
+                line_[cursor_] == '.' || line_[cursor_] == '_')) {
             ++cursor_;
         }
-        return line_->substr(start, cursor_ - start);
+        return line_.substr(start, cursor_ - start);
     }
 
     std::uint64_t integer() {
         skipSpace();
-        std::size_t start = cursor_;
-        while (cursor_ < line_->size() &&
-               std::isdigit(static_cast<unsigned char>((*line_)[cursor_])) != 0) {
+        const std::size_t start = cursor_;
+        while (cursor_ < line_.size() &&
+               std::isdigit(static_cast<unsigned char>(line_[cursor_])) != 0) {
             ++cursor_;
         }
         if (start == cursor_) {
             fail("expected an integer");
         }
-        const std::string digits = line_->substr(start, cursor_ - start);
+        const std::string_view digits = line_.substr(start, cursor_ - start);
         const auto value = parse::tryUint64(digits);
         if (!value.has_value()) {
             // Digits-only text can only miss by overflowing 64 bits.
@@ -268,26 +272,35 @@ private:
         return *value;
     }
 
-    /// A strtod number read in place. Subnormals convert (strtod flags
-    /// them ERANGE, but they are exact doubles the writer emits); only
-    /// no conversion at all or an overflow to infinity is refused.
+    /// A number read in place by std::from_chars. What it refuses or stops
+    /// short of at a hex prefix — an explicit '+', hex floats, underflow
+    /// (which it reports as out of range) — is read by strtod, so every
+    /// spelling reads to the double strtod gives. Subnormals and underflow
+    /// to zero convert; only no conversion at all or an overflow to
+    /// infinity is refused.
     double number() {
         skipSpace();
-        const char* start = line_->c_str() + cursor_;
-        char* end = nullptr;
-        errno = 0;
-        const double value = std::strtod(start, &end);
-        if (end == start || (errno == ERANGE && std::isinf(value))) {
-            fail("expected a number");
+        const char* first = line_.data() + cursor_;
+        const char* last = line_.data() + line_.size();
+        double value = 0.0;
+        auto [end, error] = std::from_chars(first, last, value);
+        if (error != std::errc{} || (end != last && (*end == 'x' || *end == 'X'))) {
+            char* strtodEnd = nullptr;
+            errno = 0;
+            value = std::strtod(first, &strtodEnd);
+            if (strtodEnd == first || (errno == ERANGE && std::isinf(value))) {
+                fail("expected a number");
+            }
+            end = strtodEnd;
         }
-        cursor_ += static_cast<std::size_t>(end - start);
+        cursor_ += static_cast<std::size_t>(end - first);
         return value;
     }
 
     /// "q[<index>]" -> index.
     std::size_t site() {
         skipSpace();
-        if (cursor_ >= line_->size() || (*line_)[cursor_] != 'q') {
+        if (cursor_ >= line_.size() || line_[cursor_] != 'q') {
             fail("expected a qudit reference q[i]");
         }
         ++cursor_;
@@ -311,14 +324,14 @@ private:
         return controls;
     }
 
-    const std::string* line_;
+    std::string_view line_;
     std::size_t cursor_ = 0;
     std::size_t lineNumber_;
 };
 
 /// Parse + register-validate one stripped statement line, re-raising any
 /// admissibility error with the line-numbered prefix.
-[[nodiscard]] Operation statementOn(const std::string& line, std::size_t lineNumber,
+[[nodiscard]] Operation statementOn(std::string_view line, std::size_t lineNumber,
                                     const MixedRadix& radix) {
     LineParser parser(line, lineNumber);
     Operation op = parser.gateStatement();
@@ -333,40 +346,39 @@ private:
 } // namespace
 
 GateStream::GateStream(std::istream& in) : in_(&in) {
-    if (!nextMeaningfulLine()) {
-        LineParser(line_, lineNumber_).fail("missing MQSPQASM header");
+    const std::string_view header = nextStatement();
+    if (header.empty()) {
+        LineParser(header, lineNumber_).fail("missing MQSPQASM header");
     }
-    LineParser(line_, lineNumber_).header();
-    if (!nextMeaningfulLine()) {
-        LineParser(line_, lineNumber_).fail("missing qreg declaration");
+    LineParser(header, lineNumber_).header();
+    const std::string_view qreg = nextStatement();
+    if (qreg.empty()) {
+        LineParser(qreg, lineNumber_).fail("missing qreg declaration");
     }
-    LineParser qregParser(line_, lineNumber_);
+    LineParser qregParser(qreg, lineNumber_);
     radix_ = MixedRadix(qregParser.qreg());
 }
 
-bool GateStream::nextMeaningfulLine() {
-    std::string raw;
-    while (std::getline(*in_, raw)) {
+std::string_view GateStream::nextStatement() {
+    while (std::getline(*in_, line_)) {
         ++lineNumber_;
-        std::string stripped = stripLine(std::move(raw));
-        if (stripped.empty()) {
-            continue;
+        if (const std::string_view statement = stripLine(line_); !statement.empty()) {
+            return statement;
         }
-        line_ = std::move(stripped);
-        return true;
     }
-    return false;
+    return {};
 }
 
 std::optional<Operation> GateStream::next() {
     if (eof_) {
         return std::nullopt;
     }
-    if (!nextMeaningfulLine()) {
+    const std::string_view statement = nextStatement();
+    if (statement.empty()) {
         eof_ = true;
         return std::nullopt;
     }
-    Operation op = statementOn(line_, lineNumber_, radix_);
+    Operation op = statementOn(statement, lineNumber_, radix_);
     ++opsRead_;
     return op;
 }
@@ -387,7 +399,7 @@ Circuit parseQasmString(const std::string& text) {
 
 Operation parseQasmStatement(const std::string& text, const MixedRadix& radix,
                              std::size_t lineNumber) {
-    const std::string stripped = stripLine(text);
+    const std::string_view stripped = stripLine(text);
     if (stripped.empty()) {
         LineParser(stripped, lineNumber).fail("expected a gate name");
     }

@@ -6,6 +6,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace mqsp {
 
@@ -70,8 +71,10 @@ public:
     [[nodiscard]] std::size_t lineNumber() const noexcept { return lineNumber_; }
 
 private:
-    /// Load the next line that still has content after comment stripping.
-    bool nextMeaningfulLine();
+    /// Read the next line that still has content after comment stripping
+    /// into the line buffer (which keeps its capacity from line to line)
+    /// and return that content as a view into it; empty at the end.
+    std::string_view nextStatement();
 
     std::istream* in_;
     MixedRadix radix_;

@@ -2,8 +2,11 @@
 
 #include "mqsp/support/error.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,105 @@ struct WeightedEdge {
         return node == kNoNode || approxZero(weight, tol);
     }
 };
+
+/// The per-gate visit memo (node -> its rebuilt edge at in-weight 1): a
+/// flat open-addressed table reused from gate to gate. `reset` starts a
+/// gate in O(1) by bumping the epoch that marks a slot as taken, so a gate
+/// never pays for the slots an earlier, larger gate grew. A table past
+/// kKeepSlots that the previous gate filled to under 1/16 is released
+/// instead, so a thread does not hold one large gate's memo for the rest
+/// of its life.
+class VisitMemo {
+public:
+    void reset() {
+        if (slots_.size() > kKeepSlots && count_ * 16 < slots_.size()) {
+            slots_ = std::vector<Slot>();
+            shift_ = 64;
+        }
+        if (++epoch_ == 0) { // wrapped: stale stamps would read as taken
+            for (Slot& slot : slots_) {
+                slot.epoch = 0;
+            }
+            epoch_ = 1;
+        }
+        count_ = 0;
+    }
+
+    [[nodiscard]] const WeightedEdge* find(NodeRef ref) const noexcept {
+        if (slots_.empty()) {
+            return nullptr;
+        }
+        for (std::size_t i = indexOf(ref);; i = (i + 1) & (slots_.size() - 1)) {
+            const Slot& slot = slots_[i];
+            if (slot.epoch != epoch_) {
+                return nullptr;
+            }
+            if (slot.ref == ref) {
+                return &slot.edge;
+            }
+        }
+    }
+
+    void insert(NodeRef ref, const WeightedEdge& edge) {
+        if ((count_ + 1) * 2 > slots_.size()) {
+            grow();
+        }
+        place(ref, edge);
+        ++count_;
+    }
+
+private:
+    struct Slot {
+        NodeRef ref = kNoNode;
+        std::uint32_t epoch = 0;
+        WeightedEdge edge;
+    };
+
+    static constexpr std::size_t kMinSlots = 64;
+    static constexpr std::size_t kKeepSlots = std::size_t{1} << 15U; // 1 MiB of slots
+
+    /// Fibonacci hashing: the top bits of ref * 2^64/phi.
+    [[nodiscard]] std::size_t indexOf(NodeRef ref) const noexcept {
+        return static_cast<std::size_t>((ref * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+
+    void place(NodeRef ref, const WeightedEdge& edge) {
+        std::size_t i = indexOf(ref);
+        while (slots_[i].epoch == epoch_) {
+            i = (i + 1) & (slots_.size() - 1);
+        }
+        slots_[i] = Slot{ref, epoch_, edge};
+    }
+
+    void grow() {
+        const std::vector<Slot> previous =
+            std::exchange(slots_, std::vector<Slot>(std::max(kMinSlots, slots_.size() * 2)));
+        shift_ = 64U - static_cast<unsigned>(std::countr_zero(slots_.size()));
+        for (const Slot& slot : previous) {
+            if (slot.epoch == epoch_) {
+                place(slot.ref, slot.edge);
+            }
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::uint32_t epoch_ = 0;
+    unsigned shift_ = 64;
+    std::size_t count_ = 0;
+};
+
+/// The calling thread's gate-kernel scratch, reused across gates and
+/// diagrams so that a gate allocates only the nodes it keeps.
+struct KernelScratch {
+    /// Edges of every node under construction, innermost last: a visit or
+    /// an addition pushes its node's edges, fills them (recursing), interns
+    /// them straight from the stack and pops them.
+    std::vector<DDEdge> edges;
+    VisitMemo memo;
+    /// The local matrix of the current Hadamard or Shift gate.
+    DenseMatrix mixing;
+};
+thread_local KernelScratch tlsKernelScratch;
 
 } // namespace
 
@@ -52,29 +154,47 @@ void DecisionDiagram::applyOperation(const Operation& op) {
     // carry no cache and always recompute.
     const double tol = store_->tolerance();
     dd::ComputeCache* cache = store_->interning() ? &store_->computeCache() : nullptr;
+    // The gate's action on the target level: a two-level gate is the
+    // identity outside its stack 2x2 block; Hadamard and Shift mix every
+    // level through their dim x dim matrix, written into the thread's
+    // scratch matrix.
+    KernelScratch& scratch = tlsKernelScratch;
+    const Dimension dim = radix_.dimensionAt(op.target);
+    const std::optional<TwoLevelBlock> block = twoLevelBlock(op);
+    requireThat(!block || (op.levelA < dim && op.levelB < dim && op.levelA != op.levelB),
+                "applyOperation: gate levels out of range");
+    if (!block) {
+        mixingMatrixInto(op, dim, scratch.mixing);
+    }
 
     // The gate kernel: a copy-on-write rebuild of the paths the gate
     // reaches (`visit`) that mixes the target level's out-edges through
-    // normalized DD addition (`add`). Every rebuilt node goes through
-    // `intern`. A local class of this member function, so it may allocate
-    // on the diagram's store.
+    // normalized DD addition (`add`). Every rebuilt node is interned from
+    // the scratch edge stack. Node addresses are stable (chunked pool), so
+    // node references are held across the allocating recursion. A local
+    // class of this member function, so it may allocate on the diagram's
+    // store.
     struct Kernel {
         DecisionDiagram& diagram;
         const Operation& op;
-        const DenseMatrix local;
+        const std::optional<TwoLevelBlock>& block;
+        const DenseMatrix& dense;
         double tol;
         dd::ComputeCache* cache;
-        std::unordered_map<NodeRef, WeightedEdge> visitMemo;
+        std::vector<DDEdge>& stack;
+        VisitMemo& memo;
 
         [[nodiscard]] DDEdge edgeOf(const WeightedEdge& edge) const {
             return edge.isZero(tol) ? DDEdge{} : DDEdge{edge.node, edge.weight};
         }
 
-        /// Normalize `edges` (zero stubs are absent children) and allocate
-        /// the node: sum |w|^2 over the non-stub edges in index order, divide
-        /// them by the norm, then allocate. Returns the node with its norm as
-        /// the (real) weight, or the zero edge when no child survived.
-        WeightedEdge intern(std::uint32_t site, std::vector<DDEdge> edges) {
+        /// Normalize the edges above `base` on the stack (zero stubs are
+        /// absent children), intern them as one node and pop them: sum
+        /// |w|^2 over the non-stub edges in index order, divide them by the
+        /// norm, then allocate. Returns the node with its norm as the (real)
+        /// weight, or the zero edge when no child survived.
+        WeightedEdge internTop(std::uint32_t site, std::size_t base) {
+            const std::span<DDEdge> edges(stack.data() + base, stack.size() - base);
             double sumSquares = 0.0;
             bool any = false;
             for (const auto& edge : edges) {
@@ -83,16 +203,19 @@ void DecisionDiagram::applyOperation(const Operation& op) {
                     any = true;
                 }
             }
-            if (!any) {
-                return {};
-            }
-            const double norm = std::sqrt(sumSquares);
-            for (auto& edge : edges) {
-                if (!edge.isZeroStub()) {
-                    edge.weight /= norm;
+            WeightedEdge node;
+            if (any) {
+                const double norm = std::sqrt(sumSquares);
+                for (auto& edge : edges) {
+                    if (!edge.isZeroStub()) {
+                        edge.weight /= norm;
+                    }
                 }
+                node = {diagram.allocate(site, std::span<const DDEdge>(edges)),
+                        Complex{norm, 0.0}};
             }
-            return {diagram.allocate(site, std::move(edges)), Complex{norm, 0.0}};
+            stack.resize(base);
+            return node;
         }
 
         /// Normalized addition of weighted sub-trees (the classic DD add).
@@ -114,17 +237,17 @@ void DecisionDiagram::applyOperation(const Operation& op) {
             if (yZero) {
                 return x;
             }
-            if (diagram.node(x.node).isTerminal()) {
-                ensureThat(diagram.node(y.node).isTerminal(),
-                           "applyOperation: level mismatch in addition");
+            const DDNode& xNode = diagram.node(x.node);
+            const DDNode& yNode = diagram.node(y.node);
+            if (xNode.isTerminal()) {
+                ensureThat(yNode.isTerminal(), "applyOperation: level mismatch in addition");
                 const Complex sum = x.weight + y.weight;
                 if (approxZero(sum, tol)) {
                     return {};
                 }
                 return {/*terminal=*/0, sum};
             }
-            ensureThat(diagram.node(x.node).site == diagram.node(y.node).site,
-                       "applyOperation: site mismatch in addition");
+            ensureThat(xNode.site == yNode.site, "applyOperation: site mismatch in addition");
             // No operand reordering: addition commutes mathematically, but
             // NodeRef order is allocation order — scheduling-dependent in a
             // concurrent session — and swapping changes the floating-point
@@ -141,17 +264,15 @@ void DecisionDiagram::applyOperation(const Operation& op) {
                     return {hit->node, scale * hit->value};
                 }
             }
-            // Node addresses are stable (chunked pool), so holding references
-            // across the allocating recursion below would be safe; per-edge
-            // re-fetches through the NodeRefs are kept for uniformity.
-            const std::uint32_t site = diagram.node(x.node).site;
-            std::vector<DDEdge> edges(diagram.node(x.node).edges.size());
-            for (std::size_t k = 0; k < edges.size(); ++k) {
-                const DDEdge ex = diagram.node(x.node).edges[k];
-                const DDEdge ey = diagram.node(y.node).edges[k];
-                edges[k] = edgeOf(add({ex.node, ex.weight}, {ey.node, ratio * ey.weight}));
+            const std::size_t base = stack.size();
+            stack.resize(base + xNode.edges.size());
+            for (std::size_t k = 0; k < xNode.edges.size(); ++k) {
+                const DDEdge& ex = xNode.edges[k];
+                const DDEdge& ey = yNode.edges[k];
+                const WeightedEdge sum = add({ex.node, ex.weight}, {ey.node, ratio * ey.weight});
+                stack[base + k] = edgeOf(sum);
             }
-            const WeightedEdge sum = intern(site, std::move(edges));
+            const WeightedEdge sum = internTop(xNode.site, base);
             if (cache != nullptr) {
                 cache->store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
                              dd::ComputeCache::Result{sum.node, sum.weight});
@@ -160,6 +281,38 @@ void DecisionDiagram::applyOperation(const Operation& op) {
                 return {};
             }
             return {sum.node, scale * sum.weight};
+        }
+
+        /// Row r of the mixed target level, sum_c M(r, c) * edge_c, added
+        /// over the non-zero coefficients in ascending column order.
+        WeightedEdge mixRow(const std::vector<DDEdge>& source, std::size_t r) {
+            WeightedEdge acc;
+            const auto term = [&](std::size_t c, const Complex& coefficient) {
+                if (coefficient == Complex{0.0, 0.0} || source[c].isZeroStub()) {
+                    return;
+                }
+                acc = add(acc, {source[c].node, coefficient * source[c].weight});
+            };
+            const Level a = op.levelA;
+            const Level b = op.levelB;
+            if (!block) {
+                for (std::size_t c = 0; c < source.size(); ++c) {
+                    term(c, dense(r, c));
+                }
+            } else if (r != a && r != b) {
+                term(r, Complex{1.0, 0.0});
+            } else {
+                const Complex& fromA = r == a ? block->aa : block->ba;
+                const Complex& fromB = r == a ? block->ab : block->bb;
+                if (a < b) {
+                    term(a, fromA);
+                    term(b, fromB);
+                } else {
+                    term(b, fromB);
+                    term(a, fromA);
+                }
+            }
+            return acc;
         }
 
         /// The replacement edge for the sub-tree rooted at `ref` whose
@@ -171,53 +324,43 @@ void DecisionDiagram::applyOperation(const Operation& op) {
         /// path, which keeps gate application polynomial on DAG-shaped states
         /// like the uniform superposition.
         WeightedEdge visit(NodeRef ref, Complex weight) {
-            if (const auto it = visitMemo.find(ref); it != visitMemo.end()) {
-                const WeightedEdge& base = it->second;
-                if (base.node == kNoNode) {
+            if (const WeightedEdge* base = memo.find(ref)) {
+                if (base->node == kNoNode) {
                     return {};
                 }
-                return {base.node, weight * base.weight};
+                return {base->node, weight * base->weight};
             }
-            ensureThat(!diagram.node(ref).isTerminal(),
-                       "applyOperation: traversal reached the terminal");
-            // Copy this node's shape up front (keeps the loops independent of
-            // the allocating add()/visit() recursion below).
-            const std::uint32_t site = diagram.node(ref).site;
-            std::vector<DDEdge> edges = diagram.node(ref).edges;
-            if (site == op.target) {
-                // Mix the out-edges by the local matrix:
-                // new_edge_r = sum_c local(r, c) * edge_c.
-                const std::vector<DDEdge> source = std::move(edges);
-                edges.assign(source.size(), DDEdge{});
-                for (std::size_t r = 0; r < source.size(); ++r) {
-                    WeightedEdge acc;
-                    for (std::size_t c = 0; c < source.size(); ++c) {
-                        const Complex coefficient = local(r, c);
-                        if (coefficient == Complex{0.0, 0.0} || source[c].isZeroStub()) {
-                            continue;
-                        }
-                        acc = add(acc, {source[c].node, coefficient * source[c].weight});
-                    }
-                    edges[r] = edgeOf(acc);
+            const DDNode& node = diagram.node(ref);
+            ensureThat(!node.isTerminal(), "applyOperation: traversal reached the terminal");
+            const std::size_t base = stack.size();
+            if (node.site == op.target) {
+                // Mix the out-edges by the local matrix.
+                stack.resize(base + node.edges.size());
+                for (std::size_t r = 0; r < node.edges.size(); ++r) {
+                    const WeightedEdge row = mixRow(node.edges, r);
+                    stack[base + r] = edgeOf(row);
                 }
             } else {
                 // Above the target: a control on this site restricts the
                 // rebuild to the edge of its level.
                 const Control* control = nullptr;
                 for (const auto& ctrl : op.controls) {
-                    if (ctrl.qudit == site) {
+                    if (ctrl.qudit == node.site) {
                         control = &ctrl;
                         break;
                     }
                 }
-                for (std::size_t k = 0; k < edges.size(); ++k) {
-                    if (!edges[k].isZeroStub() && (control == nullptr || control->level == k)) {
-                        edges[k] = edgeOf(visit(edges[k].node, edges[k].weight));
+                stack.insert(stack.end(), node.edges.begin(), node.edges.end());
+                for (std::size_t k = 0; k < node.edges.size(); ++k) {
+                    const DDEdge edge = stack[base + k];
+                    if (!edge.isZeroStub() && (control == nullptr || control->level == k)) {
+                        const WeightedEdge rebuilt = visit(edge.node, edge.weight);
+                        stack[base + k] = edgeOf(rebuilt);
                     }
                 }
             }
-            const WeightedEdge rebuilt = intern(site, std::move(edges));
-            visitMemo.emplace(ref, rebuilt);
+            const WeightedEdge rebuilt = internTop(node.site, base);
+            memo.insert(ref, rebuilt);
             if (rebuilt.node == kNoNode) {
                 return {};
             }
@@ -225,7 +368,16 @@ void DecisionDiagram::applyOperation(const Operation& op) {
         }
     };
 
-    Kernel kernel{*this, op, op.localMatrix(radix_.dimensionAt(op.target)), tol, cache, {}};
+    // A kernel holds at most one visit or addition frame per site, so the
+    // stack never outgrows the register's summed dimensions.
+    scratch.edges.clear();
+    std::size_t deepest = 0;
+    for (const Dimension d : radix_.dimensions()) {
+        deepest += d;
+    }
+    scratch.edges.reserve(deepest);
+    scratch.memo.reset();
+    Kernel kernel{*this, op, block, scratch.mixing, tol, cache, scratch.edges, scratch.memo};
     const WeightedEdge newRoot = kernel.visit(root_, rootWeight_);
     if (newRoot.isZero(tol)) {
         cutRoot();

@@ -50,6 +50,10 @@ NodeRef DecisionDiagram::allocate(std::uint32_t site, std::vector<DDEdge> edges)
     return store_->allocate(site, std::move(edges));
 }
 
+NodeRef DecisionDiagram::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
+    return store_->allocate(site, edges);
+}
+
 const DDNode& DecisionDiagram::node(NodeRef ref) const {
     requireThat(store_ != nullptr, "DecisionDiagram::node: empty diagram");
     return store_->node(ref);

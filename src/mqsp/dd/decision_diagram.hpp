@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -311,6 +312,7 @@ private:
 
     [[nodiscard]] DDNode& mutableNode(NodeRef ref);
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
+    NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
     /// Reachable-only deep copy onto a fresh private store (the diagram a
     /// session-backed one serializes as; identical semantics to

@@ -4,7 +4,9 @@
 #include "mqsp/support/error.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,6 +26,22 @@ namespace {
     return v ^ (v >> 31U);
 }
 
+/// One key edge folded into the running key hash: the edge's three fields
+/// spread by independent multiplies (off the dependency chain), then one
+/// multiply-xorshift round of the running hash. The finalizer in
+/// `bucketKey` supplies the avalanche, so this round only has to keep
+/// distinct edge sequences apart.
+[[nodiscard]] std::uint64_t foldEdge(std::uint64_t h, NodeRef child, std::int64_t re,
+                                     std::int64_t im) noexcept {
+    const std::uint64_t word = child ^ (static_cast<std::uint64_t>(re) * 0xd6e8feb86659fd93ULL) ^
+                               (static_cast<std::uint64_t>(im) * 0xc2b2ae3d27d4eb4fULL);
+    h = (h ^ word) * 0x9fb21c651e98df25ULL;
+    return h ^ (h >> 28U);
+}
+
+/// Quotients below this magnitude name a bucket (see ComputeCache).
+constexpr double kBucketLimit = 0x1p62;
+
 [[nodiscard]] std::size_t roundUpPowerOfTwo(std::size_t v) noexcept {
     std::size_t cap = 1;
     while (cap < v) {
@@ -31,29 +49,6 @@ namespace {
     }
     return cap;
 }
-
-[[nodiscard]] std::uint64_t hashKey(std::uint32_t site, const NodeRef* children,
-                                    const std::int64_t* re, const std::int64_t* im,
-                                    std::size_t arity) noexcept {
-    std::uint64_t h = mix64(site);
-    for (std::size_t k = 0; k < arity; ++k) {
-        h = mix64(h ^ children[k]);
-        h = mix64(h ^ static_cast<std::uint64_t>(re[k]));
-        h = mix64(h ^ static_cast<std::uint64_t>(im[k]));
-    }
-    return h;
-}
-
-/// Per-thread scratch for the bucketed key being probed. Thread-local (not
-/// per-table members) so concurrent interners never share buffers; one
-/// buffer set serves every table a thread touches, since a key is consumed
-/// within the findOrInsert call that built it.
-struct ScratchKey {
-    std::vector<NodeRef> children;
-    std::vector<std::int64_t> re;
-    std::vector<std::int64_t> im;
-};
-thread_local ScratchKey tlsScratch;
 
 } // namespace
 
@@ -69,64 +64,83 @@ std::int64_t UniqueTable::bucketOf(double value, double tolerance) {
     return static_cast<std::int64_t>(std::llround(value / tolerance));
 }
 
-bool UniqueTable::entryMatches(const Shard& shard, std::uint32_t entry, std::uint32_t site,
-                               const NodeRef* children, const std::int64_t* re,
-                               const std::int64_t* im, std::size_t arity) noexcept {
-    if (shard.entrySite[entry] != site || shard.entryArity[entry] != arity) {
-        return false;
-    }
-    const std::uint64_t offset = shard.entryOffset[entry];
+std::vector<UniqueTable::KeyEdge>& UniqueTable::scratchKey() noexcept {
+    thread_local std::vector<KeyEdge> key;
+    return key;
+}
+
+std::uint64_t UniqueTable::bucketKey(std::uint32_t site, const DDEdge* edges,
+                                     const NodeRef* children, const Complex* weights,
+                                     std::size_t arity) const {
+    std::vector<KeyEdge>& key = scratchKey();
+    key.resize(arity);
+    std::uint64_t h = site;
     for (std::size_t k = 0; k < arity; ++k) {
-        if (shard.keyChildren[offset + k] != children[k] || shard.keyRe[offset + k] != re[k] ||
-            shard.keyIm[offset + k] != im[k]) {
-            return false;
-        }
+        const NodeRef child = edges != nullptr ? edges[k].node : children[k];
+        const Complex& weight = edges != nullptr ? edges[k].weight : weights[k];
+        const KeyEdge edge{child, bucketOf(weight.real(), tolerance_),
+                           bucketOf(weight.imag(), tolerance_)};
+        key[k] = edge;
+        h = foldEdge(h, edge.child, edge.re, edge.im);
     }
-    return true;
+    return mix64(h ^ (static_cast<std::uint64_t>(arity) << 32U));
 }
 
-void UniqueTable::growShard(Shard& shard) {
-    const std::size_t capacity =
-        shard.slots.empty() ? initialShardCapacity_ : shard.slots.size() * 2;
-    shard.slots.assign(capacity, 0);
-    if (!shard.entryHash.empty()) {
-        ++shard.stats.grows;
-    }
-    const std::size_t mask = capacity - 1;
-    for (std::uint32_t entry = 0; entry < shard.entryHash.size(); ++entry) {
-        std::size_t slot = static_cast<std::size_t>(shard.entryHash[entry]) & mask;
-        while (shard.slots[slot] != 0) {
-            slot = (slot + 1) & mask;
+void UniqueTable::insert(Shard& shard, std::uint64_t hash, std::uint32_t site,
+                         const KeyEdge* key, std::size_t arity, NodeRef value) {
+    if (shard.slots.empty() || (shard.entries.size() + 1) * 10 >= shard.slots.size() * 7) {
+        const std::size_t capacity =
+            shard.slots.empty() ? initialShardCapacity_ : shard.slots.size() * 2;
+        if (!shard.slots.empty()) {
+            ++shard.stats.grows;
         }
-        shard.slots[slot] = entry + 1;
+        shard.slots.assign(capacity, 0);
+        for (std::uint32_t index = 0; index < shard.entries.size(); ++index) {
+            shard.slots[freeSlot(shard, shard.entries[index].hash)] = index + 1;
+        }
     }
+    const std::size_t offset = shard.keys.size();
+    ensureThat(offset + arity <= std::numeric_limits<std::uint32_t>::max(),
+               "UniqueTable: shard key storage exhausted");
+    shard.keys.insert(shard.keys.end(), key, key + arity);
+    shard.entries.push_back(Entry{hash, static_cast<std::uint32_t>(offset), site,
+                                  static_cast<std::uint32_t>(arity), value});
+    shard.slots[freeSlot(shard, hash)] = static_cast<std::uint32_t>(shard.entries.size());
 }
 
-NodeRef UniqueTable::probeShard(Shard& shard, std::uint64_t hash, std::uint32_t site,
-                                const NodeRef* children, const std::int64_t* re,
-                                const std::int64_t* im, std::size_t arity, NodeRef fresh,
-                                const detail::MakeNodeFnRef* makeFresh) {
+std::size_t UniqueTable::freeSlot(const Shard& shard, std::uint64_t hash) noexcept {
+    const std::size_t mask = shard.slots.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(hash) & mask;
+    while (shard.slots[slot] != 0) {
+        slot = (slot + 1) & mask;
+    }
+    return slot;
+}
+
+NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
+                              const Complex* weights, const DDEdge* edges, std::size_t arity,
+                              NodeRef fresh, const detail::MakeNodeFnRef* makeFresh) {
+    const std::uint64_t hash = bucketKey(site, edges, children, weights, arity);
+    const KeyEdge* key = scratchKey().data();
+    Shard& shard = shardOf(hash);
     std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
     if (sharded_) {
         lock.lock();
     }
-    // Grow ahead of the insert that would cross the 0.7 load factor (the
-    // first lookup allocates the initial slot array).
-    if (shard.slots.empty() || (shard.entryHash.size() + 1) * 10 >= shard.slots.size() * 7) {
-        growShard(shard);
-    }
-    const std::size_t mask = shard.slots.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(hash) & mask;
     ++shard.stats.lookups;
-    while (shard.slots[slot] != 0) {
-        const std::uint32_t entry = shard.slots[slot] - 1;
-        if (shard.entryHash[entry] == hash &&
-            entryMatches(shard, entry, site, children, re, im, arity)) {
-            ++shard.stats.hits;
-            return shard.entryValue[entry];
+    if (!shard.slots.empty()) {
+        const std::size_t mask = shard.slots.size() - 1;
+        for (std::size_t slot = static_cast<std::size_t>(hash) & mask; shard.slots[slot] != 0;
+             slot = (slot + 1) & mask) {
+            const Entry& entry = shard.entries[shard.slots[slot] - 1];
+            // KeyEdge has no padding, so equal keys are equal bytes.
+            if (entry.hash == hash && entry.site == site && entry.arity == arity &&
+                std::memcmp(&shard.keys[entry.keyOffset], key, arity * sizeof(KeyEdge)) == 0) {
+                ++shard.stats.hits;
+                return entry.value;
+            }
+            ++shard.stats.probeSteps;
         }
-        ++shard.stats.probeSteps;
-        slot = (slot + 1) & mask;
     }
     ++shard.stats.misses;
     if (makeFresh == nullptr && fresh == kNoNode) {
@@ -135,44 +149,14 @@ NodeRef UniqueTable::probeShard(Shard& shard, std::uint64_t hash, std::uint32_t 
     }
     // Allocate under the shard lock (concurrent protocol) or take the
     // caller's tentative node (single-threaded protocol); either way the
-    // key copy below happens before the lock is released, so the next
-    // prober of this key sees the canonical entry.
+    // key is recorded before the lock is released, so the next prober of
+    // this key sees the canonical entry.
     const NodeRef value = makeFresh != nullptr ? (*makeFresh)() : fresh;
-    const std::uint64_t offset = shard.keyChildren.size();
-    shard.keyChildren.insert(shard.keyChildren.end(), children, children + arity);
-    shard.keyRe.insert(shard.keyRe.end(), re, re + arity);
-    shard.keyIm.insert(shard.keyIm.end(), im, im + arity);
-    shard.entryHash.push_back(hash);
-    shard.entrySite.push_back(site);
-    shard.entryValue.push_back(value);
-    shard.entryOffset.push_back(offset);
-    shard.entryArity.push_back(static_cast<std::uint32_t>(arity));
-    shard.slots[slot] = static_cast<std::uint32_t>(shard.entryHash.size());
+    insert(shard, hash, site, key, arity, value);
     return value;
 }
 
-NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
-                              const Complex* weights, const DDEdge* edges, std::size_t arity,
-                              NodeRef fresh, const detail::MakeNodeFnRef* makeFresh) {
-    ScratchKey& scratch = tlsScratch;
-    scratch.children.resize(arity);
-    scratch.re.resize(arity);
-    scratch.im.resize(arity);
-    for (std::size_t k = 0; k < arity; ++k) {
-        const NodeRef child = edges != nullptr ? edges[k].node : children[k];
-        const Complex weight = edges != nullptr ? edges[k].weight : weights[k];
-        scratch.children[k] = child;
-        scratch.re[k] = bucketOf(weight.real(), tolerance_);
-        scratch.im[k] = bucketOf(weight.imag(), tolerance_);
-    }
-    const std::uint64_t hash =
-        hashKey(site, scratch.children.data(), scratch.re.data(), scratch.im.data(), arity);
-    Shard& shard = shards_[(hash >> 60U) & (kShardCount - 1)];
-    return probeShard(shard, hash, site, scratch.children.data(), scratch.re.data(),
-                      scratch.im.data(), arity, fresh, makeFresh);
-}
-
-NodeRef UniqueTable::findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
+NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                                   NodeRef fresh) {
     return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), fresh, nullptr);
 }
@@ -182,7 +166,7 @@ NodeRef UniqueTable::findOrInsertRaw(std::uint32_t site, const NodeRef* children
     return dispatch(site, children, weights, nullptr, arity, fresh, nullptr);
 }
 
-NodeRef UniqueTable::findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
+NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                                   const detail::MakeNodeFnRef& makeFresh) {
     return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), kNoNode, &makeFresh);
 }
@@ -203,55 +187,20 @@ void UniqueTable::clear() {
         // comparable size) and the cumulative stats (a GC is not a reset
         // of the session's history).
         std::fill(shard.slots.begin(), shard.slots.end(), 0);
-        shard.entryHash.clear();
-        shard.entrySite.clear();
-        shard.entryValue.clear();
-        shard.entryOffset.clear();
-        shard.entryArity.clear();
-        shard.keyChildren.clear();
-        shard.keyRe.clear();
-        shard.keyIm.clear();
+        shard.entries.clear();
+        shard.keys.clear();
     }
 }
 
-void UniqueTable::restoreCanonical(std::uint32_t site, const std::vector<DDEdge>& edges,
+void UniqueTable::restoreCanonical(std::uint32_t site, std::span<const DDEdge> edges,
                                    NodeRef value) {
-    ScratchKey& scratch = tlsScratch;
-    const std::size_t arity = edges.size();
-    scratch.children.resize(arity);
-    scratch.re.resize(arity);
-    scratch.im.resize(arity);
-    for (std::size_t k = 0; k < arity; ++k) {
-        scratch.children[k] = edges[k].node;
-        scratch.re[k] = bucketOf(edges[k].weight.real(), tolerance_);
-        scratch.im[k] = bucketOf(edges[k].weight.imag(), tolerance_);
-    }
-    const std::uint64_t hash =
-        hashKey(site, scratch.children.data(), scratch.re.data(), scratch.im.data(), arity);
-    Shard& shard = shards_[(hash >> 60U) & (kShardCount - 1)];
+    const std::uint64_t hash = bucketKey(site, edges.data(), nullptr, nullptr, edges.size());
+    Shard& shard = shardOf(hash);
     std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
     if (sharded_) {
         lock.lock();
     }
-    if (shard.slots.empty() || (shard.entryHash.size() + 1) * 10 >= shard.slots.size() * 7) {
-        growShard(shard);
-    }
-    const std::size_t mask = shard.slots.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(hash) & mask;
-    while (shard.slots[slot] != 0) {
-        slot = (slot + 1) & mask;
-    }
-    const std::uint64_t offset = shard.keyChildren.size();
-    shard.keyChildren.insert(shard.keyChildren.end(), scratch.children.begin(),
-                             scratch.children.end());
-    shard.keyRe.insert(shard.keyRe.end(), scratch.re.begin(), scratch.re.end());
-    shard.keyIm.insert(shard.keyIm.end(), scratch.im.begin(), scratch.im.end());
-    shard.entryHash.push_back(hash);
-    shard.entrySite.push_back(site);
-    shard.entryValue.push_back(value);
-    shard.entryOffset.push_back(offset);
-    shard.entryArity.push_back(static_cast<std::uint32_t>(arity));
-    shard.slots[slot] = static_cast<std::uint32_t>(shard.entryHash.size());
+    insert(shard, hash, site, scratchKey().data(), edges.size(), value);
 }
 
 UniqueTableStats UniqueTable::stats() const {
@@ -277,7 +226,7 @@ std::size_t UniqueTable::size() const {
         if (sharded_) {
             lock.lock();
         }
-        total += shard.entryHash.size();
+        total += shard.entries.size();
     }
     return total;
 }
@@ -309,7 +258,23 @@ void UniqueTable::resetStats() {
 ComputeCache::ComputeCache(double tolerance, std::size_t slots)
     : tolerance_(tolerance),
       slotCount_(roundUpPowerOfTwo(slots)),
-      stripeMask_(std::min(kMaxStripes, slotCount_) - 1) {}
+      // A stripe spans whole bitmap words: at most one stripe per word.
+      stripeCount_(std::clamp<std::size_t>(slotCount_ / kSlotsPerWord, 1, kMaxStripes)),
+      stripeShift_(static_cast<unsigned>(std::countr_zero(slotCount_) -
+                                         std::countr_zero(stripeCount_))) {}
+
+bool ComputeCache::bucketRatio(const Complex& ratio, std::int64_t& re,
+                               std::int64_t& im) const noexcept {
+    const double scaledRe = ratio.real() / tolerance_;
+    const double scaledIm = ratio.imag() / tolerance_;
+    // Written so that NaN fails too.
+    if (!(std::abs(scaledRe) < kBucketLimit && std::abs(scaledIm) < kBucketLimit)) {
+        return false;
+    }
+    re = std::llround(scaledRe);
+    im = std::llround(scaledIm);
+    return true;
+}
 
 std::size_t ComputeCache::slotOf(Op op, NodeRef x, NodeRef y, std::int64_t re,
                                  std::int64_t im) const noexcept {
@@ -320,14 +285,24 @@ std::size_t ComputeCache::slotOf(Op op, NodeRef x, NodeRef y, std::int64_t re,
     return static_cast<std::size_t>(h) & (slotCount_ - 1);
 }
 
+bool ComputeCache::markValid(std::size_t slot) noexcept {
+    std::uint64_t& word = valid_[slot / kSlotsPerWord];
+    const std::uint64_t bit = std::uint64_t{1} << (slot % kSlotsPerWord);
+    const bool was = (word & bit) != 0;
+    word |= bit;
+    return was;
+}
+
 void ComputeCache::ensureAllocated() {
     if (allocated_.load(std::memory_order_acquire)) {
         return;
     }
     const std::lock_guard<std::mutex> lock(allocMutex_);
     if (!allocated_.load(std::memory_order_relaxed)) {
-        entries_ = std::make_unique<Entry[]>(slotCount_);
-        stripes_ = std::make_unique<std::mutex[]>(stripeMask_ + 1);
+        entries_ = std::make_unique_for_overwrite<Entry[]>(slotCount_);
+        valid_ = std::make_unique<std::uint64_t[]>(
+            (slotCount_ + kSlotsPerWord - 1) / kSlotsPerWord);
+        stripes_ = std::make_unique<std::mutex[]>(stripeCount_);
         // Release: the arrays are fully constructed before any thread that
         // observes allocated_ == true dereferences them.
         allocated_.store(true, std::memory_order_release);
@@ -337,20 +312,20 @@ void ComputeCache::ensureAllocated() {
 std::optional<ComputeCache::Result> ComputeCache::lookup(Op op, NodeRef x, NodeRef y,
                                                          const Complex& ratio) {
     lookups_.fetch_add(1, std::memory_order_relaxed);
-    if (!allocated_.load(std::memory_order_acquire)) {
+    std::int64_t re = 0;
+    std::int64_t im = 0;
+    if (!allocated_.load(std::memory_order_acquire) || !bucketRatio(ratio, re, im)) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
-    const std::int64_t re = UniqueTable::bucketOf(ratio.real(), tolerance_);
-    const std::int64_t im = UniqueTable::bucketOf(ratio.imag(), tolerance_);
     const std::size_t slot = slotOf(op, x, y, re, im);
     std::optional<Result> result;
     {
-        const std::lock_guard<std::mutex> lock(stripes_[slot & stripeMask_]);
+        const std::lock_guard<std::mutex> lock(stripeOf(slot));
         const Entry& entry = entries_[slot];
-        if (entry.valid && entry.op == op && entry.x == x && entry.y == y &&
+        if (isValid(slot) && entry.op == op && entry.x == x && entry.y == y &&
             entry.ratioRe == re && entry.ratioIm == im) {
-            result = entry.result;
+            result = Result{entry.node, Complex{entry.valueRe, entry.valueIm}};
         }
     }
     if (result.has_value()) {
@@ -363,16 +338,19 @@ std::optional<ComputeCache::Result> ComputeCache::lookup(Op op, NodeRef x, NodeR
 
 void ComputeCache::store(Op op, NodeRef x, NodeRef y, const Complex& ratio,
                          const Result& result) {
+    std::int64_t re = 0;
+    std::int64_t im = 0;
+    if (!bucketRatio(ratio, re, im)) {
+        return;
+    }
     ensureAllocated();
-    const std::int64_t re = UniqueTable::bucketOf(ratio.real(), tolerance_);
-    const std::int64_t im = UniqueTable::bucketOf(ratio.imag(), tolerance_);
     const std::size_t slot = slotOf(op, x, y, re, im);
     bool evicted = false;
     {
-        const std::lock_guard<std::mutex> lock(stripes_[slot & stripeMask_]);
-        Entry& entry = entries_[slot];
-        evicted = entry.valid;
-        entry = Entry{x, y, re, im, result, op, true};
+        const std::lock_guard<std::mutex> lock(stripeOf(slot));
+        entries_[slot] = Entry{x,  y,  re, im, result.node, op, result.value.real(),
+                               result.value.imag()};
+        evicted = markValid(slot);
     }
     if (evicted) {
         evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -394,32 +372,33 @@ std::uint64_t ComputeCache::compact(const std::vector<NodeRef>& remap) {
     };
     std::uint64_t evicted = 0;
     std::vector<Entry> survivors;
-    for (std::size_t slot = 0; slot < slotCount_; ++slot) {
-        Entry& entry = entries_[slot];
-        if (!entry.valid) {
-            continue;
+    const std::size_t words = (slotCount_ + kSlotsPerWord - 1) / kSlotsPerWord;
+    for (std::size_t w = 0; w < words; ++w) {
+        // Ascending slot order, as the re-slotting below depends on it.
+        for (std::uint64_t bits = valid_[w]; bits != 0; bits &= bits - 1) {
+            Entry entry = entries_[w * kSlotsPerWord + static_cast<std::size_t>(
+                                                           std::countr_zero(bits))];
+            const NodeRef x = mapped(entry.x);
+            const NodeRef y = mapped(entry.y);
+            const NodeRef node = mapped(entry.node);
+            const bool dead = (entry.x != kNoNode && x == kNoNode) ||
+                              (entry.y != kNoNode && y == kNoNode) ||
+                              (entry.node != kNoNode && node == kNoNode);
+            if (dead) {
+                ++evicted;
+                continue;
+            }
+            entry.x = x;
+            entry.y = y;
+            entry.node = node;
+            survivors.push_back(entry);
         }
-        const NodeRef x = mapped(entry.x);
-        const NodeRef y = mapped(entry.y);
-        const NodeRef node = mapped(entry.result.node);
-        const bool dead = (entry.x != kNoNode && x == kNoNode) ||
-                          (entry.y != kNoNode && y == kNoNode) ||
-                          (entry.result.node != kNoNode && node == kNoNode);
-        if (dead) {
-            ++evicted;
-        } else {
-            Entry survivor = entry;
-            survivor.x = x;
-            survivor.y = y;
-            survivor.result.node = node;
-            survivors.push_back(survivor);
-        }
-        entry = Entry{};
+        valid_[w] = 0;
     }
     for (const Entry& survivor : survivors) {
         const std::size_t slot = slotOf(survivor.op, survivor.x, survivor.y, survivor.ratioRe,
                                         survivor.ratioIm);
-        if (entries_[slot].valid) {
+        if (markValid(slot)) {
             ++evicted; // two survivors re-slotted to the same bucket
         }
         entries_[slot] = survivor;
@@ -496,6 +475,17 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
     const auto makeFresh = [&]() -> NodeRef {
         return pool_.append(DDNode{site, std::move(edges)});
     };
+    return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+}
+
+NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
+    ensureThat(pool_.size() < kNoNode, "DecisionDiagram: node pool exhausted");
+    const auto makeFresh = [&]() -> NodeRef {
+        return pool_.append(DDNode{site, std::vector<DDEdge>(edges.begin(), edges.end())});
+    };
+    if (!interning()) {
+        return makeFresh();
+    }
     return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
 }
 

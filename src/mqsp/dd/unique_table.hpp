@@ -42,7 +42,8 @@
 //  * The compute cache synchronizes entry access with striped mutexes and
 //    keeps its counters in relaxed atomics; entries are copied out whole
 //    under the stripe lock, so a concurrent overwrite can cost a hit but
-//    never tears a Result.
+//    never tears a Result. Entry validity lives in a bitmap whose every
+//    word belongs to exactly one stripe.
 
 #include "mqsp/complexnum/complex.hpp"
 #include "mqsp/support/mixed_radix.hpp"
@@ -55,6 +56,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace mqsp {
@@ -252,13 +254,16 @@ struct ComputeCacheStats {
 /// caller allocates from (DdNodeStore for vector DDs, MatrixDdStore for
 /// operator DDs — whose dim^2-ary nodes reuse the same key layout).
 ///
-/// Keys are stored in per-shard flat arenas (one children array, one bucket
-/// array per component) rather than per-entry vectors, so growth rehashes
-/// by cached hash without touching the keys. A key's shard is fixed by the
-/// top bits of its hash, so the per-shard key sets — and with them `size()`
-/// and the lookup/hit/miss counters of deterministic workloads — are
-/// invariant under thread count and insertion interleaving; only
-/// `probeSteps` (probe-order dependent) may vary between concurrent runs.
+/// One probe touches one record: a slot names an `Entry` (cached hash,
+/// site, arity, value and the offset of its key edges), and the key edges
+/// of all entries sit back to back in one per-shard array, so growth
+/// rehashes by cached hash without touching the keys. The key hash is one
+/// pass over the edges (one multiply-xorshift each, then one finalizer).
+/// A key's shard is fixed by the top bits of its hash, so the per-shard key
+/// sets — and with them `size()` and the lookup/hit/miss counters of
+/// deterministic workloads — are invariant under thread count and
+/// insertion interleaving; only `probeSteps` (probe-order dependent) may
+/// vary between concurrent runs.
 class UniqueTable {
 public:
     /// Locking regime, fixed at construction.
@@ -283,7 +288,7 @@ public:
     /// Single-threaded protocol: the caller pops its tentative node when
     /// the return value differs from `fresh`. Concurrent interners use the
     /// MakeNodeFnRef overload instead.
-    NodeRef findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges, NodeRef fresh);
+    NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges, NodeRef fresh);
 
     /// findOrInsert for operator-DD edge lists (node + weight pairs laid
     /// out as DDEdge without the pruned flag — see MatrixDdStore).
@@ -295,7 +300,7 @@ public:
     /// record its ref as canonical. Exactly one allocation happens per
     /// distinct key however many threads race on it, and no tentative node
     /// is ever created for a key that hits.
-    NodeRef findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
+    NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                          const detail::MakeNodeFnRef& makeFresh);
     NodeRef findOrInsertRaw(std::uint32_t site, const NodeRef* children,
                             const Complex* weights, std::size_t arity,
@@ -312,7 +317,7 @@ public:
     /// not a workload). GC-rebuild only: the key must not already be
     /// present — guaranteed when repopulating a cleared table with nodes
     /// that were interned (and therefore structurally distinct) before.
-    void restoreCanonical(std::uint32_t site, const std::vector<DDEdge>& edges, NodeRef value);
+    void restoreCanonical(std::uint32_t site, std::span<const DDEdge> edges, NodeRef value);
 
     /// Counters summed over the shards (by value: a Sharded table's shards
     /// are locked one at a time, so the sum is a consistent snapshot only
@@ -328,21 +333,35 @@ public:
     [[nodiscard]] static std::int64_t bucketOf(double value, double tolerance);
 
 private:
+    /// One edge of a stored key: the child and its weight's two buckets.
+    /// Packed to 4-byte alignment (20 bytes, no padding), so a key compares
+    /// as one block of bytes.
+#pragma pack(push, 4)
+    struct KeyEdge {
+        NodeRef child;
+        std::int64_t re;
+        std::int64_t im;
+    };
+#pragma pack(pop)
+    static_assert(sizeof(KeyEdge) == 20, "KeyEdge must stay unpadded");
+
+    /// One interned key: everything a probe compares before the key edges.
+    struct Entry {
+        std::uint64_t hash;
+        std::uint32_t keyOffset; ///< first edge in Shard::keys
+        std::uint32_t site;
+        std::uint32_t arity;
+        NodeRef value;
+    };
+    static_assert(sizeof(Entry) == 24, "Entry must stay one 24-byte record");
+
     /// One shard: a complete open-addressed table over its share of the key
-    /// space, with its own entry records, key arenas, stats, and mutex.
+    /// space, with its own records, key edges, stats, and mutex.
     struct Shard {
         /// Slot array: entry index + 1, 0 = empty. Power-of-two capacity.
         std::vector<std::uint32_t> slots;
-        /// Per-entry records (parallel arrays; index = insertion order).
-        std::vector<std::uint64_t> entryHash;
-        std::vector<std::uint32_t> entrySite;
-        std::vector<NodeRef> entryValue;
-        std::vector<std::uint64_t> entryOffset;
-        std::vector<std::uint32_t> entryArity;
-        /// Flat key arenas.
-        std::vector<NodeRef> keyChildren;
-        std::vector<std::int64_t> keyRe;
-        std::vector<std::int64_t> keyIm;
+        std::vector<Entry> entries; ///< insertion order
+        std::vector<KeyEdge> keys;  ///< every entry's edges, back to back
 
         UniqueTableStats stats;
         mutable std::mutex mutex; ///< taken only by Sharded tables
@@ -352,16 +371,24 @@ private:
     /// independent of the slot index (low bits).
     static constexpr std::size_t kShardCount = 16;
 
-    [[nodiscard]] static bool entryMatches(const Shard& shard, std::uint32_t entry,
-                                           std::uint32_t site, const NodeRef* children,
-                                           const std::int64_t* re, const std::int64_t* im,
-                                           std::size_t arity) noexcept;
-    /// Probe `shard` (locking it first when Sharded) for the given key.
-    NodeRef probeShard(Shard& shard, std::uint64_t hash, std::uint32_t site,
-                       const NodeRef* children, const std::int64_t* re, const std::int64_t* im,
-                       std::size_t arity, NodeRef fresh,
-                       const detail::MakeNodeFnRef* makeFresh);
-    void growShard(Shard& shard);
+    /// The calling thread's scratch key. Thread-local, not a member, so
+    /// concurrent interners never share it; one buffer serves every table
+    /// a thread touches, since a key is consumed by the call that built it.
+    [[nodiscard]] static std::vector<KeyEdge>& scratchKey() noexcept;
+    /// Bucket `arity` edges into the scratch key and hash them in the same
+    /// pass. `edges` or `children`/`weights` is non-null.
+    [[nodiscard]] std::uint64_t bucketKey(std::uint32_t site, const DDEdge* edges,
+                                          const NodeRef* children, const Complex* weights,
+                                          std::size_t arity) const;
+    [[nodiscard]] Shard& shardOf(std::uint64_t hash) noexcept {
+        return shards_[(hash >> 60U) & (kShardCount - 1)];
+    }
+    /// Record `key` as a new entry of `shard`, growing the shard first when
+    /// the entry would cross the 0.7 load factor. Growth waits for an
+    /// insert, so a probe that hits never allocates.
+    void insert(Shard& shard, std::uint64_t hash, std::uint32_t site, const KeyEdge* key,
+                std::size_t arity, NodeRef value);
+    [[nodiscard]] static std::size_t freeSlot(const Shard& shard, std::uint64_t hash) noexcept;
     NodeRef dispatch(std::uint32_t site, const NodeRef* children, const Complex* weights,
                      const DDEdge* edges, std::size_t arity, NodeRef fresh,
                      const detail::MakeNodeFnRef* makeFresh);
@@ -386,10 +413,20 @@ private:
 ///    the same node pairs run after run; the session cache carries those
 ///    results across calls where a per-call memo cannot.
 ///
+/// An Add ratio is bucketed like a key weight, llround(ratio / tolerance).
+/// A ratio whose bucket would leave ±2^62 (tiny rotation angles produce
+/// ratios ~1 / sin(theta / 2)) has no bucket to name, so that addition is
+/// not cached: its lookup counts as a miss and its store is dropped.
+///
+/// Memory: the entry array is allocated uninitialized on the first store
+/// and validity lives in a bitmap, so a fresh session writes 8 KB instead
+/// of every entry, and `compact` skips empty bitmap words.
+///
 /// Thread safety: entry slots are guarded by striped mutexes (stripe =
-/// slot's low bits) and copied in and out whole, so concurrent lookups and
-/// stores never tear a Result — a racing overwrite can only turn a would-be
-/// hit into a miss. Counters are relaxed atomics. Hit/miss counts of
+/// slot's high bits, so every bitmap word belongs to exactly one stripe)
+/// and copied in and out whole, so concurrent lookups and stores never
+/// tear a Result — a racing overwrite can only turn a would-be hit into a
+/// miss. Counters are relaxed atomics. Hit/miss counts of
 /// concurrent workloads depend on the interleaving (eviction races), so
 /// batch metrics pin `dd_nodes`, which is interleaving-invariant, rather
 /// than cache rates.
@@ -427,29 +464,46 @@ public:
     void resetStats() noexcept;
 
 private:
+    /// Trivially default-constructible, so the array is allocated without
+    /// writing it; an entry is read only while its validity bit is set.
     struct Entry {
-        NodeRef x = kNoNode;
-        NodeRef y = kNoNode;
-        std::int64_t ratioRe = 0;
-        std::int64_t ratioIm = 0;
-        Result result;
-        Op op = Op::Add;
-        bool valid = false;
+        NodeRef x;
+        NodeRef y;
+        std::int64_t ratioRe;
+        std::int64_t ratioIm;
+        NodeRef node;
+        Op op;
+        double valueRe;
+        double valueIm;
     };
 
     static constexpr std::size_t kMaxStripes = 64;
+    static constexpr std::size_t kSlotsPerWord = 64;
 
+    /// Bucket `ratio` into (re, im); false when a bucket would leave ±2^62.
+    [[nodiscard]] bool bucketRatio(const Complex& ratio, std::int64_t& re,
+                                   std::int64_t& im) const noexcept;
     [[nodiscard]] std::size_t slotOf(Op op, NodeRef x, NodeRef y, std::int64_t re,
                                      std::int64_t im) const noexcept;
-    /// Allocate entries + stripe mutexes on the first store (double-checked
-    /// on `allocated_`), so diagram-private stores that never apply an
-    /// operation pay nothing for the cache.
+    [[nodiscard]] std::mutex& stripeOf(std::size_t slot) const noexcept {
+        return stripes_[slot >> stripeShift_];
+    }
+    [[nodiscard]] bool isValid(std::size_t slot) const noexcept {
+        return ((valid_[slot / kSlotsPerWord] >> (slot % kSlotsPerWord)) & 1U) != 0;
+    }
+    /// Set `slot`'s validity bit; returns whether it was already set.
+    bool markValid(std::size_t slot) noexcept;
+    /// Allocate entries, bitmap and stripe mutexes on the first store
+    /// (double-checked on `allocated_`), so diagram-private stores that
+    /// never apply an operation pay nothing for the cache.
     void ensureAllocated();
 
     double tolerance_;
     std::size_t slotCount_;
-    std::size_t stripeMask_;
+    std::size_t stripeCount_;
+    unsigned stripeShift_; ///< stripe = slot >> stripeShift_
     std::unique_ptr<Entry[]> entries_;
+    std::unique_ptr<std::uint64_t[]> valid_; ///< one bit per slot
     std::unique_ptr<std::mutex[]> stripes_;
     std::atomic<bool> allocated_{false};
     std::mutex allocMutex_;
@@ -492,6 +546,9 @@ public:
     /// node is created per distinct structural key, and losers of an
     /// insertion race receive the winner's canonical ref.
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
+    /// The same from borrowed edges, copied only when a node is created:
+    /// an interning hit allocates nothing.
+    NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
     /// Replace the whole pool (garbageCollect on a private store).
     void replaceNodes(std::vector<DDNode> nodes);

@@ -203,33 +203,14 @@ void Simulator::apply(StateVector& state, const Operation& op) {
     const auto& radix = state.radix();
     requireThat(op.target < radix.numQudits(), "Simulator: operation target out of range");
     const Dimension dim = radix.dimensionAt(op.target);
-    switch (op.kind) {
-    case GateKind::GivensRotation: {
-        requireThat(op.levelA < dim && op.levelB < dim, "Simulator: rotation level out of range");
-        const DenseMatrix m = givensMatrix(2, 0, 1, op.theta, op.phi);
-        applyTwoLevel(state, op.target, op.levelA, op.levelB, m(0, 0), m(0, 1), m(1, 0), m(1, 1),
+    if (const auto m = twoLevelBlock(op)) {
+        requireThat(op.levelA < dim && op.levelB < dim, "Simulator: gate level out of range");
+        applyTwoLevel(state, op.target, op.levelA, op.levelB, m->aa, m->ab, m->ba, m->bb,
                       op.controls);
         return;
     }
-    case GateKind::PhaseRotation: {
-        requireThat(op.levelA < dim && op.levelB < dim, "Simulator: phase level out of range");
-        const DenseMatrix m = phaseMatrix(2, 0, 1, op.theta);
-        applyTwoLevel(state, op.target, op.levelA, op.levelB, m(0, 0), m(0, 1), m(1, 0), m(1, 1),
-                      op.controls);
-        return;
-    }
-    case GateKind::LevelSwap: {
-        requireThat(op.levelA < dim && op.levelB < dim, "Simulator: swap level out of range");
-        applyTwoLevel(state, op.target, op.levelA, op.levelB, Complex{0.0, 0.0},
-                      Complex{1.0, 0.0}, Complex{1.0, 0.0}, Complex{0.0, 0.0}, op.controls);
-        return;
-    }
-    case GateKind::Hadamard:
-    case GateKind::Shift:
-        applyDense(state, op.target, op.localMatrix(dim), op.controls);
-        return;
-    }
-    detail::throwInternal("Simulator::apply: unknown gate kind");
+    // Hadamard and Shift mix every level of the target.
+    applyDense(state, op.target, op.localMatrix(dim), op.controls);
 }
 
 StateVector Simulator::run(const Circuit& circuit, const StateVector& initial) {

@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <numbers>
 #include <sstream>
+#include <utility>
 
 namespace mqsp {
 namespace {
@@ -366,6 +368,54 @@ TEST(Qasm, NonFiniteAnglesAreRefusedWithTheLineNumber) {
     expectParseError(header + "rz q[1] (0, 1, -inf);\n", refused);
     // Out-of-range text is still not a number at all.
     expectParseError(header + "rz q[1] (0, 1, 1e999);\n", "line 3: expected a number");
+}
+
+/// The angle `text` reads to, inside an rz statement.
+double readAngle(const std::string& text) {
+    const Circuit parsed =
+        parseQasmString("MQSPQASM 1.0;\nqreg q[1] = [3];\nrz q[0] (0, 1, " + text + ");\n");
+    return parsed[0].theta;
+}
+
+TEST(Qasm, EveryAngleSpellingReadsAsStrtodReadsIt) {
+    // Spellings strtod accepts and a plain decimal reader might not: an
+    // explicit '+', hex floats, an underflow to zero, subnormals. Each must
+    // read to the double strtod gives.
+    const std::pair<const char*, double> cases[] = {
+        {"+1.5", 1.5},
+        {"+.5", 0.5},
+        {"0x1.8p1", 3.0},
+        {"-0X1P-2", -0.25},
+        {"0x10", 16.0},
+        {"1e-400", 0.0},
+        {"-1e-400", -0.0},
+        {"4.9406564584124654e-324", std::numeric_limits<double>::denorm_min()},
+        {"2.2250738585072009e-308", std::nextafter(DBL_MIN, 0.0)},
+        {"1E+2", 100.0},
+        {"0.1", 0.1},
+        {"-0", -0.0},
+        {"3.", 3.0},
+    };
+    for (const auto& [text, want] : cases) {
+        const double got = readAngle(text);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want)) << text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(std::strtod(text, nullptr)))
+            << text;
+    }
+}
+
+TEST(Qasm, OverflowingAndNanAnglesKeepTheirMessages) {
+    const std::string header = "MQSPQASM 1.0;\nqreg q[1] = [3];\n";
+    const std::string refused = "line 3: Circuit: rotation angles must be finite";
+    expectParseError(header + "rz q[0] (0, 1, 1e999);\n", "line 3: expected a number");
+    expectParseError(header + "rz q[0] (0, 1, -1e999);\n", "line 3: expected a number");
+    expectParseError(header + "rz q[0] (0, 1, 0x1p99999);\n", "line 3: expected a number");
+    expectParseError(header + "rz q[0] (0, 1, nan);\n", refused);
+    expectParseError(header + "rz q[0] (0, 1, -NaN);\n", refused);
+    expectParseError(header + "rz q[0] (0, 1, +inf);\n", refused);
+    expectParseError(header + "rz q[0] (0, 1, +);\n", "line 3: expected a number");
+    expectParseError(header + "rz q[0] (0, 1, 0x);\n", "line 3: expected ')'");
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 // (private append vs session interning), and DdSession reuse across
 // diagrams — targets, replays, and repeat verification sharing one pool.
 
+#include "common/random_circuit.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/dd/unique_table.hpp"
 #include "mqsp/mdd/matrix_dd.hpp"
@@ -128,6 +129,38 @@ TEST(ComputeCache, ConflictingKeysEvict) {
         cache.lookup(dd::ComputeCache::Op::Add, 1, 2, Complex{1.0, 0.0}).has_value());
     ASSERT_TRUE(
         cache.lookup(dd::ComputeCache::Op::Add, 3, 4, Complex{1.0, 0.0}).has_value());
+}
+
+TEST(ComputeCache, SaturatedRatiosNeverShareAKey) {
+    // An addition's y/x ratio is bucketed as llround(ratio / tol). Past
+    // |ratio / tol| = 2^62 that stops naming a bucket (llround saturates,
+    // and every larger ratio lands on the same value), so such an addition
+    // is never cached: its lookup is a miss and its store is dropped. Tiny
+    // rotation angles produce these ratios (~1 / sin(theta / 2)).
+    dd::ComputeCache cache(kTol, /*slots=*/64);
+    const auto add = dd::ComputeCache::Op::Add;
+    const Complex first{0.0, 2e9}; // 2e19 buckets
+    const Complex second{0.0, 1.5e9};
+    cache.store(add, 1, 2, first, dd::ComputeCache::Result{7, Complex{1.0, 0.0}});
+    EXPECT_FALSE(cache.lookup(add, 1, 2, second).has_value());
+    EXPECT_FALSE(cache.lookup(add, 1, 2, first).has_value());
+    cache.store(add, 3, 4, Complex{-1e300, 0.0}, dd::ComputeCache::Result{8, Complex{}});
+    EXPECT_FALSE(cache.lookup(add, 3, 4, Complex{-3e300, 0.0}).has_value());
+    EXPECT_FALSE(
+        cache.lookup(add, 3, 4, Complex{std::nan(""), 0.0}).has_value());
+
+    // Just inside the range (4e18 buckets) a ratio is an ordinary key.
+    const Complex inside{4e8, -4e8};
+    cache.store(add, 5, 6, inside, dd::ComputeCache::Result{9, Complex{0.5, 0.0}});
+    const auto hit = cache.lookup(add, 5, 6, inside);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->node, 9U);
+
+    const dd::ComputeCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.lookups, 5U);
+    EXPECT_EQ(stats.hits, 1U);
+    EXPECT_EQ(stats.misses, 4U);
+    EXPECT_EQ(stats.evictions, 0U);
 }
 
 // --- DdNodeStore -----------------------------------------------------------
@@ -357,6 +390,35 @@ TEST(DdSession, PastCeilingFamiliesStayPolynomial) {
     // GHZ on a qubit register IS the 2-shift cyclic state of |0...0>.
     EXPECT_NEAR(squaredMagnitude(cyclic.innerProductWith(session.ghzState(dims))), 1.0,
                 1e-9);
+}
+
+TEST(DdSession, KeyHashKeepsProbesShort) {
+    // Hash-quality guard: the structured families past the dense ceiling
+    // plus a random all-kind replay. Their keys are as regular as keys get
+    // (runs of equal sites, sequential child refs, a handful of distinct
+    // weights), so a weak key hash shows up as long linear-probe runs.
+    // The bound is 1.1x the probe displacements per lookup measured with
+    // the three-finalizers-per-edge hash this table used before.
+    constexpr double kReferenceProbesPerLookup = 51120.0 / 28583.0; // 1.788
+    dd::DdSession session;
+    for (const Dimensions& dims : {Dimensions(27, 2), Dimensions{3, 4, 2, 5, 3, 6, 2, 4, 3}}) {
+        (void)session.ghzState(dims);
+        (void)session.wState(dims);
+        (void)session.dickeState(dims, 2);
+        (void)session.cyclicState(dims, Digits(dims.size(), 0), 2);
+    }
+    const Dimensions replayDims{3, 4, 2, 5, 3};
+    const Circuit replay = randomAllKindCircuit(replayDims, 400, 9);
+    DecisionDiagram state = session.zeroState(replayDims);
+    for (const Operation& op : replay.operations()) {
+        state.applyOperation(op);
+    }
+    const dd::UniqueTableStats stats = session.stats().unique;
+    ASSERT_GT(stats.lookups, 0U);
+    const double probesPerLookup =
+        static_cast<double>(stats.probeSteps) / static_cast<double>(stats.lookups);
+    EXPECT_LE(probesPerLookup, 1.1 * kReferenceProbesPerLookup)
+        << stats.probeSteps << " probe steps over " << stats.lookups << " lookups";
 }
 
 // --- MatrixDdStore ---------------------------------------------------------

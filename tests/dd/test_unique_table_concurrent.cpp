@@ -180,6 +180,51 @@ TEST(ConcurrentComputeCache, PublishAndReadRacesNeverTearAnEntry) {
     EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }
 
+TEST(ConcurrentComputeCache, NeighbouringSlotsKeepEveryLastWrite) {
+    // Neighbouring slots share validity state. Threads storing into
+    // neighbouring slots must never lose one another's writes: once they
+    // join, every key's last store is found.
+    constexpr std::size_t kSlots = 4096;
+    constexpr unsigned kThreads = 4;
+    constexpr int kRounds = 6;
+    const Complex ratio{1.0, 0.0};
+    const auto add = dd::ComputeCache::Op::Add;
+
+    // Keys in pairwise distinct slots: after storing every candidate into
+    // one cache, the keys still found are the last writers of their slots.
+    std::vector<NodeRef> keys;
+    {
+        dd::ComputeCache probe(kTol, kSlots);
+        constexpr NodeRef kCandidates = 2 * kSlots;
+        for (NodeRef k = 0; k < kCandidates; ++k) {
+            probe.store(add, k, k + 1, ratio, dd::ComputeCache::Result{k, Complex{}});
+        }
+        for (NodeRef k = 0; k < kCandidates; ++k) {
+            if (probe.lookup(add, k, k + 1, ratio).has_value()) {
+                keys.push_back(k);
+            }
+        }
+    }
+    ASSERT_GT(keys.size(), kSlots / 2);
+
+    dd::ComputeCache cache(kTol, kSlots);
+    parallel::runOnThreads(kThreads, [&](unsigned thread) {
+        for (int round = 0; round < kRounds; ++round) {
+            for (std::size_t i = thread; i < keys.size(); i += kThreads) {
+                const NodeRef k = keys[i];
+                cache.store(add, k, k + 1, ratio,
+                            dd::ComputeCache::Result{k, Complex{static_cast<double>(round), 0.0}});
+            }
+        }
+    });
+    for (const NodeRef k : keys) {
+        const auto hit = cache.lookup(add, k, k + 1, ratio);
+        ASSERT_TRUE(hit.has_value()) << "key " << k;
+        EXPECT_EQ(hit->node, k);
+        EXPECT_EQ(hit->value.real(), static_cast<double>(kRounds - 1));
+    }
+}
+
 TEST(ConcurrentComputeCache, LazyAllocationRaceInitializesOnce) {
     // First store() allocates the entry array; concurrent first-stores and
     // lookups race on that initialization (double-checked allocated_ flag).

@@ -1,5 +1,7 @@
 #include "mqsp/opt/optimizer.hpp"
 
+#include "common/fnv1a.hpp"
+
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/rng.hpp"
@@ -9,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -229,29 +230,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerFuzz,
 /// FNV-1a over every field of every op: angles by bit pattern, controls in
 /// order.
 std::uint64_t opDigest(const Circuit& circuit) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    const auto mix = [&hash](std::uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= (word >> (8 * byte)) & 0xFFU;
-            hash *= 0x100000001b3ULL;
-        }
-    };
-    mix(circuit.numOperations());
+    Fnv1a hash;
+    hash.add(std::uint64_t{circuit.numOperations()});
     for (const auto& op : circuit.operations()) {
-        mix(static_cast<std::uint64_t>(op.kind));
-        mix(op.target);
-        mix(op.levelA);
-        mix(op.levelB);
-        mix(std::bit_cast<std::uint64_t>(op.theta));
-        mix(std::bit_cast<std::uint64_t>(op.phi));
-        mix(op.shiftAmount);
-        mix(op.controls.size());
+        hash.add(static_cast<std::uint64_t>(op.kind));
+        hash.add(std::uint64_t{op.target});
+        hash.add(std::uint64_t{op.levelA});
+        hash.add(std::uint64_t{op.levelB});
+        hash.add(op.theta);
+        hash.add(op.phi);
+        hash.add(std::uint64_t{op.shiftAmount});
+        hash.add(std::uint64_t{op.controls.size()});
         for (const auto& ctrl : op.controls) {
-            mix(ctrl.qudit);
-            mix(ctrl.level);
+            hash.add(std::uint64_t{ctrl.qudit});
+            hash.add(std::uint64_t{ctrl.level});
         }
     }
-    return hash;
+    return hash.value();
 }
 
 /// opsBefore, opsAfter, mergedRotations, droppedIdentities,

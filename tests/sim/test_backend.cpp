@@ -240,6 +240,28 @@ TEST(BackendContract, DdApplyInternsAPrivateInputIntoItsSession) {
     EXPECT_NEAR(state.fidelityWith(EvalState(states::uniform(dims))), 1.0, 1e-12);
 }
 
+TEST(DdBackendCache, TinyRotationsNeverShareACachedAddition) {
+    // A tiny Givens angle makes one addition's y/x ratio ~1 / sin(theta / 2),
+    // past the compute cache's bucket range. Such ratios once all bucketed
+    // to one saturated value, so the second circuit replayed on the same
+    // session took the first one's cached sum: fidelity 0.78 for -1.5e-9
+    // after 2e-9, and a unit-norm state 1.41 away from the dense one for
+    // -2e-9.
+    const DdBackend backend;
+    for (const double theta : {2e-9, 1.5e-9, -2e-9}) {
+        Circuit circuit({2, 2});
+        circuit.append(Operation::hadamard(0));
+        circuit.append(Operation::hadamard(1, {{0, 0}}));
+        circuit.append(Operation::givens(0, 0, 1, theta, 0.0));
+        const StateVector expected = Simulator::runFromZero(circuit);
+        const StateVector replayed = backend.runFromZero(circuit).toStateVector();
+        for (std::uint64_t i = 0; i < expected.size(); ++i) {
+            EXPECT_NEAR(std::abs(replayed[i] - expected[i]), 0.0, 1e-10)
+                << "theta " << theta << ", amplitude " << i;
+        }
+    }
+}
+
 TEST(RunFromZeroTest, BothBackendsPrepareTheSameState) {
     const Dimensions dims{2, 3, 2};
     const StateVector target = states::wState(dims);
