@@ -128,7 +128,7 @@ std::shared_ptr<const dd::DdNodeStore> recordedReplay(Dimension dim, std::size_t
     const Dimensions dims(sites, dim);
     Rng rng(Rng::kDefaultSeed + dim);
     const dd::DdSession session;
-    DecisionDiagram state = session.zeroState(dims);
+    DecisionDiagram state = DecisionDiagram::zeroState(dims, &session);
     for (std::size_t site = 0; site < sites; ++site) {
         state.applyOperation(Operation::hadamard(site));
     }

@@ -48,25 +48,22 @@ StateVector makeDenseTarget(const std::string& family, const Dimensions& dims, R
 DecisionDiagram makeDiagramTarget(const std::string& family, const Dimensions& dims,
                                   const dd::DdSession* session) {
     if (family == "GHZ") {
-        return session ? session->ghzState(dims) : DecisionDiagram::ghzState(dims);
+        return DecisionDiagram::ghzState(dims, session);
     }
     if (family == "W") {
-        return session ? session->wState(dims) : DecisionDiagram::wState(dims);
+        return DecisionDiagram::wState(dims, session);
     }
     if (family == "Emb. W") {
-        return session ? session->embeddedWState(dims)
-                       : DecisionDiagram::embeddedWState(dims);
+        return DecisionDiagram::embeddedWState(dims, session);
     }
     if (family == "Cyclic") {
         // All distinct shifts of |0...0>; lcm of the benchmark registers'
         // dims is small, so pass the max dimension as the count cap.
         const Dimension maxDim = *std::max_element(dims.begin(), dims.end());
-        const Digits start(dims.size(), 0);
-        return session ? session->cyclicState(dims, start, maxDim)
-                       : DecisionDiagram::cyclicState(dims, start, maxDim);
+        return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), maxDim, session);
     }
     if (family == "Dicke-2") {
-        return session ? session->dickeState(dims, 2) : DecisionDiagram::dickeState(dims, 2);
+        return DecisionDiagram::dickeState(dims, 2, session);
     }
     throw std::runtime_error("no diagram builder for family " + family);
 }

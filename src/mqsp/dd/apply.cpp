@@ -125,11 +125,12 @@ thread_local KernelScratch tlsKernelScratch;
 
 } // namespace
 
-DecisionDiagram DecisionDiagram::zeroState(const Dimensions& dims) {
+DecisionDiagram DecisionDiagram::zeroState(const Dimensions& dims,
+                                           const dd::DdSession* session) {
     // Built natively as a weight-1 chain (structured.cpp), NOT via a dense
     // round trip: this is the starting point of DD simulation, which must
     // work on registers whose total dimension exceeds memory.
-    return basisState(dims, Digits(MixedRadix(dims).numQudits(), 0));
+    return basisState(dims, Digits(MixedRadix(dims).numQudits(), 0), session);
 }
 
 void DecisionDiagram::applyOperation(const Operation& op) {

@@ -3,10 +3,11 @@
 #include "mqsp/support/error.hpp"
 
 #include <cmath>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <numeric>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace mqsp {
 
@@ -64,30 +65,51 @@ DDNode& DecisionDiagram::mutableNode(NodeRef ref) {
     return store_->mutableNode(ref);
 }
 
-DecisionDiagram DecisionDiagram::compactedCopy() const {
-    DecisionDiagram result(nullptr, radix_.dimensions());
+namespace {
+
+/// The memoized depth-first copy behind DecisionDiagram::rebuiltOn. Each
+/// node's edges are staged on one reused stack and allocated from there, so
+/// a node the target store already interned costs no allocation.
+struct Rebuild {
+    const DecisionDiagram& source;
+    dd::DdNodeStore& target;
+    std::vector<NodeRef> memo;  ///< source ref -> rebuilt ref; kNoNode = not yet
+    std::vector<DDEdge> staged; ///< edges of the nodes in progress, innermost last
+
+    NodeRef visit(NodeRef ref) {
+        if (memo[ref] != kNoNode) {
+            return memo[ref];
+        }
+        const DDNode& node = source.node(ref);
+        const std::size_t base = staged.size();
+        staged.insert(staged.end(), node.edges.begin(), node.edges.end());
+        for (std::size_t k = 0; k < node.edges.size(); ++k) {
+            if (!node.edges[k].isZeroStub()) {
+                // Visit before indexing: the recursion may grow `staged`.
+                const NodeRef child = visit(node.edges[k].node);
+                staged[base + k].node = child;
+            }
+        }
+        memo[ref] = target.allocate(node.site, std::span<const DDEdge>(staged).subspan(base));
+        staged.resize(base);
+        return memo[ref];
+    }
+};
+
+} // namespace
+
+DecisionDiagram DecisionDiagram::rebuiltOn(std::shared_ptr<dd::DdNodeStore> store) const {
+    DecisionDiagram result(std::move(store), radix_.dimensions());
     if (root_ == kNoNode) {
         return result;
     }
-    std::unordered_map<NodeRef, NodeRef> remap;
-    const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-        if (node(ref).isTerminal()) {
-            return 0;
-        }
-        if (const auto it = remap.find(ref); it != remap.end()) {
-            return it->second;
-        }
-        DDNode copy = node(ref);
-        for (auto& edge : copy.edges) {
-            if (!edge.isZeroStub()) {
-                edge.node = visit(edge.node);
-            }
-        }
-        const NodeRef fresh = result.allocate(copy.site, std::move(copy.edges));
-        remap.emplace(ref, fresh);
-        return fresh;
-    };
-    result.root_ = visit(root_);
+    Rebuild rebuild{*this, *result.store_, std::vector<NodeRef>(poolSize(), kNoNode), {}};
+    rebuild.memo[0] = 0; // the terminal is slot 0 of every store
+    // At most one node per site is in progress, so the staging never
+    // outgrows the register's summed dimensions.
+    const Dimensions& dims = radix_.dimensions();
+    rebuild.staged.reserve(std::accumulate(dims.begin(), dims.end(), std::size_t{0}));
+    result.root_ = rebuild.visit(root_);
     result.rootWeight_ = rootWeight_;
     return result;
 }

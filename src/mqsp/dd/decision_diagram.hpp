@@ -60,10 +60,10 @@ class DecisionDiagram {
 public:
     DecisionDiagram() = default;
 
-    /// Node storage: diagrams built by the static constructors own a
-    /// private store (deep-copied on diagram copy — the historical value
-    /// semantics); diagrams built by a dd::DdSession alias the session's
-    /// shared interning store (copied O(1), immutable in place).
+    /// Node storage: diagrams built without a session own a private store
+    /// (deep-copied on diagram copy — the historical value semantics);
+    /// diagrams built on a dd::DdSession alias the session's shared
+    /// interning store (copied O(1), immutable in place).
     DecisionDiagram(const DecisionDiagram& other);
     DecisionDiagram& operator=(const DecisionDiagram& other);
     DecisionDiagram(DecisionDiagram&&) noexcept = default;
@@ -197,7 +197,9 @@ public:
     /// reduction). Returns the number of nodes eliminated.
     std::size_t reduce(double tol = Tolerance::kDefault);
 
-    /// Drop unreachable pool entries, compacting storage.
+    /// Drop unreachable pool entries, compacting storage: the reachable
+    /// nodes are rebuilt onto a fresh private store at the same tolerance.
+    /// A no-op on a session store, whose node lifetime the session owns.
     void garbageCollect();
 
     /// --- gate application (apply.cpp) -------------------------------------
@@ -211,13 +213,15 @@ public:
     /// InvalidArgumentError is thrown otherwise. The diagram stays
     /// normalized (|rootWeight| is preserved up to rounding), and pruned at
     /// the store's tolerance. Replay circuits on a session store
-    /// (DdBackend, or DdSession::zeroState plus this call): there every
+    /// (DdBackend, or zeroState(dims, &session) plus this call): there every
     /// rebuilt node is interned and the replay stays canonical, while a
     /// private store only appends copy-on-write nodes.
     void applyOperation(const Operation& op);
 
-    /// The |0...0> diagram on a register.
-    [[nodiscard]] static DecisionDiagram zeroState(const Dimensions& dims);
+    /// The |0...0> diagram on a register, on `session`'s store when one is
+    /// given (like every builder below).
+    [[nodiscard]] static DecisionDiagram zeroState(const Dimensions& dims,
+                                                   const dd::DdSession* session = nullptr);
 
     /// --- structured-state construction (structured.cpp) -------------------
     ///
@@ -228,27 +232,36 @@ public:
     /// builders reproduce exactly the tree `fromStateVector` would return on
     /// the same state (same shape, same canonical weights), so synthesis
     /// from either source emits the identical circuit.
+    ///
+    /// Every builder takes an optional session: without one the diagram
+    /// gets a fresh private store; with one it is built on the session's
+    /// shared interning store, hash-consed into the reduced (DAG) form, and
+    /// a repeated build is all table hits.
 
     /// Mixed-dimensional GHZ state 1/sqrt(m) sum_k |k...k>, m = min(dims).
-    [[nodiscard]] static DecisionDiagram ghzState(const Dimensions& dims);
+    [[nodiscard]] static DecisionDiagram ghzState(const Dimensions& dims,
+                                                  const dd::DdSession* session = nullptr);
 
     /// Mixed-dimensional W state: equal superposition of every basis state
     /// with exactly one qudit in some nonzero level, all others |0>.
-    [[nodiscard]] static DecisionDiagram wState(const Dimensions& dims);
+    [[nodiscard]] static DecisionDiagram wState(const Dimensions& dims,
+                                                const dd::DdSession* session = nullptr);
 
     /// Embedded W state: the qubit W state in the qudit register — exactly
     /// one qudit in level |1>, all others |0>.
-    [[nodiscard]] static DecisionDiagram embeddedWState(const Dimensions& dims);
+    [[nodiscard]] static DecisionDiagram embeddedWState(const Dimensions& dims,
+                                                        const dd::DdSession* session = nullptr);
 
     /// A single basis state |digits> as a weight-1 chain.
-    [[nodiscard]] static DecisionDiagram basisState(const Dimensions& dims,
-                                                    const Digits& digits);
+    [[nodiscard]] static DecisionDiagram basisState(const Dimensions& dims, const Digits& digits,
+                                                    const dd::DdSession* session = nullptr);
 
     /// The uniform superposition, returned *reduced* (one shared chain of
     /// numQudits nodes — the tree form would be the full dense tree, which
     /// is exactly what these builders exist to avoid). Synthesis handles the
     /// sharing via the §4.3 tensor-product control elision.
-    [[nodiscard]] static DecisionDiagram uniformState(const Dimensions& dims);
+    [[nodiscard]] static DecisionDiagram uniformState(const Dimensions& dims,
+                                                      const dd::DdSession* session = nullptr);
 
     /// Cyclic state (cf. states::cyclic): equal superposition of the
     /// distinct cyclic shifts of `start`, shift k adding k to every digit
@@ -257,8 +270,8 @@ public:
     /// shift set), so the diagram is O(#shifts * numQudits) worst case and
     /// usually far smaller.
     [[nodiscard]] static DecisionDiagram cyclicState(const Dimensions& dims,
-                                                     const Digits& start,
-                                                     std::uint32_t count);
+                                                     const Digits& start, std::uint32_t count,
+                                                     const dd::DdSession* session = nullptr);
 
     /// Generalized Dicke state (cf. states::dicke): equal superposition of
     /// every basis state whose digits sum to `weight`. Returned *reduced*,
@@ -266,7 +279,8 @@ public:
     /// nodes — the tree form would hold one leaf per term, which is
     /// combinatorial. Throws when no basis state has the requested weight.
     [[nodiscard]] static DecisionDiagram dickeState(const Dimensions& dims,
-                                                    std::uint64_t weight);
+                                                    std::uint64_t weight,
+                                                    const dd::DdSession* session = nullptr);
 
     /// --- sampling (sample.cpp) ------------------------------------------
 
@@ -303,8 +317,7 @@ private:
     friend class dd::DdSession;
 
     /// Diagram on an explicit store (nullptr -> fresh private store); the
-    /// hook every builder funnels through, and the only way a session hands
-    /// its shared store to a diagram.
+    /// hook every builder and rebuiltOn funnel through.
     DecisionDiagram(std::shared_ptr<dd::DdNodeStore> store, const Dimensions& dims);
 
     /// Make sure a store exists (fresh private one when default-constructed).
@@ -314,31 +327,17 @@ private:
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
-    /// Reachable-only deep copy onto a fresh private store (the diagram a
-    /// session-backed one serializes as; identical semantics to
-    /// garbageCollect on a private diagram).
-    [[nodiscard]] DecisionDiagram compactedCopy() const;
+    /// This diagram's reachable nodes rebuilt on `store` (nullptr -> a
+    /// fresh private store): children first, in edge order, each source
+    /// node once. The one way a diagram moves onto a store —
+    /// DdSession::intern, serializing a session diagram, and a private
+    /// garbageCollect all call it.
+    [[nodiscard]] DecisionDiagram rebuiltOn(std::shared_ptr<dd::DdNodeStore> store) const;
 
-    /// Store-parameterized builder cores (structured.cpp); the
-    /// public statics pass nullptr (fresh private store), dd::DdSession
-    /// passes its shared interning store.
-    [[nodiscard]] static DecisionDiagram basisStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                      const Dimensions& dims,
-                                                      const Digits& digits);
-    [[nodiscard]] static DecisionDiagram ghzStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                    const Dimensions& dims);
-    /// Shared W-family builder; familyTag 0 = full W, 1 = embedded W.
-    [[nodiscard]] static DecisionDiagram wStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                  const Dimensions& dims, int familyTag);
-    [[nodiscard]] static DecisionDiagram uniformStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                        const Dimensions& dims);
-    [[nodiscard]] static DecisionDiagram cyclicStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                       const Dimensions& dims,
-                                                       const Digits& start,
-                                                       std::uint32_t count);
-    [[nodiscard]] static DecisionDiagram dickeStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                      const Dimensions& dims,
-                                                      std::uint64_t weight);
+    /// The W and embedded-W builder (structured.cpp): excitation levels
+    /// 1..d-1 per qudit, or level 1 only when `embedded`.
+    [[nodiscard]] static DecisionDiagram wFamilyState(const Dimensions& dims, bool embedded,
+                                                      const dd::DdSession* session);
 
     DDEdge buildTree(std::size_t site, const Complex* amps, std::uint64_t count, double tol);
     DDEdge buildDenseTree(std::size_t site, const Complex* amps, std::uint64_t count);

@@ -1,11 +1,13 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/support/error.hpp"
+#include "mqsp/support/parse.hpp"
 
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 namespace mqsp {
 
@@ -16,14 +18,30 @@ namespace mqsp {
 //   node <ref> <site> <numEdges> { <childRef|-> <re> <im> <pruned01> } ...
 //   end
 // Node references are pool indices; the terminal is always pool slot 0 and
-// is not listed. An absent root is encoded as "root - 0 0".
+// is not listed. An absent root is encoded as "root - 0 0". A parsed
+// diagram must be levelled: its root decides site 0, and every edge of a
+// site-s node leads to a site-(s+1) node (the terminal below the last
+// site), so no cycle can parse.
+
+namespace {
+
+/// A node reference field, refused before narrowing when no pool could hold
+/// it (the exact pool bound is checked once the pool is complete).
+[[nodiscard]] NodeRef parseRef(const std::string& text, const char* field) {
+    const std::uint64_t ref =
+        parse::uint64(text, std::string("DecisionDiagram::deserialize: ") + field);
+    requireThat(ref < kNoNode, "DecisionDiagram::deserialize: node reference out of range");
+    return static_cast<NodeRef>(ref);
+}
+
+} // namespace
 
 void DecisionDiagram::serialize(std::ostream& out) const {
     if (store_ != nullptr && store_->interning()) {
         // A session-backed diagram shares its pool with every other diagram
         // of the session; serialize a reachable-only private copy instead
         // of dumping the whole session store.
-        compactedCopy().serialize(out);
+        rebuiltOn(nullptr).serialize(out);
         return;
     }
     out << "mqsp-dd v1\n";
@@ -87,25 +105,33 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
         double im = 0.0;
         requireThat(static_cast<bool>(stream >> refText >> re >> im),
                     "DecisionDiagram::deserialize: malformed root line");
-        if (refText == "-") {
-            dd.root_ = kNoNode;
-        } else {
-            dd.root_ = static_cast<NodeRef>(std::stoul(refText));
-        }
+        dd.root_ = refText == "-" ? kNoNode : parseRef(refText, "root reference");
         dd.rootWeight_ = Complex{re, im};
     }
 
     while (std::getline(in, line)) {
         if (line == "end") {
             // Validate all references now that the pool is complete.
-            for (std::size_t ref = 0; ref < dd.poolSize(); ++ref) {
-                for (const auto& edge : dd.node(static_cast<NodeRef>(ref)).edges) {
-                    requireThat(edge.isZeroStub() || edge.node < dd.poolSize(),
-                                "DecisionDiagram::deserialize: dangling node reference");
-                }
-            }
             requireThat(dd.root_ == kNoNode || dd.root_ < dd.poolSize(),
                         "DecisionDiagram::deserialize: dangling root reference");
+            requireThat(dd.root_ == kNoNode || dd.node(dd.root_).site == 0,
+                        "DecisionDiagram::deserialize: the root must decide site 0");
+            const std::uint32_t lastSite = static_cast<std::uint32_t>(dims.size() - 1);
+            for (std::size_t ref = 1; ref < dd.poolSize(); ++ref) {
+                const DDNode& n = dd.node(static_cast<NodeRef>(ref));
+                const std::uint32_t below =
+                    n.site == lastSite ? DDNode::kTerminalSite : n.site + 1;
+                for (const auto& edge : n.edges) {
+                    if (edge.isZeroStub()) {
+                        continue;
+                    }
+                    requireThat(edge.node < dd.poolSize(),
+                                "DecisionDiagram::deserialize: dangling node reference");
+                    requireThat(dd.node(edge.node).site == below,
+                                "DecisionDiagram::deserialize: an edge must lead exactly one "
+                                "site down");
+                }
+            }
             return dd;
         }
         requireThat(line.rfind("node", 0) == 0,
@@ -134,8 +160,7 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
             if (refText == "-") {
                 edge = DDEdge{kNoNode, Complex{0.0, 0.0}, pruned != 0};
             } else {
-                edge = DDEdge{static_cast<NodeRef>(std::stoul(refText)), Complex{re, im},
-                              pruned != 0};
+                edge = DDEdge{parseRef(refText, "edge reference"), Complex{re, im}, pruned != 0};
             }
         }
         (void)dd.allocate(n.site, std::move(n.edges));

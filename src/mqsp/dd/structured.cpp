@@ -19,11 +19,12 @@
 // (DAG) form — which the path-wise synthesis traversal expands to exactly
 // the circuit the tree would have produced.
 //
-// Every builder takes an optional node store: the public statics pass
-// nullptr (a fresh diagram-private store, historical semantics), while
-// dd::DdSession routes its shared interning store through the *On hooks so
-// identical sub-trees are built once per session, whatever diagram asked
-// first (dd/unique_table.hpp).
+// Each family has one builder, and it takes an optional session. Without
+// one the diagram gets a fresh private store (tree shape, historical
+// semantics); with one it is built on the session's shared interning
+// store, so identical sub-trees are built once per session, whatever
+// diagram asked first (dd/unique_table.hpp). W and embedded W share one
+// body, wFamilyState.
 
 #include "mqsp/dd/decision_diagram.hpp"
 
@@ -41,9 +42,25 @@
 
 namespace mqsp {
 
-DecisionDiagram DecisionDiagram::basisStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                              const Dimensions& dims, const Digits& digits) {
-    DecisionDiagram dd(std::move(store), dims);
+namespace {
+
+/// The store a builder allocates on: the session's, or a fresh private one
+/// (nullptr) without a session.
+[[nodiscard]] std::shared_ptr<dd::DdNodeStore> storeOf(const dd::DdSession* session) {
+    return session != nullptr ? session->store() : nullptr;
+}
+
+/// Number of excitation levels each qudit contributes to a W-family state:
+/// levels 1..d_i-1 for the full W state, level 1 only for the embedded one.
+[[nodiscard]] Dimension excitationLevels(bool embedded, Dimension dim) {
+    return embedded ? Dimension{1} : dim - 1;
+}
+
+} // namespace
+
+DecisionDiagram DecisionDiagram::basisState(const Dimensions& dims, const Digits& digits,
+                                            const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
     requireThat(digits.size() == dd.radix_.numQudits(),
                 "DecisionDiagram::basisState: digit count mismatch");
 
@@ -62,13 +79,8 @@ DecisionDiagram DecisionDiagram::basisStateOn(std::shared_ptr<dd::DdNodeStore> s
     return dd;
 }
 
-DecisionDiagram DecisionDiagram::basisState(const Dimensions& dims, const Digits& digits) {
-    return basisStateOn(nullptr, dims, digits);
-}
-
-DecisionDiagram DecisionDiagram::ghzStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                            const Dimensions& dims) {
-    DecisionDiagram dd(std::move(store), dims);
+DecisionDiagram DecisionDiagram::ghzState(const Dimensions& dims, const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
     const std::size_t n = dd.radix_.numQudits();
     const Dimension m = *std::min_element(dims.begin(), dims.end());
 
@@ -91,38 +103,21 @@ DecisionDiagram DecisionDiagram::ghzStateOn(std::shared_ptr<dd::DdNodeStore> sto
     return dd;
 }
 
-DecisionDiagram DecisionDiagram::ghzState(const Dimensions& dims) {
-    return ghzStateOn(nullptr, dims);
-}
-
-namespace {
-
-/// Number of excitation levels each qudit contributes to a W-family state:
-/// levels 1..d_i-1 for the full W state, level 1 only for the embedded one.
-enum class WFamily { Full, Embedded };
-
-[[nodiscard]] Dimension excitationLevels(WFamily family, Dimension dim) {
-    return family == WFamily::Embedded ? Dimension{1} : dim - 1;
-}
-
-} // namespace
-
 /// Shared W-family builder. With T_i the number of W terms contributed by
 /// sites i..n-1, the node at site i carries edge 0 -> (W sub-state on the
 /// suffix) with weight sqrt(T_{i+1}/T_i) and one edge per excitation level
 /// l with weight 1/sqrt(T_i) -> an all-|0> chain; per-node normalization
 /// holds by construction ((T_{i+1} + L_i)/T_i = 1).
-DecisionDiagram DecisionDiagram::wStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                          const Dimensions& dims, int familyTag) {
-    const WFamily family = familyTag == 0 ? WFamily::Full : WFamily::Embedded;
-    DecisionDiagram dd(std::move(store), dims);
+DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embedded,
+                                              const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
     const std::size_t n = dd.radix_.numQudits();
 
     // Suffix term counts T_i (T_n = 0).
     std::vector<std::uint64_t> suffixTerms(n + 1, 0);
     for (std::size_t site = n; site-- > 0;) {
         suffixTerms[site] =
-            suffixTerms[site + 1] + excitationLevels(family, dd.radix_.dimensionAt(site));
+            suffixTerms[site + 1] + excitationLevels(embedded, dd.radix_.dimensionAt(site));
     }
 
     // Fresh all-|0> suffix chain below `site` (one copy per use on a
@@ -141,7 +136,7 @@ DecisionDiagram DecisionDiagram::wStateOn(std::shared_ptr<dd::DdNodeStore> store
     NodeRef spine = kNoNode;
     for (std::size_t site = n; site-- > 0;) {
         const Dimension dim = dd.radix_.dimensionAt(site);
-        const Dimension levels = excitationLevels(family, dim);
+        const Dimension levels = excitationLevels(embedded, dim);
         const double total = static_cast<double>(suffixTerms[site]);
         std::vector<DDEdge> edges(dim);
         if (suffixTerms[site + 1] > 0) {
@@ -160,17 +155,18 @@ DecisionDiagram DecisionDiagram::wStateOn(std::shared_ptr<dd::DdNodeStore> store
     return dd;
 }
 
-DecisionDiagram DecisionDiagram::wState(const Dimensions& dims) {
-    return wStateOn(nullptr, dims, /*familyTag=*/0);
+DecisionDiagram DecisionDiagram::wState(const Dimensions& dims, const dd::DdSession* session) {
+    return wFamilyState(dims, /*embedded=*/false, session);
 }
 
-DecisionDiagram DecisionDiagram::embeddedWState(const Dimensions& dims) {
-    return wStateOn(nullptr, dims, /*familyTag=*/1);
+DecisionDiagram DecisionDiagram::embeddedWState(const Dimensions& dims,
+                                                const dd::DdSession* session) {
+    return wFamilyState(dims, /*embedded=*/true, session);
 }
 
-DecisionDiagram DecisionDiagram::uniformStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                                const Dimensions& dims) {
-    DecisionDiagram dd(std::move(store), dims);
+DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims,
+                                              const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
 
     // One shared chain: node at site s has d_s edges of weight 1/sqrt(d_s),
     // all pointing at the same child — already the reduced (DAG) form.
@@ -189,10 +185,6 @@ DecisionDiagram DecisionDiagram::uniformStateOn(std::shared_ptr<dd::DdNodeStore>
     return dd;
 }
 
-DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims) {
-    return uniformStateOn(nullptr, dims);
-}
-
 /// Cyclic state as a DAG. Shift k produces the word ((start_i + k) mod
 /// d_i)_i; shifts congruent modulo lcm(dims) produce the same word, so the
 /// distinct shifts are 0..K-1 with K = min(count, lcm). The node deciding
@@ -201,10 +193,9 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims) {
 /// exactly the block norms `fromStateVector` computes on the equal-amplitude
 /// dense vector, so the reduced tree and this DAG coincide. Each level holds
 /// one node per distinct surviving shift set.
-DecisionDiagram DecisionDiagram::cyclicStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                               const Dimensions& dims, const Digits& start,
-                                               std::uint32_t count) {
-    DecisionDiagram dd(std::move(store), dims);
+DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digits& start,
+                                             std::uint32_t count, const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
     const std::size_t n = dd.radix_.numQudits();
     requireThat(start.size() == n, "DecisionDiagram::cyclicState: start word size mismatch");
     requireThat(count >= 1, "DecisionDiagram::cyclicState: need at least one shift");
@@ -281,11 +272,6 @@ DecisionDiagram DecisionDiagram::cyclicStateOn(std::shared_ptr<dd::DdNodeStore> 
     return dd;
 }
 
-DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digits& start,
-                                             std::uint32_t count) {
-    return cyclicStateOn(nullptr, dims, start, count);
-}
-
 /// Dicke state as the standard (site, remaining-weight) DAG: the node for
 /// (s, w) decides site s with w excitation weight still to place; edge l
 /// points at (s+1, w-l) with weight sqrt(N(s+1, w-l) / N(s, w)), where
@@ -294,9 +280,9 @@ DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digit
 /// identical, so the reduced tree collapses to exactly this DAG — the
 /// family where cross-diagram sharing pays most, since replay intermediates
 /// revisit the same (s, w) blocks.
-DecisionDiagram DecisionDiagram::dickeStateOn(std::shared_ptr<dd::DdNodeStore> store,
-                                              const Dimensions& dims, std::uint64_t weight) {
-    DecisionDiagram dd(std::move(store), dims);
+DecisionDiagram DecisionDiagram::dickeState(const Dimensions& dims, std::uint64_t weight,
+                                            const dd::DdSession* session) {
+    DecisionDiagram dd(storeOf(session), dims);
     const std::size_t n = dd.radix_.numQudits();
 
     // Reject unreachable weights before sizing the DP tables by `weight`.
@@ -370,10 +356,6 @@ DecisionDiagram DecisionDiagram::dickeStateOn(std::shared_ptr<dd::DdNodeStore> s
     dd.root_ = below[0];
     dd.rootWeight_ = Complex{1.0, 0.0};
     return dd;
-}
-
-DecisionDiagram DecisionDiagram::dickeState(const Dimensions& dims, std::uint64_t weight) {
-    return dickeStateOn(nullptr, dims, weight);
 }
 
 } // namespace mqsp

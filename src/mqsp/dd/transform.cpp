@@ -3,10 +3,9 @@
 #include "mqsp/support/error.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
+#include <memory>
 #include <unordered_map>
-#include <vector>
 
 namespace mqsp {
 
@@ -120,7 +119,10 @@ std::size_t DecisionDiagram::reduce(double tol) {
                 edge.node = visit(edge.node);
             }
         }
-        const NodeRef merged = unique.findOrInsert(n.site, n.edges, ref);
+        // The node itself becomes canonical when no twin was seen before.
+        const auto keepSelf = [ref] { return ref; };
+        const NodeRef merged =
+            unique.findOrInsert(n.site, n.edges, dd::detail::MakeNodeFnRef(keepSelf));
         canonical.emplace(ref, merged);
         return merged;
     };
@@ -132,40 +134,13 @@ std::size_t DecisionDiagram::reduce(double tol) {
 }
 
 void DecisionDiagram::garbageCollect() {
-    if (!store_ || store_->size() == 0) {
-        return;
-    }
-    if (store_->interning()) {
+    if (!store_ || store_->interning()) {
         // Node lifetime on a shared store belongs to the session, not to
         // any one diagram: compaction would remap refs under every sibling.
         return;
     }
-    std::vector<NodeRef> remap(store_->size(), kNoNode);
-    std::vector<DDNode> kept;
-    kept.reserve(store_->size());
-
-    // Keep the terminal at slot 0 unconditionally.
-    remap[0] = 0;
-    kept.push_back(node(0));
-
-    if (root_ != kNoNode) {
-        const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-            if (remap[ref] != kNoNode) {
-                return remap[ref];
-            }
-            DDNode copy = node(ref);
-            for (auto& edge : copy.edges) {
-                if (!edge.isZeroStub()) {
-                    edge.node = visit(edge.node);
-                }
-            }
-            kept.push_back(std::move(copy));
-            remap[ref] = static_cast<NodeRef>(kept.size() - 1);
-            return remap[ref];
-        };
-        root_ = visit(root_);
-    }
-    store_->replaceNodes(std::move(kept));
+    *this = rebuiltOn(
+        std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Private, store_->tolerance()));
 }
 
 } // namespace mqsp

@@ -7,8 +7,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -69,21 +67,18 @@ std::vector<UniqueTable::KeyEdge>& UniqueTable::scratchKey() noexcept {
     return key;
 }
 
-std::uint64_t UniqueTable::bucketKey(std::uint32_t site, const DDEdge* edges,
-                                     const NodeRef* children, const Complex* weights,
-                                     std::size_t arity) const {
+std::uint64_t UniqueTable::bucketKey(std::uint32_t site,
+                                     std::span<const DDEdge> edges) const {
     std::vector<KeyEdge>& key = scratchKey();
-    key.resize(arity);
+    key.resize(edges.size());
     std::uint64_t h = site;
-    for (std::size_t k = 0; k < arity; ++k) {
-        const NodeRef child = edges != nullptr ? edges[k].node : children[k];
-        const Complex& weight = edges != nullptr ? edges[k].weight : weights[k];
-        const KeyEdge edge{child, bucketOf(weight.real(), tolerance_),
-                           bucketOf(weight.imag(), tolerance_)};
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+        const KeyEdge edge{edges[k].node, bucketOf(edges[k].weight.real(), tolerance_),
+                           bucketOf(edges[k].weight.imag(), tolerance_)};
         key[k] = edge;
         h = foldEdge(h, edge.child, edge.re, edge.im);
     }
-    return mix64(h ^ (static_cast<std::uint64_t>(arity) << 32U));
+    return mix64(h ^ (static_cast<std::uint64_t>(edges.size()) << 32U));
 }
 
 void UniqueTable::insert(Shard& shard, std::uint64_t hash, std::uint32_t site,
@@ -117,11 +112,11 @@ std::size_t UniqueTable::freeSlot(const Shard& shard, std::uint64_t hash) noexce
     return slot;
 }
 
-NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
-                              const Complex* weights, const DDEdge* edges, std::size_t arity,
-                              NodeRef fresh, const detail::MakeNodeFnRef* makeFresh) {
-    const std::uint64_t hash = bucketKey(site, edges, children, weights, arity);
+NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
+                                  const detail::MakeNodeFnRef& makeFresh) {
+    const std::uint64_t hash = bucketKey(site, edges);
     const KeyEdge* key = scratchKey().data();
+    const std::size_t arity = edges.size();
     Shard& shard = shardOf(hash);
     std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
     if (sharded_) {
@@ -143,38 +138,11 @@ NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
         }
     }
     ++shard.stats.misses;
-    if (makeFresh == nullptr && fresh == kNoNode) {
-        // Pure lookup: report the miss without recording a key.
-        return kNoNode;
-    }
-    // Allocate under the shard lock (concurrent protocol) or take the
-    // caller's tentative node (single-threaded protocol); either way the
-    // key is recorded before the lock is released, so the next prober of
-    // this key sees the canonical entry.
-    const NodeRef value = makeFresh != nullptr ? (*makeFresh)() : fresh;
+    // Allocate under the shard lock and record the key before the lock is
+    // released, so the next prober of this key sees the canonical entry.
+    const NodeRef value = makeFresh();
     insert(shard, hash, site, key, arity, value);
     return value;
-}
-
-NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
-                                  NodeRef fresh) {
-    return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), fresh, nullptr);
-}
-
-NodeRef UniqueTable::findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                                     const Complex* weights, std::size_t arity, NodeRef fresh) {
-    return dispatch(site, children, weights, nullptr, arity, fresh, nullptr);
-}
-
-NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
-                                  const detail::MakeNodeFnRef& makeFresh) {
-    return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), kNoNode, &makeFresh);
-}
-
-NodeRef UniqueTable::findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                                     const Complex* weights, std::size_t arity,
-                                     const detail::MakeNodeFnRef& makeFresh) {
-    return dispatch(site, children, weights, nullptr, arity, kNoNode, &makeFresh);
 }
 
 void UniqueTable::clear() {
@@ -194,7 +162,7 @@ void UniqueTable::clear() {
 
 void UniqueTable::restoreCanonical(std::uint32_t site, std::span<const DDEdge> edges,
                                    NodeRef value) {
-    const std::uint64_t hash = bucketKey(site, edges.data(), nullptr, nullptr, edges.size());
+    const std::uint64_t hash = bucketKey(site, edges);
     Shard& shard = shardOf(hash);
     std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
     if (sharded_) {
@@ -489,15 +457,6 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges)
     return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
 }
 
-void DdNodeStore::replaceNodes(std::vector<DDNode> nodes) {
-    requireThat(!interning(),
-                "DdNodeStore: pool replacement is forbidden on a session-shared store");
-    pool_.clear();
-    for (DDNode& node : nodes) {
-        pool_.append(std::move(node));
-    }
-}
-
 DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>& roots,
                                                       std::vector<NodeRef>& remapOut) {
     requireThat(interning(),
@@ -580,39 +539,6 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
 DdSession::DdSession(double tolerance)
     : store_(std::make_shared<DdNodeStore>(DdNodeStore::Mode::Interning, tolerance)) {}
 
-DecisionDiagram DdSession::zeroState(const Dimensions& dims) const {
-    return basisState(dims, Digits(MixedRadix(dims).numQudits(), 0));
-}
-
-DecisionDiagram DdSession::basisState(const Dimensions& dims, const Digits& digits) const {
-    return DecisionDiagram::basisStateOn(store_, dims, digits);
-}
-
-DecisionDiagram DdSession::ghzState(const Dimensions& dims) const {
-    return DecisionDiagram::ghzStateOn(store_, dims);
-}
-
-DecisionDiagram DdSession::wState(const Dimensions& dims) const {
-    return DecisionDiagram::wStateOn(store_, dims, /*familyTag=*/0);
-}
-
-DecisionDiagram DdSession::embeddedWState(const Dimensions& dims) const {
-    return DecisionDiagram::wStateOn(store_, dims, /*familyTag=*/1);
-}
-
-DecisionDiagram DdSession::uniformState(const Dimensions& dims) const {
-    return DecisionDiagram::uniformStateOn(store_, dims);
-}
-
-DecisionDiagram DdSession::cyclicState(const Dimensions& dims, const Digits& start,
-                                       std::uint32_t count) const {
-    return DecisionDiagram::cyclicStateOn(store_, dims, start, count);
-}
-
-DecisionDiagram DdSession::dickeState(const Dimensions& dims, std::uint64_t weight) const {
-    return DecisionDiagram::dickeStateOn(store_, dims, weight);
-}
-
 bool DdSession::owns(const DecisionDiagram& diagram) const noexcept {
     return diagram.store_ == store_;
 }
@@ -621,37 +547,8 @@ DecisionDiagram DdSession::intern(const DecisionDiagram& diagram) const {
     if (owns(diagram)) {
         return diagram; // already session-backed: O(1) aliasing copy
     }
-    DecisionDiagram result(store_, diagram.dimensions());
-    if (diagram.rootNode() == kNoNode) {
-        return result;
-    }
-    // Bottom-up memoized rebuild through the session table: sub-trees the
-    // session has seen before come back as table hits.
-    std::unordered_map<NodeRef, NodeRef> memo;
-    const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-        if (diagram.node(ref).isTerminal()) {
-            return 0;
-        }
-        if (const auto it = memo.find(ref); it != memo.end()) {
-            return it->second;
-        }
-        // Copy the shape up front: the source may live on a private store
-        // whose pool the recursion below is unrelated to, but keeping the
-        // access pattern uniform costs nothing.
-        const std::uint32_t site = diagram.node(ref).site;
-        std::vector<DDEdge> edges = diagram.node(ref).edges;
-        for (auto& edge : edges) {
-            if (!edge.isZeroStub()) {
-                edge.node = visit(edge.node);
-            }
-        }
-        const NodeRef canonical = store_->allocate(site, std::move(edges));
-        memo.emplace(ref, canonical);
-        return canonical;
-    };
-    result.root_ = visit(diagram.rootNode());
-    result.rootWeight_ = diagram.rootWeight();
-    return result;
+    // Sub-trees the session has seen before come back as table hits.
+    return diagram.rebuiltOn(store_);
 }
 
 DdSessionGcStats DdSession::garbageCollect(const std::vector<DecisionDiagram*>& live) const {

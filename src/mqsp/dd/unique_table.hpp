@@ -21,6 +21,13 @@
 //    (cutEdge/renormalize) refuse, copies of session diagrams share the
 //    store, and lifetime is owned by the session, not by any one diagram.
 //
+// There is one way onto each store: every structured builder takes an
+// optional session (its store, else a fresh private one), and one rebuild,
+// DecisionDiagram::rebuiltOn, moves an existing diagram — behind
+// DdSession::intern, serializing a session diagram, and a private
+// garbageCollect. Every interning allocation, operator-DD nodes included,
+// goes through the table's one `findOrInsert`.
+//
 // Concurrency model (the multicore substrate behind verifyBatch):
 //
 //  * The table is split into kShardCount shards selected by the top bits of
@@ -29,8 +36,8 @@
 //    `Sharded`: findOrInsert takes the owning shard's mutex, so concurrent
 //    batch items intern into one shared pool and a distinct structural key
 //    maps to exactly one NodeRef regardless of interleaving. Serial tables
-//    (private stores, reduce()'s transient table) run the same code without
-//    locking.
+//    (reduce()'s transient table, unshared operator-DD stores) run the same
+//    code without locking; a private store never probes its table.
 //  * Nodes live in a chunked pool with geometrically growing blocks; a
 //    node's address never changes once allocated, so readers follow NodeRefs
 //    out of edges without any pool-wide lock. Block pointers are published
@@ -129,7 +136,7 @@ private:
 /// calls it under a shard mutex; distinct shards race); `size()` is the
 /// number of reserved slots and, once the racing appends have been
 /// published, the number of constructed nodes. `clear`/`copyFrom` are
-/// single-threaded (private-store maintenance only).
+/// single-threaded (session GC at quiescence, private-store copies).
 template <typename NodeT>
 class ChunkedNodePool {
 public:
@@ -268,9 +275,9 @@ class UniqueTable {
 public:
     /// Locking regime, fixed at construction.
     enum class Concurrency : std::uint8_t {
-        Serial,  ///< single-threaded callers: no locking (private stores,
-                 ///< reduce()'s transient tables)
-        Sharded, ///< findOrInsert* take the owning shard's mutex; safe for
+        Serial,  ///< single-threaded callers: no locking (reduce()'s
+                 ///< transient tables, unshared operator-DD stores)
+        Sharded, ///< findOrInsert takes the owning shard's mutex; safe for
                  ///< concurrent use (interning stores)
     };
 
@@ -281,30 +288,13 @@ public:
     UniqueTable& operator=(const UniqueTable&) = delete;
 
     /// Canonical ref for (site, edges): the existing entry when one
-    /// matches, else `fresh` — which the caller must have just allocated —
-    /// recorded as the canonical node for this key. Returns the canonical
-    /// ref; `fresh == kNoNode` performs a pure lookup (returns kNoNode on
-    /// miss without recording anything, and without counting a miss).
-    /// Single-threaded protocol: the caller pops its tentative node when
-    /// the return value differs from `fresh`. Concurrent interners use the
-    /// MakeNodeFnRef overload instead.
-    NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges, NodeRef fresh);
-
-    /// findOrInsert for operator-DD edge lists (node + weight pairs laid
-    /// out as DDEdge without the pruned flag — see MatrixDdStore).
-    NodeRef findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                            const Complex* weights, std::size_t arity, NodeRef fresh);
-
-    /// Interning protocol: probe under the shard lock and, on a miss, call
-    /// `makeFresh()` — still under the lock — to allocate the node and
-    /// record its ref as canonical. Exactly one allocation happens per
-    /// distinct key however many threads race on it, and no tentative node
-    /// is ever created for a key that hits.
+    /// matches, else `makeFresh()` — called under the shard lock on a miss —
+    /// recorded as the canonical node for this key. Exactly one call of
+    /// `makeFresh` happens per distinct key however many threads race on
+    /// it, and none for a key that hits. The one interning call: session
+    /// stores, operator-DD stores and reduce()'s transient table all use it.
     NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                          const detail::MakeNodeFnRef& makeFresh);
-    NodeRef findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                            const Complex* weights, std::size_t arity,
-                            const detail::MakeNodeFnRef& makeFresh);
 
     /// Drop every entry while keeping slot capacity and the cumulative
     /// counters — the reset step of a session GC, before the surviving
@@ -375,11 +365,9 @@ private:
     /// concurrent interners never share it; one buffer serves every table
     /// a thread touches, since a key is consumed by the call that built it.
     [[nodiscard]] static std::vector<KeyEdge>& scratchKey() noexcept;
-    /// Bucket `arity` edges into the scratch key and hash them in the same
-    /// pass. `edges` or `children`/`weights` is non-null.
-    [[nodiscard]] std::uint64_t bucketKey(std::uint32_t site, const DDEdge* edges,
-                                          const NodeRef* children, const Complex* weights,
-                                          std::size_t arity) const;
+    /// Bucket `edges` into the scratch key and hash them in the same pass.
+    [[nodiscard]] std::uint64_t bucketKey(std::uint32_t site,
+                                          std::span<const DDEdge> edges) const;
     [[nodiscard]] Shard& shardOf(std::uint64_t hash) noexcept {
         return shards_[(hash >> 60U) & (kShardCount - 1)];
     }
@@ -389,9 +377,6 @@ private:
     void insert(Shard& shard, std::uint64_t hash, std::uint32_t site, const KeyEdge* key,
                 std::size_t arity, NodeRef value);
     [[nodiscard]] static std::size_t freeSlot(const Shard& shard, std::uint64_t hash) noexcept;
-    NodeRef dispatch(std::uint32_t site, const NodeRef* children, const Complex* weights,
-                     const DDEdge* edges, std::size_t arity, NodeRef fresh,
-                     const detail::MakeNodeFnRef* makeFresh);
 
     double tolerance_;
     std::size_t initialShardCapacity_;
@@ -550,9 +535,6 @@ public:
     /// an interning hit allocates nothing.
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
-    /// Replace the whole pool (garbageCollect on a private store).
-    void replaceNodes(std::vector<DDNode> nodes);
-
     /// What one mark-and-compact pass did (see compactLive).
     struct CompactionStats {
         std::size_t nodesBefore = 0;
@@ -618,7 +600,11 @@ struct DdSessionGcStats {
 /// the items of a concurrent `verifyBatch`, which intern into
 /// this one session from every worker.
 ///
-/// Lifetime/ownership contract: diagrams built by a session hold a
+/// Diagrams get onto the session's store through the DecisionDiagram
+/// builders (pass `&session`), `intern`, and gate application on a
+/// session-backed diagram; the session builds nothing itself.
+///
+/// Lifetime/ownership contract: diagrams built on a session hold a
 /// shared_ptr to the session's store, so they remain valid after the
 /// session object is gone — but they are immutable (the in-place mutators
 /// throw) and copying them is O(1) aliasing, not a deep copy. The session
@@ -631,27 +617,14 @@ public:
     [[nodiscard]] double tolerance() const noexcept { return store_->tolerance(); }
     [[nodiscard]] const std::shared_ptr<DdNodeStore>& store() const noexcept { return store_; }
 
-    /// --- canonical builders on the shared store ------------------------
-    /// Same states as the DecisionDiagram statics, but hash-consed: the
-    /// result is the reduced (DAG) form and repeated builds are table hits.
-    [[nodiscard]] DecisionDiagram zeroState(const Dimensions& dims) const;
-    [[nodiscard]] DecisionDiagram basisState(const Dimensions& dims, const Digits& digits) const;
-    [[nodiscard]] DecisionDiagram ghzState(const Dimensions& dims) const;
-    [[nodiscard]] DecisionDiagram wState(const Dimensions& dims) const;
-    [[nodiscard]] DecisionDiagram embeddedWState(const Dimensions& dims) const;
-    [[nodiscard]] DecisionDiagram uniformState(const Dimensions& dims) const;
-    [[nodiscard]] DecisionDiagram cyclicState(const Dimensions& dims, const Digits& start,
-                                              std::uint32_t count) const;
-    [[nodiscard]] DecisionDiagram dickeState(const Dimensions& dims,
-                                             std::uint64_t weight) const;
-
     /// True when `diagram` lives on this session's store.
     [[nodiscard]] bool owns(const DecisionDiagram& diagram) const noexcept;
 
     /// Import a foreign diagram: rebuild its reachable nodes through the
-    /// session table (bottom-up, memoized). Sub-trees the session has
-    /// already built elsewhere come back as table hits; a diagram the
-    /// session already owns comes back as an O(1) aliasing copy.
+    /// session table (DecisionDiagram::rebuiltOn — bottom-up, memoized).
+    /// Sub-trees the session has already built elsewhere come back as table
+    /// hits; a diagram the session already owns comes back as an O(1)
+    /// aliasing copy.
     [[nodiscard]] DecisionDiagram intern(const DecisionDiagram& diagram) const;
 
     /// Mark-and-compact the session store down to the diagrams in `live`

@@ -11,11 +11,9 @@ namespace mqsp {
 namespace {
 constexpr std::uint32_t kTerminalSite = 0xffffffffU;
 
-/// Per-thread scratch split of an edge list into the (children, weights)
-/// layout the shared table hashes — thread-local so concurrent interners
-/// never share buffers.
-thread_local std::vector<MatrixDdStore::NodeRef> tlsChildren;
-thread_local std::vector<Complex> tlsWeights;
+/// Per-thread staging of an edge list as the DDEdge key the shared table
+/// hashes — thread-local so concurrent interners never share it.
+thread_local std::vector<DDEdge> tlsKey;
 } // namespace
 
 // --- MatrixDdStore ---------------------------------------------------------
@@ -33,19 +31,16 @@ const MatrixDdStore::Node& MatrixDdStore::node(NodeRef ref) const {
 
 MatrixDdStore::NodeRef MatrixDdStore::intern(std::uint32_t site, std::vector<Edge> edges) {
     ensureThat(pool_.size() < MatrixDD::kNull, "MatrixDD: node pool exhausted");
-    tlsChildren.resize(edges.size());
-    tlsWeights.resize(edges.size());
+    tlsKey.resize(edges.size());
     for (std::size_t k = 0; k < edges.size(); ++k) {
-        tlsChildren[k] = edges[k].node;
-        tlsWeights[k] = edges[k].weight;
+        tlsKey[k] = DDEdge{edges[k].node, edges[k].weight};
     }
     // Probe and append under the key's shard lock (see DdNodeStore::
     // allocate): `makeFresh` runs only on a genuine miss.
     const auto makeFresh = [&]() -> NodeRef {
         return pool_.append(Node{site, std::move(edges)});
     };
-    return table_.findOrInsertRaw(site, tlsChildren.data(), tlsWeights.data(),
-                                  tlsChildren.size(), dd::detail::MakeNodeFnRef(makeFresh));
+    return table_.findOrInsert(site, tlsKey, dd::detail::MakeNodeFnRef(makeFresh));
 }
 
 // --- MatrixDD --------------------------------------------------------------

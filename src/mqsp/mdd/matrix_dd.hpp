@@ -129,7 +129,7 @@ public:
     /// Matrix element <row| M |col>.
     [[nodiscard]] Complex entry(const Digits& row, const Digits& col) const;
 
-    /// Dense export (register total dimension <= 4096).
+    /// Dense export (register total dimension <= 512).
     [[nodiscard]] DenseMatrix toDenseMatrix() const;
 
     /// Distinct reachable internal nodes.

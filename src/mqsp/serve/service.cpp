@@ -87,22 +87,22 @@ struct FamilySpec {
 [[nodiscard]] DecisionDiagram makeSessionDiagram(const FamilySpec& spec, const Dimensions& dims,
                                                  const dd::DdSession& session) {
     if (spec.name == "ghz") {
-        return session.ghzState(dims);
+        return DecisionDiagram::ghzState(dims, &session);
     }
     if (spec.name == "w") {
-        return session.wState(dims);
+        return DecisionDiagram::wState(dims, &session);
     }
     if (spec.name == "embw") {
-        return session.embeddedWState(dims);
+        return DecisionDiagram::embeddedWState(dims, &session);
     }
     if (spec.name == "uniform") {
-        return session.uniformState(dims);
+        return DecisionDiagram::uniformState(dims, &session);
     }
     if (spec.name == "dicke") {
-        return session.dickeState(dims, spec.weight);
+        return DecisionDiagram::dickeState(dims, spec.weight, &session);
     }
     if (spec.name == "cyclic") {
-        return session.cyclicState(dims, Digits(dims.size(), 0), spec.count);
+        return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), spec.count, &session);
     }
     detail::throwInternal("makeSessionDiagram: unhandled family " + spec.name);
 }

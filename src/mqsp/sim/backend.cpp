@@ -14,7 +14,8 @@ namespace {
 
 /// Register ceiling of the dense *equivalence* check: it walks all ∏dims
 /// columns of both unitaries, so it is quadratic where dense simulation is
-/// linear (mirrors MatrixDD::toDenseMatrix's small-register limit).
+/// linear. It replays columns as state vectors and never builds a matrix, so
+/// it sits above MatrixDD::toDenseMatrix's own limit of 512.
 constexpr std::uint64_t kDenseEquivalenceCeiling = 4096;
 
 std::string formatAmplitudeCount(std::uint64_t count) {
@@ -376,7 +377,7 @@ DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
           tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
 
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
-    return EvalState(session_->zeroState(dims));
+    return EvalState(DecisionDiagram::zeroState(dims, session_.get()));
 }
 
 void DdBackend::apply(EvalState& state, const Operation& op) const {

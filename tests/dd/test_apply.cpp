@@ -31,7 +31,8 @@ DecisionDiagram replayFrom(DecisionDiagram state, const Circuit& circuit) {
 
 /// Replay from |0...0> on a fresh session store, the evaluation regime.
 DecisionDiagram replay(const Circuit& circuit) {
-    return replayFrom(dd::DdSession().zeroState(circuit.dimensions()), circuit);
+    const dd::DdSession session;
+    return replayFrom(DecisionDiagram::zeroState(circuit.dimensions(), &session), circuit);
 }
 
 void expectMatchesDense(const Circuit& circuit, double tol = 1e-9) {

@@ -45,7 +45,7 @@ namespace {
 /// Allocations made inside applyOperation while replaying `circuit` from
 /// |0...0> on `session`.
 std::size_t allocationsInsideApply(const dd::DdSession& session, const Circuit& circuit) {
-    DecisionDiagram state = session.zeroState(circuit.dimensions());
+    DecisionDiagram state = DecisionDiagram::zeroState(circuit.dimensions(), &session);
     std::size_t allocations = 0;
     for (const Operation& op : circuit.operations()) {
         const std::size_t before = gAllocations;
@@ -84,7 +84,7 @@ TEST(ApplyAllocations, ALargeGateMemoIsReleasedAfterASmallGate) {
     const dd::DdSession session;
     const DecisionDiagram large =
         session.intern(DecisionDiagram::fromStateVector(states::random(Dimensions(15, 2), rng)));
-    const DecisionDiagram small = session.zeroState({2, 2});
+    const DecisionDiagram small = DecisionDiagram::zeroState({2, 2}, &session);
     const Operation wide = Operation::shift(14, 1);
     const Operation narrow = Operation::shift(1, 1);
     EXPECT_GT(allocationsOfGate(large, wide), 0U); // interns the result

@@ -17,7 +17,7 @@ const Dimensions kDims{3, 6, 2};
 
 TEST(DiagramDiff, IdenticalRootsShareEverything) {
     const dd::DdSession session;
-    const DecisionDiagram ghz = session.ghzState(kDims);
+    const DecisionDiagram ghz = DecisionDiagram::ghzState(kDims, &session);
     const dd::DiagramDiffStats stats = dd::diffDiagrams(ghz, ghz);
     EXPECT_EQ(stats.nodesA, stats.nodesB);
     EXPECT_GT(stats.shared, 0U);
@@ -28,8 +28,8 @@ TEST(DiagramDiff, IdenticalRootsShareEverything) {
 
 TEST(DiagramDiff, CountsArePartitionedByReachability) {
     const dd::DdSession session;
-    const DecisionDiagram ghz = session.ghzState(kDims);
-    const DecisionDiagram w = session.wState(kDims);
+    const DecisionDiagram ghz = DecisionDiagram::ghzState(kDims, &session);
+    const DecisionDiagram w = DecisionDiagram::wState(kDims, &session);
     const dd::DiagramDiffStats stats = dd::diffDiagrams(ghz, w);
     // The marks partition each side: everything reachable from A is either
     // shared with B or removed, and vice versa.
@@ -53,7 +53,7 @@ TEST(DiagramDiff, AppliedGateShowsUpAsAddedNodes) {
     // changes nothing; a real delta adds nodes without invalidating the
     // old snapshot (session diagrams are immutable).
     const dd::DdSession session;
-    DecisionDiagram state = session.zeroState(kDims);
+    DecisionDiagram state = DecisionDiagram::zeroState(kDims, &session);
     const DecisionDiagram before = state;
     state.applyOperation(Operation::givens(0, 0, 1, 1.1, 0.3));
     const dd::DiagramDiffStats stats = dd::diffDiagrams(before, state);
@@ -68,8 +68,8 @@ TEST(DiagramDiff, AppliedGateShowsUpAsAddedNodes) {
 TEST(DiagramDiff, RefusesDiagramsFromDifferentStores) {
     const dd::DdSession a;
     const dd::DdSession b;
-    const DecisionDiagram onA = a.ghzState(kDims);
-    const DecisionDiagram onB = b.ghzState(kDims);
+    const DecisionDiagram onA = DecisionDiagram::ghzState(kDims, &a);
+    const DecisionDiagram onB = DecisionDiagram::ghzState(kDims, &b);
     try {
         (void)dd::diffDiagrams(onA, onB);
         FAIL() << "expected InvalidArgumentError";

@@ -150,6 +150,29 @@ TEST(DDSerialize, RejectsMalformedInput) {
             "mqsp-dd v1\ndims 3\nroot 1 1 0\nnode 1 0 2 0 1 0 0 - 0 0 0\nend\n");
         EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError);
     }
+    {
+        // A node listed as its own child: a cycle, which would overflow the
+        // stack of every recursive walk after the parse.
+        std::stringstream stream(
+            "mqsp-dd v1\ndims 2 2\nroot 1 1 0\nnode 1 0 2 1 1 0 0 - 0 0 0\nend\n");
+        EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError);
+    }
+    {
+        // Non-numeric refs, on an edge and on the root.
+        std::stringstream edge(
+            "mqsp-dd v1\ndims 2\nroot 1 1 0\nnode 1 0 2 abc 1 0 0 - 0 0 0\nend\n");
+        EXPECT_THROW((void)DecisionDiagram::deserialize(edge), InvalidArgumentError);
+        std::stringstream root(
+            "mqsp-dd v1\ndims 2\nroot zz 1 0\nnode 1 0 2 0 1 0 0 - 0 0 0\nend\n");
+        EXPECT_THROW((void)DecisionDiagram::deserialize(root), InvalidArgumentError);
+    }
+    {
+        // An edge ref past 32 bits, which narrowing would wrap to the
+        // terminal one site early.
+        std::stringstream stream("mqsp-dd v1\ndims 2 2\nroot 1 1 0\n"
+                                 "node 1 0 2 4294967296 1 0 0 - 0 0 0\nend\n");
+        EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError);
+    }
 }
 
 } // namespace

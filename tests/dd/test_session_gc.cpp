@@ -24,11 +24,11 @@ void expectSameState(const StateVector& expected, const DecisionDiagram& diagram
 
 TEST(SessionGc, CompactsPoolToTheLiveRootReachableSet) {
     const dd::DdSession session;
-    DecisionDiagram ghz = session.ghzState(kDims);
-    DecisionDiagram w = session.wState(kDims);
+    DecisionDiagram ghz = DecisionDiagram::ghzState(kDims, &session);
+    DecisionDiagram w = DecisionDiagram::wState(kDims, &session);
     // Transient garbage the GC must reclaim.
-    { const DecisionDiagram dead = session.dickeState(kDims, 3); }
-    { const DecisionDiagram dead = session.cyclicState(kDims, Digits{0, 0, 0}, 6); }
+    { const DecisionDiagram dead = DecisionDiagram::dickeState(kDims, 3, &session); }
+    { const DecisionDiagram dead = DecisionDiagram::cyclicState(kDims, Digits{0, 0, 0}, 6, &session); }
     const std::uint64_t before = session.stats().poolNodes;
 
     const StateVector ghzState = ghz.toStateVector();
@@ -44,8 +44,8 @@ TEST(SessionGc, CompactsPoolToTheLiveRootReachableSet) {
     // building only the live states: the union of their reachable sets
     // (plus the terminal), nothing else.
     const dd::DdSession fresh;
-    const DecisionDiagram freshGhz = fresh.ghzState(kDims);
-    const DecisionDiagram freshW = fresh.wState(kDims);
+    const DecisionDiagram freshGhz = DecisionDiagram::ghzState(kDims, &fresh);
+    const DecisionDiagram freshW = DecisionDiagram::wState(kDims, &fresh);
     EXPECT_EQ(stats.nodesAfter, fresh.stats().poolNodes);
 
     expectSameState(ghzState, ghz);
@@ -54,8 +54,8 @@ TEST(SessionGc, CompactsPoolToTheLiveRootReachableSet) {
 
 TEST(SessionGc, SingleRootCompactsToItsReachableNodesPlusTerminal) {
     const dd::DdSession session;
-    DecisionDiagram keep = session.wState(kDims);
-    { const DecisionDiagram dead = session.ghzState(kDims); }
+    DecisionDiagram keep = DecisionDiagram::wState(kDims, &session);
+    { const DecisionDiagram dead = DecisionDiagram::ghzState(kDims, &session); }
 
     const dd::DdSessionGcStats stats = session.garbageCollect({&keep});
     EXPECT_EQ(stats.nodesAfter, keep.nodeCount(NodeCountMode::Internal) + 1);
@@ -65,8 +65,8 @@ TEST(SessionGc, SingleRootCompactsToItsReachableNodesPlusTerminal) {
 
 TEST(SessionGc, SecondPassIsIdempotent) {
     const dd::DdSession session;
-    DecisionDiagram keep = session.ghzState(kDims);
-    { const DecisionDiagram dead = session.uniformState(kDims); }
+    DecisionDiagram keep = DecisionDiagram::ghzState(kDims, &session);
+    { const DecisionDiagram dead = DecisionDiagram::uniformState(kDims, &session); }
 
     const dd::DdSessionGcStats first = session.garbageCollect({&keep});
     const dd::DdSessionGcStats second = session.garbageCollect({&keep});
@@ -77,7 +77,7 @@ TEST(SessionGc, SecondPassIsIdempotent) {
 
 TEST(SessionGc, EmptyLiveListKeepsOnlyTheTerminal) {
     const dd::DdSession session;
-    { const DecisionDiagram dead = session.wState(kDims); }
+    { const DecisionDiagram dead = DecisionDiagram::wState(kDims, &session); }
     const dd::DdSessionGcStats stats = session.garbageCollect({});
     EXPECT_EQ(stats.liveRoots, 0U);
     EXPECT_EQ(stats.nodesAfter, 1U);
@@ -85,9 +85,9 @@ TEST(SessionGc, EmptyLiveListKeepsOnlyTheTerminal) {
 
 TEST(SessionGc, DuplicateAndAliasedRootsRemapExactlyOnce) {
     const dd::DdSession session;
-    DecisionDiagram ghz = session.ghzState(kDims);
+    DecisionDiagram ghz = DecisionDiagram::ghzState(kDims, &session);
     DecisionDiagram alias = ghz; // session-backed copy: O(1), shares the store
-    { const DecisionDiagram dead = session.dickeState(kDims, 2); }
+    { const DecisionDiagram dead = DecisionDiagram::dickeState(kDims, 2, &session); }
     const StateVector expected = ghz.toStateVector();
 
     // The same object listed twice and an aliasing copy must each end up
@@ -103,8 +103,8 @@ TEST(SessionGc, DuplicateAndAliasedRootsRemapExactlyOnce) {
 
 TEST(SessionGc, ComputeCacheEntriesSurviveCompaction) {
     const dd::DdSession session;
-    DecisionDiagram ghz = session.ghzState(kDims);
-    DecisionDiagram w = session.wState(kDims);
+    DecisionDiagram ghz = DecisionDiagram::ghzState(kDims, &session);
+    DecisionDiagram w = DecisionDiagram::wState(kDims, &session);
 
     const Complex first = ghz.innerProductWith(w);
     const std::uint64_t hitsBefore = session.stats().cache.hits;
@@ -124,10 +124,10 @@ TEST(SessionGc, ComputeCacheEntriesSurviveCompaction) {
 
 TEST(SessionGc, CacheEntriesNamingDeadNodesAreEvicted) {
     const dd::DdSession session;
-    DecisionDiagram keep = session.ghzState(kDims);
+    DecisionDiagram keep = DecisionDiagram::ghzState(kDims, &session);
     std::uint64_t evictedByGc = 0;
     {
-        const DecisionDiagram dead = session.dickeState(kDims, 3);
+        const DecisionDiagram dead = DecisionDiagram::dickeState(kDims, 3, &session);
         (void)keep.innerProductWith(dead);
         const dd::DdSessionGcStats stats = session.garbageCollect({&keep});
         evictedByGc = stats.cacheEntriesEvicted;
@@ -138,13 +138,13 @@ TEST(SessionGc, CacheEntriesNamingDeadNodesAreEvicted) {
 
 TEST(SessionGc, RebuiltTableInternsSurvivorsWithoutNewNodes) {
     const dd::DdSession session;
-    DecisionDiagram keep = session.wState(kDims);
-    { const DecisionDiagram dead = session.ghzState(kDims); }
+    DecisionDiagram keep = DecisionDiagram::wState(kDims, &session);
+    { const DecisionDiagram dead = DecisionDiagram::ghzState(kDims, &session); }
     const dd::DdSessionGcStats stats = session.garbageCollect({&keep});
 
     // Re-building a live state after GC must resolve every node from the
     // rebuilt uniquing table — the pool does not grow by a single node.
-    const DecisionDiagram again = session.wState(kDims);
+    const DecisionDiagram again = DecisionDiagram::wState(kDims, &session);
     EXPECT_EQ(session.stats().poolNodes, stats.nodesAfter);
     EXPECT_EQ(again.rootNode(), keep.rootNode());
 }
@@ -153,8 +153,8 @@ TEST(SessionGc, SurvivesRepeatedBuildCollectCycles) {
     const dd::DdSession session;
     std::uint64_t steadyState = 0;
     for (int cycle = 0; cycle < 20; ++cycle) {
-        DecisionDiagram keep = session.ghzState(kDims);
-        { const DecisionDiagram dead = session.dickeState(kDims, 2); }
+        DecisionDiagram keep = DecisionDiagram::ghzState(kDims, &session);
+        { const DecisionDiagram dead = DecisionDiagram::dickeState(kDims, 2, &session); }
         const dd::DdSessionGcStats stats = session.garbageCollect({&keep});
         if (cycle == 0) {
             steadyState = stats.nodesAfter;
@@ -168,14 +168,14 @@ TEST(SessionGc, SurvivesRepeatedBuildCollectCycles) {
 
 TEST(SessionGc, RejectsNullAndForeignDiagrams) {
     const dd::DdSession session;
-    DecisionDiagram keep = session.ghzState(kDims);
+    DecisionDiagram keep = DecisionDiagram::ghzState(kDims, &session);
     EXPECT_THROW((void)session.garbageCollect({nullptr}), InvalidArgumentError);
 
     DecisionDiagram foreign = DecisionDiagram::ghzState(kDims); // private store
     EXPECT_THROW((void)session.garbageCollect({&keep, &foreign}), InvalidArgumentError);
 
     const dd::DdSession other;
-    DecisionDiagram otherBacked = other.ghzState(kDims);
+    DecisionDiagram otherBacked = DecisionDiagram::ghzState(kDims, &other);
     EXPECT_THROW((void)session.garbageCollect({&otherBacked}), InvalidArgumentError);
 }
 

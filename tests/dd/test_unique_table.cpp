@@ -32,14 +32,21 @@ std::vector<DDEdge> edgeList(std::initializer_list<std::pair<NodeRef, double>> s
     return edges;
 }
 
+/// findOrInsert whose miss records `fresh`, a ref the test makes up.
+NodeRef findOrRecord(dd::UniqueTable& table, std::uint32_t site,
+                     const std::vector<DDEdge>& edges, NodeRef fresh) {
+    const auto record = [fresh] { return fresh; };
+    return table.findOrInsert(site, edges, dd::detail::MakeNodeFnRef(record));
+}
+
 // --- UniqueTable -----------------------------------------------------------
 
 TEST(UniqueTable, FindOrInsertDeduplicatesStructuralTwins) {
     dd::UniqueTable table(kTol);
     const auto edges = edgeList({{0, 1.0}});
 
-    EXPECT_EQ(table.findOrInsert(2, edges, 41), 41U);
-    EXPECT_EQ(table.findOrInsert(2, edges, 99), 41U); // twin: canonical ref wins
+    EXPECT_EQ(findOrRecord(table, 2, edges, 41), 41U);
+    EXPECT_EQ(findOrRecord(table, 2, edges, 99), 41U); // twin: canonical ref wins
     EXPECT_EQ(table.size(), 1U);
 
     const auto& stats = table.stats();
@@ -50,45 +57,38 @@ TEST(UniqueTable, FindOrInsertDeduplicatesStructuralTwins) {
 
 TEST(UniqueTable, DistinguishesSiteChildrenAndWeights) {
     dd::UniqueTable table(kTol);
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}}), 1), 1U);
-    EXPECT_EQ(table.findOrInsert(1, edgeList({{0, 1.0}}), 2), 2U); // site differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{5, 1.0}}), 3), 3U); // child differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5}}), 4), 4U); // weight differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}, {0, 1.0}}), 5), 5U); // arity differs
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{0, 1.0}}), 1), 1U);
+    EXPECT_EQ(findOrRecord(table, 1, edgeList({{0, 1.0}}), 2), 2U); // site differs
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{5, 1.0}}), 3), 3U); // child differs
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{0, 0.5}}), 4), 4U); // weight differs
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{0, 1.0}, {0, 1.0}}), 5), 5U); // arity differs
     EXPECT_EQ(table.size(), 5U);
     EXPECT_EQ(table.stats().hits, 0U);
 }
 
 TEST(UniqueTable, WeightsMergeWithinToleranceBucketsOnly) {
     dd::UniqueTable table(1e-6);
-    const NodeRef first = table.findOrInsert(0, edgeList({{0, 0.5}}), 1);
+    const NodeRef first = findOrRecord(table, 0, edgeList({{0, 0.5}}), 1);
     // Deep inside the same bucket: merges.
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5 + 1e-9}}), 2), first);
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{0, 0.5 + 1e-9}}), 2), first);
     // Far outside: distinct.
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5 + 1e-3}}), 3), 3U);
+    EXPECT_EQ(findOrRecord(table, 0, edgeList({{0, 0.5 + 1e-3}}), 3), 3U);
 }
 
 TEST(UniqueTable, GrowsPastInitialCapacityAndKeepsEveryEntry) {
     dd::UniqueTable table(kTol, /*initialCapacity=*/16);
     constexpr NodeRef kCount = 3000;
     for (NodeRef i = 0; i < kCount; ++i) {
-        ASSERT_EQ(table.findOrInsert(0, edgeList({{i, 1.0}}), i + 1), i + 1);
+        ASSERT_EQ(findOrRecord(table, 0, edgeList({{i, 1.0}}), i + 1), i + 1);
     }
     EXPECT_EQ(table.size(), kCount);
     EXPECT_GT(table.stats().grows, 0U);
     EXPECT_GE(table.capacity(), kCount);
     // Every key still resolves to its original canonical ref after growth.
     for (NodeRef i = 0; i < kCount; ++i) {
-        ASSERT_EQ(table.findOrInsert(0, edgeList({{i, 1.0}}), kNoNode), i + 1);
+        ASSERT_EQ(findOrRecord(table, 0, edgeList({{i, 1.0}}), kNoNode), i + 1);
     }
     EXPECT_EQ(table.stats().hits, kCount);
-}
-
-TEST(UniqueTable, PureLookupMissDoesNotRecord) {
-    dd::UniqueTable table(kTol);
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}}), kNoNode), kNoNode);
-    EXPECT_EQ(table.size(), 0U);
-    EXPECT_EQ(table.stats().misses, 1U);
 }
 
 // --- ComputeCache ----------------------------------------------------------
@@ -194,9 +194,9 @@ TEST(DdNodeStore, InterningStoreRefusesInPlaceMutation) {
 TEST(DdSession, RepeatedBuildsShareEveryNode) {
     const Dimensions dims{3, 6, 2};
     dd::DdSession session;
-    const DecisionDiagram first = session.wState(dims);
+    const DecisionDiagram first = DecisionDiagram::wState(dims, &session);
     const std::size_t poolAfterFirst = first.poolSize();
-    const DecisionDiagram second = session.wState(dims);
+    const DecisionDiagram second = DecisionDiagram::wState(dims, &session);
 
     EXPECT_TRUE(first.sharesStoreWith(second));
     EXPECT_EQ(second.poolSize(), poolAfterFirst); // second build allocated nothing
@@ -207,12 +207,12 @@ TEST(DdSession, RepeatedBuildsShareEveryNode) {
 TEST(DdSession, DiagramsOfDifferentFamiliesShareCommonSubtrees) {
     const Dimensions dims{3, 4, 2, 3};
     dd::DdSession session;
-    const DecisionDiagram w = session.wState(dims);
+    const DecisionDiagram w = DecisionDiagram::wState(dims, &session);
     const std::size_t poolAfterW = w.poolSize();
     // The embedded W state reuses the all-|0> suffix chains the full W
     // state already interned: the session pool grows by less than a
     // private embedded-W build would allocate.
-    const DecisionDiagram embedded = session.embeddedWState(dims);
+    const DecisionDiagram embedded = DecisionDiagram::embeddedWState(dims, &session);
     const std::size_t sessionGrowth = embedded.poolSize() - poolAfterW;
     const std::size_t privateSize = DecisionDiagram::embeddedWState(dims).poolSize() - 1;
     EXPECT_LT(sessionGrowth, privateSize);
@@ -230,13 +230,13 @@ TEST(DdSession, SessionBuildersMatchPrivateBuildersAmplitudeForAmplitude) {
     dd::DdSession session;
     const std::vector<std::pair<DecisionDiagram, StateVector>> pairs = [&] {
         std::vector<std::pair<DecisionDiagram, StateVector>> list;
-        list.emplace_back(session.ghzState(dims), states::ghz(dims));
-        list.emplace_back(session.wState(dims), states::wState(dims));
-        list.emplace_back(session.embeddedWState(dims), states::embeddedWState(dims));
-        list.emplace_back(session.uniformState(dims), states::uniform(dims));
-        list.emplace_back(session.cyclicState(dims, Digits(dims.size(), 0), 6),
+        list.emplace_back(DecisionDiagram::ghzState(dims, &session), states::ghz(dims));
+        list.emplace_back(DecisionDiagram::wState(dims, &session), states::wState(dims));
+        list.emplace_back(DecisionDiagram::embeddedWState(dims, &session), states::embeddedWState(dims));
+        list.emplace_back(DecisionDiagram::uniformState(dims, &session), states::uniform(dims));
+        list.emplace_back(DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), 6, &session),
                           states::cyclic(dims, Digits(dims.size(), 0), 6));
-        list.emplace_back(session.dickeState(dims, 2), states::dicke(dims, 2));
+        list.emplace_back(DecisionDiagram::dickeState(dims, 2, &session), states::dicke(dims, 2));
         return list;
     }();
     for (const auto& [diagram, state] : pairs) {
@@ -254,13 +254,13 @@ TEST(DdSession, SessionBuildersMatchPrivateBuildersAmplitudeForAmplitude) {
 TEST(DdSession, ReplayInternsIntoTheTargetsPool) {
     const Dimensions dims{3, 3, 3};
     dd::DdSession session;
-    const DecisionDiagram target = session.ghzState(dims);
+    const DecisionDiagram target = DecisionDiagram::ghzState(dims, &session);
 
     SynthesisOptions lean;
     lean.emitIdentityOperations = false;
     const Circuit circuit = synthesize(target, lean);
 
-    DecisionDiagram replayed = session.zeroState(dims);
+    DecisionDiagram replayed = DecisionDiagram::zeroState(dims, &session);
     for (const Operation& op : circuit.operations()) {
         replayed.applyOperation(op);
     }
@@ -291,7 +291,7 @@ TEST(DdSession, InternImportsForeignDiagramsAndAliasesOwnOnes) {
 TEST(DdSession, SessionDiagramsRefuseMutatorsAndSkipReduce) {
     const Dimensions dims{3, 3};
     dd::DdSession session;
-    DecisionDiagram diagram = session.ghzState(dims);
+    DecisionDiagram diagram = DecisionDiagram::ghzState(dims, &session);
 
     EXPECT_THROW(diagram.cutEdge(diagram.rootNode(), 0), InvalidArgumentError);
     EXPECT_THROW(diagram.renormalize(), InvalidArgumentError);
@@ -305,7 +305,7 @@ TEST(DdSession, SessionDiagramsRefuseMutatorsAndSkipReduce) {
 TEST(DdSession, CopyOfSessionDiagramAliasesThePool) {
     const Dimensions dims(16, 2);
     dd::DdSession session;
-    const DecisionDiagram original = session.uniformState(dims);
+    const DecisionDiagram original = DecisionDiagram::uniformState(dims, &session);
     const DecisionDiagram copy = original; // NOLINT(performance-unnecessary-copy-initialization)
     EXPECT_TRUE(copy.sharesStoreWith(original));
     EXPECT_EQ(copy.rootNode(), original.rootNode());
@@ -314,8 +314,8 @@ TEST(DdSession, CopyOfSessionDiagramAliasesThePool) {
 TEST(DdSession, SerializationDetachesFromTheSessionPool) {
     const Dimensions dims{3, 6, 2};
     dd::DdSession session;
-    const DecisionDiagram ghz = session.ghzState(dims);
-    (void)session.wState(dims); // unrelated nodes in the same pool
+    const DecisionDiagram ghz = DecisionDiagram::ghzState(dims, &session);
+    (void)DecisionDiagram::wState(dims, &session); // unrelated nodes in the same pool
 
     std::stringstream stream;
     ghz.serialize(stream);
@@ -331,7 +331,7 @@ TEST(DdSession, DiagramsOutliveTheSessionObject) {
     DecisionDiagram survivor;
     {
         dd::DdSession session;
-        survivor = session.ghzState(dims);
+        survivor = DecisionDiagram::ghzState(dims, &session);
     } // session gone; the shared store lives through the diagram's ref
     EXPECT_NEAR(survivor.fidelityWith(states::ghz(dims)), 1.0, kTol);
 }
@@ -339,8 +339,8 @@ TEST(DdSession, DiagramsOutliveTheSessionObject) {
 TEST(DdSession, StatsResetClearsCountersButKeepsNodes) {
     const Dimensions dims{3, 6, 2};
     dd::DdSession session;
-    (void)session.wState(dims);
-    (void)session.wState(dims);
+    (void)DecisionDiagram::wState(dims, &session);
+    (void)DecisionDiagram::wState(dims, &session);
     ASSERT_GT(session.stats().unique.hits, 0U);
     const std::uint64_t pool = session.stats().poolNodes;
 
@@ -380,15 +380,15 @@ TEST(DdSession, PastCeilingFamiliesStayPolynomial) {
     // session diagrams must stay tiny and verify exactly.
     const Dimensions dims(27, 2);
     dd::DdSession session;
-    const DecisionDiagram dicke = session.dickeState(dims, 2);
+    const DecisionDiagram dicke = DecisionDiagram::dickeState(dims, 2, &session);
     EXPECT_LE(dicke.nodeCount(NodeCountMode::Internal), 27U * 3U);
     EXPECT_NEAR(dicke.normSquared(), 1.0, kTol);
 
-    const DecisionDiagram cyclic = session.cyclicState(dims, Digits(27, 0), 2);
+    const DecisionDiagram cyclic = DecisionDiagram::cyclicState(dims, Digits(27, 0), 2, &session);
     EXPECT_LE(cyclic.nodeCount(NodeCountMode::Internal), 27U * 2U);
     EXPECT_NEAR(cyclic.normSquared(), 1.0, kTol);
     // GHZ on a qubit register IS the 2-shift cyclic state of |0...0>.
-    EXPECT_NEAR(squaredMagnitude(cyclic.innerProductWith(session.ghzState(dims))), 1.0,
+    EXPECT_NEAR(squaredMagnitude(cyclic.innerProductWith(DecisionDiagram::ghzState(dims, &session))), 1.0,
                 1e-9);
 }
 
@@ -402,14 +402,14 @@ TEST(DdSession, KeyHashKeepsProbesShort) {
     constexpr double kReferenceProbesPerLookup = 51120.0 / 28583.0; // 1.788
     dd::DdSession session;
     for (const Dimensions& dims : {Dimensions(27, 2), Dimensions{3, 4, 2, 5, 3, 6, 2, 4, 3}}) {
-        (void)session.ghzState(dims);
-        (void)session.wState(dims);
-        (void)session.dickeState(dims, 2);
-        (void)session.cyclicState(dims, Digits(dims.size(), 0), 2);
+        (void)DecisionDiagram::ghzState(dims, &session);
+        (void)DecisionDiagram::wState(dims, &session);
+        (void)DecisionDiagram::dickeState(dims, 2, &session);
+        (void)DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), 2, &session);
     }
     const Dimensions replayDims{3, 4, 2, 5, 3};
     const Circuit replay = randomAllKindCircuit(replayDims, 400, 9);
-    DecisionDiagram state = session.zeroState(replayDims);
+    DecisionDiagram state = DecisionDiagram::zeroState(replayDims, &session);
     for (const Operation& op : replay.operations()) {
         state.applyOperation(op);
     }

@@ -93,9 +93,12 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
     EXPECT_GT(table.stats().grows, 0U);
     // makeFresh ran exactly once per distinct key.
     EXPECT_EQ(nextRef.load(), kKeys + 1);
-    // Serial pure lookups agree with what every racing thread was handed.
+    // Serial lookups agree with what every racing thread was handed (a key
+    // lost by a grow would be recorded afresh as kNoNode).
+    const auto lost = [] { return kNoNode; };
     for (NodeRef k = 0; k < kKeys; ++k) {
-        const NodeRef canonical = table.findOrInsert(0, keyEdges(k, 1.0), kNoNode);
+        const NodeRef canonical =
+            table.findOrInsert(0, keyEdges(k, 1.0), dd::detail::MakeNodeFnRef(lost));
         ASSERT_NE(canonical, kNoNode) << "key " << k << " lost by a grow";
         for (unsigned thread = 0; thread < kThreads; ++thread) {
             ASSERT_EQ(got[thread][k], canonical) << "key " << k << " thread " << thread;

@@ -287,8 +287,8 @@ TEST(BackendParity, CyclicAndDickeVerifyPastTheDenseCeilingDdOnly) {
     const DdBackend dd;
     const std::vector<DecisionDiagram> targets = [&] {
         std::vector<DecisionDiagram> list;
-        list.push_back(dd.ddSession()->dickeState(dims, 2));
-        list.push_back(dd.ddSession()->cyclicState(dims, Digits(27, 0), 2));
+        list.push_back(DecisionDiagram::dickeState(dims, 2, dd.ddSession().get()));
+        list.push_back(DecisionDiagram::cyclicState(dims, Digits(27, 0), 2, dd.ddSession().get()));
         return list;
     }();
     for (const auto& target : targets) {

@@ -459,8 +459,8 @@ struct SharedSessionRun {
                      bool reverseItems = false) {
         const DdBackend backend(Tolerance::kDefault, parallel::ExecutionConfig{threads});
         const auto session = backend.ddSession();
-        const DecisionDiagram cyclicDd = session->cyclicState({3, 4, 2, 3}, {1, 0, 1, 0}, 4);
-        const DecisionDiagram dickeDd = session->dickeState({2, 3, 2}, 2);
+        const DecisionDiagram cyclicDd = DecisionDiagram::cyclicState({3, 4, 2, 3}, {1, 0, 1, 0}, 4, session.get());
+        const DecisionDiagram dickeDd = DecisionDiagram::dickeState({2, 3, 2}, 2, session.get());
         EXPECT_NEAR(cyclicDd.normSquared(), 1.0, 1e-9);
         EXPECT_NEAR(dickeDd.normSquared(), 1.0, 1e-9);
 

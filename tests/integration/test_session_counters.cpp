@@ -1,15 +1,20 @@
-// Session counter identity: one fixed DD workload on one single-threaded
-// backend, pinned as every session counter plus a digest of the replayed
-// bits. The workload replays random all-kind circuits, verifies
-// synthesized circuits singly and as a batch, collects the session, replays
-// again after the collection, and runs a DD equivalence check. How the
-// uniquing table and the compute cache are laid out in memory is free to
-// change; which keys hit, which miss, which nodes exist and every bit the
-// replays produce are not, so these constants only move when a change means
-// to move them.
+// Session counter identity: fixed DD workloads pinned as every session
+// counter plus a digest of the bits they produce. The first replays random
+// all-kind circuits on one single-threaded backend, verifies synthesized
+// circuits singly and as a batch, collects the session, replays again after
+// the collection, and runs a DD equivalence check. The second builds every
+// structured family privately and on a session, interns random-state trees,
+// approximates, reduces and collects, and serializes the results. How the
+// uniquing table and the compute cache are laid out in memory, and which
+// code path puts a node on a store, are free to change; which keys hit,
+// which miss, which nodes exist at which ref, and every bit and byte the
+// workloads produce are not, so these constants only move when a change
+// means to move them.
 
 #include "common/fnv1a.hpp"
 #include "common/random_circuit.hpp"
+#include "mqsp/approx/approximation.hpp"
+#include "mqsp/mdd/matrix_dd.hpp"
 #include "mqsp/opt/optimizer.hpp"
 #include "mqsp/sim/backend.hpp"
 #include "mqsp/states/states.hpp"
@@ -19,6 +24,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <sstream>
 #include <vector>
 
 namespace mqsp {
@@ -105,6 +112,118 @@ TEST(SessionCountersIdentity, FixedWorkloadKeepsEveryCounterAndBit) {
     const Counters expected{11821, 2269, 9552, 4756, 78, 2711, 5911, 81, 2623, 3723};
     EXPECT_EQ(observed.counters, expected);
     EXPECT_EQ(observed.digest, 0xc36a2b84260779f1ULL);
+}
+
+/// Pool size, root ref and every byte of the serialized text of `diagram`.
+void addDiagram(Fnv1a& digest, const DecisionDiagram& diagram) {
+    digest.add(static_cast<std::uint64_t>(diagram.poolSize()));
+    digest.add(static_cast<std::uint64_t>(diagram.rootNode()));
+    std::ostringstream text;
+    diagram.serialize(text);
+    for (const char c : text.str()) {
+        digest.add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+}
+
+/// One diagram of each structured family on `dims`, built on `session`, or
+/// each on a private store when `session` is null.
+std::vector<DecisionDiagram> everyFamily(const Dimensions& dims, const dd::DdSession* session) {
+    Digits digits(dims.size());
+    for (std::size_t site = 0; site < dims.size(); ++site) {
+        digits[site] = static_cast<Level>((site + 1) % dims[site]);
+    }
+    return {DecisionDiagram::zeroState(dims, session),
+            DecisionDiagram::basisState(dims, digits, session),
+            DecisionDiagram::ghzState(dims, session),
+            DecisionDiagram::wState(dims, session),
+            DecisionDiagram::embeddedWState(dims, session),
+            DecisionDiagram::uniformState(dims, session),
+            DecisionDiagram::cyclicState(dims, digits, 6, session),
+            DecisionDiagram::dickeState(dims, 2, session)};
+}
+
+/// Unique lookups, hits and misses of `stats`.
+void addUnique(Fnv1a& digest, const dd::UniqueTableStats& stats) {
+    digest.add(stats.lookups);
+    digest.add(stats.hits);
+    digest.add(stats.misses);
+}
+
+TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
+    const std::array<Dimensions, 4> registers{
+        Dimensions{3, 4, 2}, Dimensions{2, 3, 2, 3, 2}, Dimensions{4, 2, 5}, Dimensions{3, 6, 2}};
+    Fnv1a digest;
+    Rng rng(1618);
+    std::uint64_t sessionLookups = 0;
+    std::uint64_t sessionHits = 0;
+    std::uint64_t sessionMisses = 0;
+    for (const Dimensions& dims : registers) {
+        // Every family on private stores.
+        for (const DecisionDiagram& diagram : everyFamily(dims, nullptr)) {
+            addDiagram(digest, diagram);
+        }
+
+        // Every family on a session, twice: the second round is all hits.
+        const dd::DdSession session;
+        std::vector<DecisionDiagram> families = everyFamily(dims, &session);
+        for (const DecisionDiagram& diagram : families) {
+            addDiagram(digest, diagram);
+        }
+        for (const DecisionDiagram& diagram : everyFamily(dims, &session)) {
+            addDiagram(digest, diagram);
+        }
+        addUnique(digest, session.stats().unique);
+
+        // Random-state trees interned twice, and a private W tree.
+        const DecisionDiagram tree = DecisionDiagram::fromStateVector(states::random(dims, rng));
+        DecisionDiagram interned = session.intern(tree);
+        addDiagram(digest, interned);
+        addDiagram(digest, session.intern(tree));
+        addDiagram(digest, session.intern(DecisionDiagram::fromStateVector(
+                               states::random(dims, rng))));
+        DecisionDiagram internedW = session.intern(DecisionDiagram::wState(dims));
+        digest.add(static_cast<std::uint64_t>(internedW.rootNode() == families[3].rootNode()));
+        addUnique(digest, session.stats().unique);
+
+        // A session collection down to two diagrams.
+        const dd::DdSessionGcStats gc = session.garbageCollect({&interned, &families[6]});
+        digest.add(gc.nodesBefore);
+        digest.add(gc.nodesAfter);
+        addDiagram(digest, interned);
+        addDiagram(digest, families[6]);
+        addDiagram(digest, session.intern(tree));
+
+        // approximate with reduce (the private collection), then reduce plus
+        // garbageCollect on a private tree by hand.
+        DecisionDiagram approximated = tree;
+        const ApproximationReport report =
+            approximate(approximated, ApproximationOptions{0.9, true, Tolerance::kDefault});
+        digest.add(static_cast<std::uint64_t>(report.mergedNodes));
+        addDiagram(digest, approximated);
+        DecisionDiagram reduced = DecisionDiagram::wState(dims);
+        digest.add(static_cast<std::uint64_t>(reduced.reduce()));
+        addDiagram(digest, reduced);
+        reduced.garbageCollect();
+        addDiagram(digest, reduced);
+
+        // An operator DD compiled twice on one shared store.
+        const auto store = std::make_shared<MatrixDdStore>();
+        const Circuit circuit = prepareExact(states::random(dims, rng)).circuit;
+        const MatrixDD first = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
+        const MatrixDD second = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
+        digest.add(static_cast<std::uint64_t>(second.root().node == first.root().node));
+        digest.add(static_cast<std::uint64_t>(store->size()));
+        addUnique(digest, store->uniqueStats());
+
+        const dd::DdSessionStats stats = session.stats();
+        sessionLookups += stats.unique.lookups;
+        sessionHits += stats.unique.hits;
+        sessionMisses += stats.unique.misses;
+    }
+    EXPECT_EQ(sessionLookups, 943U);
+    EXPECT_EQ(sessionHits, 620U);
+    EXPECT_EQ(sessionMisses, 323U);
+    EXPECT_EQ(digest.value(), 0x97cb6cac5ec88d55ULL);
 }
 
 } // namespace

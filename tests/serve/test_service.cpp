@@ -114,7 +114,7 @@ TEST(ServeService, GcCompactsToLiveRootsAndVerificationSurvives) {
     // diagram's internal nodes plus the terminal.
     const dd::DdSession reference;
     const std::uint64_t expected =
-        reference.ghzState({3, 6, 2}).nodeCount(NodeCountMode::Internal) + 1;
+        DecisionDiagram::ghzState({3, 6, 2}, &reference).nodeCount(NodeCountMode::Internal) + 1;
     EXPECT_EQ(uintField(gc, "nodes_after"), expected);
     EXPECT_EQ(service.session()->stats().poolNodes, expected);
 
@@ -173,7 +173,7 @@ TEST(ServeService, HundredCyclesKeepThePoolBounded) {
     EXPECT_EQ(uintField(gc, "live_roots"), 1U);
     const dd::DdSession reference;
     EXPECT_EQ(uintField(gc, "nodes_after"),
-              reference.ghzState({3, 6, 2}).nodeCount(NodeCountMode::Internal) + 1);
+              DecisionDiagram::ghzState({3, 6, 2}, &reference).nodeCount(NodeCountMode::Internal) + 1);
     EXPECT_EQ(field(ok(service, "VERIFY --id 1"), "fidelity"), "1.000000000");
 }
 

@@ -195,24 +195,18 @@ DecisionDiagram buildNamedDiagram(const StateSpec& spec, const Dimensions& dims,
                                   const dd::DdSession* session) {
     switch (spec.family) {
     case StateSpec::Family::Ghz:
-        return session ? session->ghzState(dims) : DecisionDiagram::ghzState(dims);
+        return DecisionDiagram::ghzState(dims, session);
     case StateSpec::Family::W:
-        return session ? session->wState(dims) : DecisionDiagram::wState(dims);
+        return DecisionDiagram::wState(dims, session);
     case StateSpec::Family::EmbW:
-        return session ? session->embeddedWState(dims)
-                       : DecisionDiagram::embeddedWState(dims);
+        return DecisionDiagram::embeddedWState(dims, session);
     case StateSpec::Family::Uniform:
-        return session ? session->uniformState(dims)
-                       : DecisionDiagram::uniformState(dims);
+        return DecisionDiagram::uniformState(dims, session);
     case StateSpec::Family::Dicke:
-        return session ? session->dickeState(dims, spec.parameter)
-                       : DecisionDiagram::dickeState(dims, spec.parameter);
-    case StateSpec::Family::Cyclic: {
-        const Digits start(dims.size(), 0);
-        const auto count = static_cast<std::uint32_t>(spec.parameter);
-        return session ? session->cyclicState(dims, start, count)
-                       : DecisionDiagram::cyclicState(dims, start, count);
-    }
+        return DecisionDiagram::dickeState(dims, spec.parameter, session);
+    case StateSpec::Family::Cyclic:
+        return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0),
+                                            static_cast<std::uint32_t>(spec.parameter), session);
     case StateSpec::Family::Random:
         break;
     }
