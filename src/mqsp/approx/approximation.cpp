@@ -143,10 +143,8 @@ ApproximationReport approximate(DecisionDiagram& dd, const ApproximationOptions&
     dd.renormalize(options.tolerance);
     dd.normalizeRoot();
 
-    if (options.reduceAfterPruning) {
-        report.mergedNodes = dd.reduce(options.tolerance);
-        dd.garbageCollect();
-    }
+    report.mergedNodes = dd.reduce(options.tolerance);
+    dd.garbageCollect();
     return report;
 }
 

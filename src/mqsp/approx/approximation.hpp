@@ -12,10 +12,6 @@ struct ApproximationOptions {
     /// original ("Approximated 98%" uses 0.98). Must be in (0, 1].
     double fidelityThreshold = 0.98;
 
-    /// Merge identical sub-trees after pruning (the paper's reduction rule,
-    /// which also enables control elision during synthesis).
-    bool reduceAfterPruning = true;
-
     /// Numerical tolerance for zero/merge decisions.
     double tolerance = Tolerance::kDefault;
 };
@@ -43,8 +39,9 @@ struct ApproximationReport {
 /// Prune the decision diagram until removing anything further would push the
 /// fidelity below `options.fidelityThreshold` (§4.3): contributions are
 /// computed per node, candidates are removed greedily smallest-first, the
-/// diagram is renormalized, and — if requested — reduced by merging identical
-/// sub-trees. The input diagram must be tree-shaped (fresh from
+/// diagram is renormalized, reduced by merging identical sub-trees (the
+/// paper's reduction rule, which also enables control elision during
+/// synthesis), and collected. The input diagram must be tree-shaped (fresh from
 /// DecisionDiagram::fromStateVector); the output is the approximated diagram
 /// the synthesizer consumes.
 ApproximationReport approximate(DecisionDiagram& dd, const ApproximationOptions& options = {});

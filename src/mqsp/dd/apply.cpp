@@ -154,7 +154,7 @@ void DecisionDiagram::applyOperation(const Operation& op) {
     // across gates and diagrams of the owning session — private diagrams
     // carry no cache and always recompute.
     const double tol = store_->tolerance();
-    dd::ComputeCache* cache = store_->interning() ? &store_->computeCache() : nullptr;
+    dd::ComputeCache* cache = store_->computeCache();
     // The gate's action on the target level: a two-level gate is the
     // identity outside its stack 2x2 block; Hadamard and Shift mix every
     // level through their dim x dim matrix, written into the thread's

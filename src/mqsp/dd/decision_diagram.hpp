@@ -152,6 +152,10 @@ public:
     /// Count nodes under the chosen convention (see NodeCountMode).
     [[nodiscard]] std::uint64_t nodeCount(NodeCountMode mode) const;
 
+    /// Internal nodes reachable from the root, each once, in the store's
+    /// depth-first order (dd::DdNodeStore::reachable).
+    [[nodiscard]] std::vector<NodeRef> reachableNodes() const;
+
     /// The DenseTree count as a standalone function of dimensions.
     [[nodiscard]] static std::uint64_t denseTreeNodeCount(const Dimensions& dims);
 

@@ -5,36 +5,6 @@
 
 namespace mqsp::dd {
 
-namespace {
-
-/// Mark every internal node reachable from the diagram's root in `seen`
-/// (indexed by NodeRef; the terminal and zero stubs are skipped).
-void markReachable(const DecisionDiagram& diagram, std::vector<bool>& seen) {
-    if (diagram.rootNode() == kNoNode) {
-        return;
-    }
-    std::vector<NodeRef> stack{diagram.rootNode()};
-    std::vector<bool> visited(seen.size(), false);
-    visited[diagram.rootNode()] = true;
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        const DDNode& node = diagram.node(ref);
-        if (node.isTerminal()) {
-            continue;
-        }
-        seen[ref] = true;
-        for (const auto& edge : node.edges) {
-            if (!edge.isZeroStub() && !visited[edge.node]) {
-                visited[edge.node] = true;
-                stack.push_back(edge.node);
-            }
-        }
-    }
-}
-
-} // namespace
-
 DiagramDiffStats diffDiagrams(const DecisionDiagram& a, const DecisionDiagram& b) {
     requireThat(a.sharesStoreWith(b),
                 "diffDiagrams: diagrams live on different stores — NodeRefs are only "
@@ -42,8 +12,12 @@ DiagramDiffStats diffDiagrams(const DecisionDiagram& a, const DecisionDiagram& b
     const std::size_t pool = std::max(a.poolSize(), b.poolSize());
     std::vector<bool> inA(pool, false);
     std::vector<bool> inB(pool, false);
-    markReachable(a, inA);
-    markReachable(b, inB);
+    for (const NodeRef ref : a.reachableNodes()) {
+        inA[ref] = true;
+    }
+    for (const NodeRef ref : b.reachableNodes()) {
+        inB[ref] = true;
+    }
     DiagramDiffStats stats;
     for (std::size_t ref = 0; ref < pool; ++ref) {
         if (inA[ref]) {

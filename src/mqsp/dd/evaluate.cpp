@@ -80,8 +80,8 @@ Complex DecisionDiagram::innerProductWith(const DecisionDiagram& other) const {
     // target is O(depth), not O(diagram^2) — and the remaining pairs go
     // through the session's operation cache, which persists across calls
     // (repeated verifications of the same states hit instead of re-walking).
-    const bool sharedCanonical = sharesStoreWith(other) && store_->interning();
-    dd::ComputeCache* cache = sharedCanonical ? &store_->computeCache() : nullptr;
+    dd::ComputeCache* cache = sharesStoreWith(other) ? store_->computeCache() : nullptr;
+    const bool sharedCanonical = cache != nullptr;
     std::unordered_map<std::uint64_t, Complex> memo;
     const std::function<Complex(NodeRef, NodeRef)> visit = [&](NodeRef a,
                                                                NodeRef b) -> Complex {

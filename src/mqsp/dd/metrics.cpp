@@ -4,42 +4,19 @@
 
 #include <cmath>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
 namespace mqsp {
 
-namespace {
-
-/// Collect reachable node refs (terminal excluded), each exactly once.
-std::vector<NodeRef> reachableInternal(const DecisionDiagram& dd) {
-    std::vector<NodeRef> result;
-    if (dd.rootNode() == kNoNode) {
-        return result;
+std::vector<NodeRef> DecisionDiagram::reachableNodes() const {
+    if (root_ == kNoNode) {
+        return {};
     }
-    std::vector<bool> seen(dd.poolSize(), false);
-    std::vector<NodeRef> stack{dd.rootNode()};
-    seen[dd.rootNode()] = true;
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        const DDNode& n = dd.node(ref);
-        if (n.isTerminal()) {
-            continue;
-        }
-        result.push_back(ref);
-        for (const auto& edge : n.edges) {
-            if (!edge.isZeroStub() && !seen[edge.node]) {
-                seen[edge.node] = true;
-                stack.push_back(edge.node);
-            }
-        }
-    }
-    return result;
+    return store_->reachable(std::span<const NodeRef>(&root_, 1));
 }
-
-} // namespace
 
 std::uint64_t DecisionDiagram::denseTreeNodeCount(const Dimensions& dims) {
     // Root + every level of the dense splitting tree + one leaf per
@@ -58,7 +35,7 @@ std::uint64_t DecisionDiagram::denseTreeNodeCount(const Dimensions& dims) {
 std::uint64_t DecisionDiagram::nodeCount(NodeCountMode mode) const {
     switch (mode) {
     case NodeCountMode::Internal:
-        return reachableInternal(*this).size();
+        return reachableNodes().size();
     case NodeCountMode::DenseTree:
         return denseTreeNodeCount(radix_.dimensions());
     case NodeCountMode::Slots: {
@@ -66,7 +43,7 @@ std::uint64_t DecisionDiagram::nodeCount(NodeCountMode mode) const {
             return 0;
         }
         std::uint64_t slots = 1; // the root itself
-        for (const NodeRef ref : reachableInternal(*this)) {
+        for (const NodeRef ref : reachableNodes()) {
             for (const auto& edge : node(ref).edges) {
                 if (!edge.pruned) {
                     ++slots;
@@ -111,7 +88,7 @@ std::size_t DecisionDiagram::distinctComplexCount(double tol) const {
     }
     ComplexTable table(tol);
     table.lookup(rootWeight_);
-    for (const NodeRef ref : reachableInternal(*this)) {
+    for (const NodeRef ref : reachableNodes()) {
         for (const auto& edge : node(ref).edges) {
             table.lookup(edge.weight); // zero stubs contribute the value 0
         }
@@ -133,7 +110,7 @@ std::vector<double> DecisionDiagram::nodeContributions() const {
     contribution[root_] = squaredMagnitude(rootWeight_);
     // Level-ordered sweep: gather reachable nodes, bucket by site.
     std::vector<std::vector<NodeRef>> byLevel(radix_.numQudits());
-    for (const NodeRef ref : reachableInternal(*this)) {
+    for (const NodeRef ref : reachableNodes()) {
         byLevel[node(ref).site].push_back(ref);
     }
     for (const auto& level : byLevel) {
@@ -184,7 +161,7 @@ std::string DecisionDiagram::checkInvariants(double tol) const {
         return {};
     }
     std::ostringstream problems;
-    for (const NodeRef ref : reachableInternal(*this)) {
+    for (const NodeRef ref : reachableNodes()) {
         const DDNode& n = node(ref);
         if (n.site >= radix_.numQudits()) {
             problems << "node " << ref << " has out-of-range site " << n.site << "; ";

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace mqsp {
 
@@ -27,9 +28,8 @@ namespace {
 
 /// A node reference field, refused before narrowing when no pool could hold
 /// it (the exact pool bound is checked once the pool is complete).
-[[nodiscard]] NodeRef parseRef(const std::string& text, const char* field) {
-    const std::uint64_t ref =
-        parse::uint64(text, std::string("DecisionDiagram::deserialize: ") + field);
+[[nodiscard]] NodeRef parseRef(const std::string& text, std::string_view context) {
+    const std::uint64_t ref = parse::uint64(text, context);
     requireThat(ref < kNoNode, "DecisionDiagram::deserialize: node reference out of range");
     return static_cast<NodeRef>(ref);
 }
@@ -105,7 +105,9 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
         double im = 0.0;
         requireThat(static_cast<bool>(stream >> refText >> re >> im),
                     "DecisionDiagram::deserialize: malformed root line");
-        dd.root_ = refText == "-" ? kNoNode : parseRef(refText, "root reference");
+        dd.root_ = refText == "-"
+                       ? kNoNode
+                       : parseRef(refText, "DecisionDiagram::deserialize: root reference");
         dd.rootWeight_ = Complex{re, im};
     }
 
@@ -160,7 +162,8 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
             if (refText == "-") {
                 edge = DDEdge{kNoNode, Complex{0.0, 0.0}, pruned != 0};
             } else {
-                edge = DDEdge{parseRef(refText, "edge reference"), Complex{re, im}, pruned != 0};
+                edge = DDEdge{parseRef(refText, "DecisionDiagram::deserialize: edge reference"),
+                              Complex{re, im}, pruned != 0};
             }
         }
         (void)dd.allocate(n.site, std::move(n.edges));

@@ -50,11 +50,7 @@ constexpr double kBucketLimit = 0x1p62;
 
 } // namespace
 
-UniqueTable::UniqueTable(double tolerance, std::size_t initialCapacity, Concurrency concurrency)
-    : tolerance_(tolerance),
-      initialShardCapacity_(roundUpPowerOfTwo(
-          std::max<std::size_t>(initialCapacity / kShardCount, 16))),
-      sharded_(concurrency == Concurrency::Sharded) {
+UniqueTable::UniqueTable(double tolerance) : tolerance_(tolerance) {
     requireThat(tolerance > 0.0, "UniqueTable: tolerance must be positive");
 }
 
@@ -85,7 +81,7 @@ void UniqueTable::insert(Shard& shard, std::uint64_t hash, std::uint32_t site,
                          const KeyEdge* key, std::size_t arity, NodeRef value) {
     if (shard.slots.empty() || (shard.entries.size() + 1) * 10 >= shard.slots.size() * 7) {
         const std::size_t capacity =
-            shard.slots.empty() ? initialShardCapacity_ : shard.slots.size() * 2;
+            shard.slots.empty() ? kInitialShardCapacity : shard.slots.size() * 2;
         if (!shard.slots.empty()) {
             ++shard.stats.grows;
         }
@@ -118,10 +114,7 @@ NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> ed
     const KeyEdge* key = scratchKey().data();
     const std::size_t arity = edges.size();
     Shard& shard = shardOf(hash);
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (sharded_) {
-        lock.lock();
-    }
+    const std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.stats.lookups;
     if (!shard.slots.empty()) {
         const std::size_t mask = shard.slots.size() - 1;
@@ -147,10 +140,7 @@ NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> ed
 
 void UniqueTable::clear() {
     for (Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         // Keep the slot capacity (the rebuild re-inserts into a table of
         // comparable size) and the cumulative stats (a GC is not a reset
         // of the session's history).
@@ -164,20 +154,14 @@ void UniqueTable::restoreCanonical(std::uint32_t site, std::span<const DDEdge> e
                                    NodeRef value) {
     const std::uint64_t hash = bucketKey(site, edges);
     Shard& shard = shardOf(hash);
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (sharded_) {
-        lock.lock();
-    }
+    const std::lock_guard<std::mutex> lock(shard.mutex);
     insert(shard, hash, site, scratchKey().data(), edges.size(), value);
 }
 
 UniqueTableStats UniqueTable::stats() const {
     UniqueTableStats total;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total.lookups += shard.stats.lookups;
         total.hits += shard.stats.hits;
         total.misses += shard.stats.misses;
@@ -190,10 +174,7 @@ UniqueTableStats UniqueTable::stats() const {
 std::size_t UniqueTable::size() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total += shard.entries.size();
     }
     return total;
@@ -202,10 +183,7 @@ std::size_t UniqueTable::size() const {
 std::size_t UniqueTable::capacity() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total += shard.slots.size();
     }
     return total;
@@ -213,10 +191,7 @@ std::size_t UniqueTable::capacity() const {
 
 void UniqueTable::resetStats() {
     for (Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         shard.stats = UniqueTableStats{};
     }
 }
@@ -394,24 +369,15 @@ void ComputeCache::resetStats() noexcept {
 // --- DdNodeStore -----------------------------------------------------------
 
 DdNodeStore::DdNodeStore(Mode mode, double tolerance)
-    : mode_(mode),
-      tolerance_(tolerance),
-      table_(tolerance, /*initialCapacity=*/256,
-             mode == Mode::Interning ? UniqueTable::Concurrency::Sharded
-                                     : UniqueTable::Concurrency::Serial),
-      computeCache_(tolerance) {
+    : tolerance_(tolerance),
+      hashing_(mode == Mode::Interning ? std::make_unique<Hashing>(tolerance) : nullptr) {
     // Pool slot 0 is the unique terminal node.
     pool_.append(DDNode{DDNode::kTerminalSite, {}});
 }
 
-DdNodeStore::DdNodeStore(const DdNodeStore& other)
-    : mode_(other.mode_),
-      tolerance_(other.tolerance_),
-      table_(other.tolerance_),
-      computeCache_(other.tolerance_) {
+DdNodeStore::DdNodeStore(const DdNodeStore& other) : tolerance_(other.tolerance_) {
     // Only private stores are ever deep-copied (DecisionDiagram value
-    // semantics); their table and cache are empty by construction, so
-    // copying the nodes is copying the store.
+    // semantics), and a private store is its nodes and its tolerance.
     requireThat(!other.interning(),
                 "DdNodeStore: deep copy of a session-shared store (session diagrams alias "
                 "their store instead)");
@@ -443,7 +409,7 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
     const auto makeFresh = [&]() -> NodeRef {
         return pool_.append(DDNode{site, std::move(edges)});
     };
-    return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+    return hashing_->table.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
 }
 
 NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
@@ -454,7 +420,40 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges)
     if (!interning()) {
         return makeFresh();
     }
-    return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+    return hashing_->table.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+}
+
+std::vector<NodeRef> DdNodeStore::reachable(std::span<const NodeRef> roots) const {
+    const std::size_t size = pool_.size();
+    std::vector<bool> seen(size, false);
+    std::vector<NodeRef> stack;
+    for (const NodeRef root : roots) {
+        if (root == kNoNode) {
+            continue;
+        }
+        requireThat(root < size, "DdNodeStore::reachable: root outside the pool");
+        if (!seen[root]) {
+            seen[root] = true;
+            stack.push_back(root);
+        }
+    }
+    std::vector<NodeRef> result;
+    while (!stack.empty()) {
+        const NodeRef ref = stack.back();
+        stack.pop_back();
+        const DDNode& node = pool_.at(ref);
+        if (node.isTerminal()) {
+            continue;
+        }
+        result.push_back(ref);
+        for (const DDEdge& edge : node.edges) {
+            if (!edge.isZeroStub() && !seen[edge.node]) {
+                seen[edge.node] = true;
+                stack.push_back(edge.node);
+            }
+        }
+    }
+    return result;
 }
 
 DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>& roots,
@@ -466,30 +465,12 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
     const std::size_t before = pool_.size();
     stats.nodesBefore = before;
 
-    // Mark: iterative DFS from the live roots; the terminal (slot 0) is
+    // Mark: everything the live roots reach; the terminal (slot 0) is
     // always live.
     std::vector<char> live(before, 0);
     live[0] = 1;
-    std::vector<NodeRef> stack;
-    for (const NodeRef root : roots) {
-        if (root == kNoNode) {
-            continue;
-        }
-        requireThat(root < before, "DdNodeStore::compactLive: live root outside the pool");
-        if (live[root] == 0) {
-            live[root] = 1;
-            stack.push_back(root);
-        }
-    }
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        for (const DDEdge& edge : pool_.at(ref).edges) {
-            if (!edge.isZeroStub() && live[edge.node] == 0) {
-                live[edge.node] = 1;
-                stack.push_back(edge.node);
-            }
-        }
+    for (const NodeRef ref : reachable(roots)) {
+        live[ref] = 1;
     }
 
     // Remap in ascending old-ref order: survivors keep their relative
@@ -521,16 +502,17 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
         kept.push_back(std::move(node));
     }
     pool_.clear();
-    table_.clear();
+    hashing_->table.clear();
     for (std::size_t newRef = 0; newRef < kept.size(); ++newRef) {
         DDNode& node = kept[newRef];
         if (newRef != 0) { // the terminal is not a table key
-            table_.restoreCanonical(node.site, node.edges, static_cast<NodeRef>(newRef));
+            hashing_->table.restoreCanonical(node.site, node.edges,
+                                             static_cast<NodeRef>(newRef));
         }
         pool_.append(std::move(node));
     }
     stats.nodesAfter = pool_.size();
-    stats.cacheEvicted = computeCache_.compact(remapOut);
+    stats.cacheEvicted = hashing_->cache.compact(remapOut);
     return stats;
 }
 
@@ -586,14 +568,14 @@ DdSessionGcStats DdSession::garbageCollect(const std::vector<DecisionDiagram*>& 
 DdSessionStats DdSession::stats() const {
     DdSessionStats stats;
     stats.poolNodes = store_->size();
-    stats.unique = store_->uniqueTable().stats();
-    stats.cache = store_->computeCache().stats();
+    stats.unique = store_->uniqueTable()->stats();
+    stats.cache = store_->computeCache()->stats();
     return stats;
 }
 
 void DdSession::resetStats() {
-    store_->uniqueTable().resetStats();
-    store_->computeCache().resetStats();
+    store_->uniqueTable()->resetStats();
+    store_->computeCache()->resetStats();
 }
 
 } // namespace mqsp::dd

@@ -1,43 +1,45 @@
 #pragma once
 
-// Session-scoped decision-diagram memory: the node types shared by every DD
-// file, a sharded open-addressed uniquing table that hash-conses nodes at
-// allocation time, a striped direct-mapped compute cache for the recursive
-// DD addition, and the `DdSession` that owns both for the lifetime of a
-// backend.
+// Decision-diagram memory: the node types shared by every DD file — state
+// diagrams and the operator diagrams of mdd/ alike — a sharded
+// open-addressed uniquing table that hash-conses nodes at allocation time,
+// a striped direct-mapped compute cache for the recursive DD addition, and
+// the `DdSession` that owns a store for the lifetime of a backend.
 //
-// Two allocation regimes share one node-pool abstraction (`DdNodeStore`):
+// One node store, `DdNodeStore`, in two allocation regimes:
 //
 //  * a *private* store backs one diagram, appends nodes without uniquing,
 //    and preserves the historical tree semantics exactly — `fromStateVector`
 //    trees, the approximation pass (which mutates nodes in place), and
-//    everything the existing test suite pins;
-//  * an *interning* store is shared by every diagram a `DdSession` touches
-//    (targets, replayed states, per-gate intermediates). Allocation goes
-//    through the uniquing table, so a structurally identical sub-tree is
-//    built once per session no matter how many diagrams request it, and the
-//    diagrams come out canonical (reduced) by construction. Nodes in an
-//    interning store are immutable once allocated: in-place mutators
-//    (cutEdge/renormalize) refuse, copies of session diagrams share the
-//    store, and lifetime is owned by the session, not by any one diagram.
+//    everything the existing test suite pins. It is its pool and its
+//    tolerance: it carries no table and no cache;
+//  * an *interning* store is shared by every diagram that allocates on it —
+//    a `DdSession`'s targets, replayed states and per-gate intermediates, or
+//    the operators a `DdBackend` compiles. Allocation goes through the
+//    uniquing table, so a structurally identical sub-tree is built once per
+//    store no matter how many diagrams request it, and the diagrams come
+//    out canonical (reduced) by construction. Nodes in an interning store
+//    are immutable once allocated: in-place mutators (cutEdge/renormalize)
+//    refuse, copies of its diagrams share the store, and lifetime is owned
+//    by the store's holder, not by any one diagram.
 //
 // There is one way onto each store: every structured builder takes an
 // optional session (its store, else a fresh private one), and one rebuild,
 // DecisionDiagram::rebuiltOn, moves an existing diagram — behind
 // DdSession::intern, serializing a session diagram, and a private
-// garbageCollect. Every interning allocation, operator-DD nodes included,
-// goes through the table's one `findOrInsert`.
+// garbageCollect. Every interning allocation goes through the table's one
+// `findOrInsert`, and every walk over the nodes a set of roots reaches goes
+// through `DdNodeStore::reachable`.
 //
 // Concurrency model (the multicore substrate behind verifyBatch):
 //
 //  * The table is split into kShardCount shards selected by the top bits of
 //    the key hash (slot probing uses the low bits, so shard choice and slot
-//    distribution are independent). An interning store constructs its table
-//    `Sharded`: findOrInsert takes the owning shard's mutex, so concurrent
-//    batch items intern into one shared pool and a distinct structural key
-//    maps to exactly one NodeRef regardless of interleaving. Serial tables
-//    (reduce()'s transient table, unshared operator-DD stores) run the same
-//    code without locking; a private store never probes its table.
+//    distribution are independent). findOrInsert takes the owning shard's
+//    mutex, so concurrent batch items intern into one shared pool and a
+//    distinct structural key maps to exactly one NodeRef regardless of
+//    interleaving. Single-threaded users (reduce()'s transient table) take
+//    the same uncontended locks.
 //  * Nodes live in a chunked pool with geometrically growing blocks; a
 //    node's address never changes once allocated, so readers follow NodeRefs
 //    out of edges without any pool-wide lock. Block pointers are published
@@ -93,8 +95,9 @@ struct DDEdge {
 };
 
 /// A decision-diagram node. `site` is the qudit this node decides
-/// (0 = most significant / root level); a node at site s has exactly
-/// dim(site s) out-edges. The unique terminal node is marked by
+/// (0 = most significant / root level). A state node at site s has exactly
+/// dim(s) out-edges; an operator node (mdd/MatrixDD) has dim(s)^2, in
+/// row-major order. The unique terminal node is marked by
 /// site == kTerminalSite and has no edges.
 struct DDNode {
     static constexpr std::uint32_t kTerminalSite = std::numeric_limits<std::uint32_t>::max();
@@ -257,9 +260,9 @@ struct ComputeCacheStats {
 /// Sharded open-addressed (linear-probing) uniquing table mapping a node's
 /// structural key — site, child refs, and edge weights bucketed to the
 /// merge tolerance — to the canonical NodeRef that first materialized it.
-/// The table does not own nodes; it maps keys to refs of whatever pool the
-/// caller allocates from (DdNodeStore for vector DDs, MatrixDdStore for
-/// operator DDs — whose dim^2-ary nodes reuse the same key layout).
+/// The table does not own nodes; it maps keys to refs of the pool the
+/// caller allocates from (an interning DdNodeStore, whose state and
+/// operator nodes share one key layout, or reduce()'s in-place tree).
 ///
 /// One probe touches one record: a slot names an `Entry` (cached hash,
 /// site, arity, value and the offset of its key edges), and the key edges
@@ -271,18 +274,12 @@ struct ComputeCacheStats {
 /// deterministic workloads — are invariant under thread count and
 /// insertion interleaving; only `probeSteps` (probe-order dependent) may
 /// vary between concurrent runs.
+///
+/// Every call takes the owning shard's mutex, so the table is safe for
+/// concurrent use; a single-threaded caller's locks are uncontended.
 class UniqueTable {
 public:
-    /// Locking regime, fixed at construction.
-    enum class Concurrency : std::uint8_t {
-        Serial,  ///< single-threaded callers: no locking (reduce()'s
-                 ///< transient tables, unshared operator-DD stores)
-        Sharded, ///< findOrInsert takes the owning shard's mutex; safe for
-                 ///< concurrent use (interning stores)
-    };
-
-    explicit UniqueTable(double tolerance, std::size_t initialCapacity = 256,
-                         Concurrency concurrency = Concurrency::Serial);
+    explicit UniqueTable(double tolerance);
 
     UniqueTable(const UniqueTable&) = delete;
     UniqueTable& operator=(const UniqueTable&) = delete;
@@ -291,8 +288,8 @@ public:
     /// matches, else `makeFresh()` — called under the shard lock on a miss —
     /// recorded as the canonical node for this key. Exactly one call of
     /// `makeFresh` happens per distinct key however many threads race on
-    /// it, and none for a key that hits. The one interning call: session
-    /// stores, operator-DD stores and reduce()'s transient table all use it.
+    /// it, and none for a key that hits. The one interning call: interning
+    /// stores and reduce()'s transient table both use it.
     NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                          const detail::MakeNodeFnRef& makeFresh);
 
@@ -309,9 +306,9 @@ public:
     /// that were interned (and therefore structurally distinct) before.
     void restoreCanonical(std::uint32_t site, std::span<const DDEdge> edges, NodeRef value);
 
-    /// Counters summed over the shards (by value: a Sharded table's shards
-    /// are locked one at a time, so the sum is a consistent snapshot only
-    /// at quiescence — which is when the session metrics are read).
+    /// Counters summed over the shards (by value: the shards are locked one
+    /// at a time, so the sum is a consistent snapshot only at quiescence —
+    /// which is when the session metrics are read).
     [[nodiscard]] UniqueTableStats stats() const;
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::size_t capacity() const;
@@ -354,12 +351,14 @@ private:
         std::vector<KeyEdge> keys;  ///< every entry's edges, back to back
 
         UniqueTableStats stats;
-        mutable std::mutex mutex; ///< taken only by Sharded tables
+        mutable std::mutex mutex;
     };
 
     /// Power-of-two shard count; the shard index is the hash's top nibble,
     /// independent of the slot index (low bits).
     static constexpr std::size_t kShardCount = 16;
+    /// Slots of a shard's first slot array (allocated on its first insert).
+    static constexpr std::size_t kInitialShardCapacity = 16;
 
     /// The calling thread's scratch key. Thread-local, not a member, so
     /// concurrent interners never share it; one buffer serves every table
@@ -379,8 +378,6 @@ private:
     [[nodiscard]] static std::size_t freeSlot(const Shard& shard, std::uint64_t hash) noexcept;
 
     double tolerance_;
-    std::size_t initialShardCapacity_;
-    bool sharded_;
     std::array<Shard, kShardCount> shards_;
 };
 
@@ -499,25 +496,26 @@ private:
 };
 
 /// A decision-diagram node pool: the unique terminal at slot 0 plus every
-/// allocated internal node. Private stores append; interning stores route
-/// every allocation through the uniquing table (see file header). An
-/// interning store is safe for concurrent allocation and reading: the
-/// probe-then-allocate step runs under the key's shard mutex, and the
-/// chunked pool keeps node addresses stable so readers never need a lock.
+/// allocated internal node, state or operator. Private stores append;
+/// interning stores route every allocation through their uniquing table
+/// (see file header). An interning store is safe for concurrent allocation
+/// and reading: the probe-then-allocate step runs under the key's shard
+/// mutex, and the chunked pool keeps node addresses stable so readers never
+/// need a lock. Only an interning store has a table and a compute cache.
 class DdNodeStore {
 public:
     enum class Mode {
         Private,   ///< one diagram, append-only, in-place mutation allowed
-        Interning, ///< session-shared, hash-consed, nodes immutable
+        Interning, ///< shared, hash-consed, nodes immutable
     };
 
     explicit DdNodeStore(Mode mode, double tolerance = Tolerance::kDefault);
     /// Deep copy (DecisionDiagram value semantics). Private stores only:
-    /// session-backed diagrams alias their store instead of copying it.
+    /// diagrams on an interning store alias it instead of copying it.
     DdNodeStore(const DdNodeStore& other);
     DdNodeStore& operator=(const DdNodeStore&) = delete;
 
-    [[nodiscard]] bool interning() const noexcept { return mode_ == Mode::Interning; }
+    [[nodiscard]] bool interning() const noexcept { return hashing_ != nullptr; }
     [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
     [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
 
@@ -534,6 +532,13 @@ public:
     /// The same from borrowed edges, copied only when a node is created:
     /// an interning hit allocates nothing.
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
+
+    /// Every internal node reachable from `roots` (kNoNode roots, zero
+    /// stubs and the terminal skipped), each once, in depth-first order: a
+    /// stack seeded with the roots, children pushed in edge order. The one
+    /// reachability walk — node counts, metrics, diffs and session GC all
+    /// read it. Throws when a root lies outside the pool.
+    [[nodiscard]] std::vector<NodeRef> reachable(std::span<const NodeRef> roots) const;
 
     /// What one mark-and-compact pass did (see compactLive).
     struct CompactionStats {
@@ -555,17 +560,26 @@ public:
     CompactionStats compactLive(const std::vector<NodeRef>& roots,
                                 std::vector<NodeRef>& remapOut);
 
-    [[nodiscard]] UniqueTable& uniqueTable() noexcept { return table_; }
-    [[nodiscard]] const UniqueTable& uniqueTable() const noexcept { return table_; }
-    [[nodiscard]] ComputeCache& computeCache() noexcept { return computeCache_; }
-    [[nodiscard]] const ComputeCache& computeCache() const noexcept { return computeCache_; }
+    /// The uniquing table and the compute cache of an interning store;
+    /// null on a private store.
+    [[nodiscard]] UniqueTable* uniqueTable() noexcept {
+        return hashing_ ? &hashing_->table : nullptr;
+    }
+    [[nodiscard]] ComputeCache* computeCache() noexcept {
+        return hashing_ ? &hashing_->cache : nullptr;
+    }
 
 private:
-    Mode mode_;
+    /// What interning adds to a pool.
+    struct Hashing {
+        explicit Hashing(double tolerance) : table(tolerance), cache(tolerance) {}
+        UniqueTable table;
+        ComputeCache cache;
+    };
+
     double tolerance_;
     detail::ChunkedNodePool<DDNode> pool_;
-    UniqueTable table_;
-    ComputeCache computeCache_;
+    std::unique_ptr<Hashing> hashing_; ///< null on a private store
 };
 
 /// Aggregate statistics of one session: live pool size plus the uniquing

@@ -4,71 +4,37 @@
 
 #include <cmath>
 #include <functional>
+#include <span>
 #include <utility>
 
 namespace mqsp {
 
-namespace {
-constexpr std::uint32_t kTerminalSite = 0xffffffffU;
-
-/// Per-thread staging of an edge list as the DDEdge key the shared table
-/// hashes — thread-local so concurrent interners never share it.
-thread_local std::vector<DDEdge> tlsKey;
-} // namespace
-
-// --- MatrixDdStore ---------------------------------------------------------
-
-MatrixDdStore::MatrixDdStore(double tolerance, dd::UniqueTable::Concurrency concurrency)
-    : table_(tolerance, /*initialCapacity=*/256, concurrency) {
-    // Pool slot 0 is the unique terminal node.
-    pool_.append(Node{kTerminalSite, {}});
-}
-
-const MatrixDdStore::Node& MatrixDdStore::node(NodeRef ref) const {
-    requireThat(ref < pool_.size(), "MatrixDD: invalid node reference");
-    return pool_.at(ref);
-}
-
-MatrixDdStore::NodeRef MatrixDdStore::intern(std::uint32_t site, std::vector<Edge> edges) {
-    ensureThat(pool_.size() < MatrixDD::kNull, "MatrixDD: node pool exhausted");
-    tlsKey.resize(edges.size());
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-        tlsKey[k] = DDEdge{edges[k].node, edges[k].weight};
-    }
-    // Probe and append under the key's shard lock (see DdNodeStore::
-    // allocate): `makeFresh` runs only on a genuine miss.
-    const auto makeFresh = [&]() -> NodeRef {
-        return pool_.append(Node{site, std::move(edges)});
-    };
-    return table_.findOrInsert(site, tlsKey, dd::detail::MakeNodeFnRef(makeFresh));
-}
-
-// --- MatrixDD --------------------------------------------------------------
-
-MatrixDD::MatrixDD(std::shared_ptr<MatrixDdStore> store) : store_(std::move(store)) {
+MatrixDD::MatrixDD(std::shared_ptr<dd::DdNodeStore> store, double tol)
+    : store_(std::move(store)) {
     if (!store_) {
-        store_ = std::make_shared<MatrixDdStore>();
+        store_ = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol);
     }
+    requireThat(store_->interning(), "MatrixDD: operator diagrams need an interning store");
 }
 
-const MatrixDD::Node& MatrixDD::node(NodeRef ref) const {
+const DDNode& MatrixDD::node(NodeRef ref) const {
     return store_->node(ref);
 }
 
-MatrixDD::NodeRef MatrixDD::makeNode(std::uint32_t site, std::vector<Edge> edges,
-                                     Complex& weightOut, double tol) {
+NodeRef MatrixDD::makeNode(std::uint32_t site, std::vector<DDEdge> edges, Complex& weightOut,
+                           double tol) {
     // Normalize by the largest-magnitude weight (QMDD scheme); all-zero
     // nodes collapse to the null edge.
     double best = 0.0;
     std::size_t bestIndex = edges.size();
     for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (edges[i].isZero()) {
+        if (edges[i].isZeroStub()) {
             edges[i].weight = Complex{0.0, 0.0};
             continue;
         }
         const double magnitude = std::abs(edges[i].weight);
         if (magnitude <= tol) {
-            edges[i] = Edge{};
+            edges[i] = DDEdge{};
             continue;
         }
         if (magnitude > best) {
@@ -78,45 +44,45 @@ MatrixDD::NodeRef MatrixDD::makeNode(std::uint32_t site, std::vector<Edge> edges
     }
     if (bestIndex == edges.size()) {
         weightOut = Complex{0.0, 0.0};
-        return kNull;
+        return kNoNode;
     }
     const Complex norm = edges[bestIndex].weight;
     for (auto& edge : edges) {
-        if (!edge.isZero()) {
+        if (!edge.isZeroStub()) {
             edge.weight /= norm;
         }
     }
     weightOut = norm;
-    return store_->intern(site, std::move(edges));
+    return store_->allocate(site, std::move(edges));
 }
 
-MatrixDD::Edge MatrixDD::buildIdentity(std::size_t site) {
+DDEdge MatrixDD::buildIdentity(std::size_t site) {
     if (identitySuffix_.size() <= site) {
         identitySuffix_.resize(radix_.numQudits() + 1);
     }
-    if (!identitySuffix_[site].isZero()) {
+    if (!identitySuffix_[site].isZeroStub()) {
         return identitySuffix_[site];
     }
     if (site == radix_.numQudits()) {
-        identitySuffix_[site] = Edge{0, Complex{1.0, 0.0}};
+        identitySuffix_[site] = DDEdge{0, Complex{1.0, 0.0}};
         return identitySuffix_[site];
     }
     const Dimension dim = radix_.dimensionAt(site);
-    const Edge below = buildIdentity(site + 1);
-    std::vector<Edge> edges(static_cast<std::size_t>(dim) * dim);
+    const DDEdge below = buildIdentity(site + 1);
+    std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
     for (Dimension r = 0; r < dim; ++r) {
         edges[static_cast<std::size_t>(r) * dim + r] = below;
     }
     Complex weight;
     const NodeRef ref = makeNode(static_cast<std::uint32_t>(site), std::move(edges),
                                  weight, Tolerance::kDefault);
-    identitySuffix_[site] = Edge{ref, weight};
+    identitySuffix_[site] = DDEdge{ref, weight};
     return identitySuffix_[site];
 }
 
-MatrixDD::Edge MatrixDD::buildProjector(std::size_t site, const Operation& op, double tol) {
+DDEdge MatrixDD::buildProjector(std::size_t site, const Operation& op, double tol) {
     if (site == radix_.numQudits()) {
-        return Edge{0, Complex{1.0, 0.0}};
+        return DDEdge{0, Complex{1.0, 0.0}};
     }
     const Dimension dim = radix_.dimensionAt(site);
     const Control* control = nullptr;
@@ -126,8 +92,8 @@ MatrixDD::Edge MatrixDD::buildProjector(std::size_t site, const Operation& op, d
             break;
         }
     }
-    const Edge below = buildProjector(site + 1, op, tol);
-    std::vector<Edge> edges(static_cast<std::size_t>(dim) * dim);
+    const DDEdge below = buildProjector(site + 1, op, tol);
+    std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
     for (Dimension r = 0; r < dim; ++r) {
         if (control == nullptr || control->level == r) {
             edges[static_cast<std::size_t>(r) * dim + r] = below;
@@ -136,30 +102,30 @@ MatrixDD::Edge MatrixDD::buildProjector(std::size_t site, const Operation& op, d
     Complex weight;
     const NodeRef ref =
         makeNode(static_cast<std::uint32_t>(site), std::move(edges), weight, tol);
-    return Edge{ref, weight};
+    return DDEdge{ref, weight};
 }
 
-MatrixDD::Edge MatrixDD::buildOperation(std::size_t site, const Operation& op,
+DDEdge MatrixDD::buildOperation(std::size_t site, const Operation& op,
                                         const DenseMatrix& local, double tol) {
     if (site == radix_.numQudits()) {
-        return Edge{0, Complex{1.0, 0.0}};
+        return DDEdge{0, Complex{1.0, 0.0}};
     }
     const Dimension dim = radix_.dimensionAt(site);
-    std::vector<Edge> edges(static_cast<std::size_t>(dim) * dim);
+    std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
 
     if (site == op.target) {
         // Below-target controls modulate the application:
         //   edge(r, c) = delta_rc * I_below + (U(r,c) - delta_rc) * P_below.
         // Without below controls P == I and this is U(r,c) * I_below.
-        const Edge identityBelow = buildIdentity(site + 1);
-        const Edge projectorBelow = buildProjector(site + 1, op, tol);
+        const DDEdge identityBelow = buildIdentity(site + 1);
+        const DDEdge projectorBelow = buildProjector(site + 1, op, tol);
         for (Dimension r = 0; r < dim; ++r) {
             for (Dimension c = 0; c < dim; ++c) {
                 const Complex u = local(r, c);
                 const Complex delta = (r == c) ? Complex{1.0, 0.0} : Complex{0.0, 0.0};
-                Edge sum = addEdges(
-                    Edge{identityBelow.node, identityBelow.weight * delta},
-                    Edge{projectorBelow.node, projectorBelow.weight * (u - delta)}, tol);
+                DDEdge sum = addEdges(
+                    DDEdge{identityBelow.node, identityBelow.weight * delta},
+                    DDEdge{projectorBelow.node, projectorBelow.weight * (u - delta)}, tol);
                 edges[static_cast<std::size_t>(r) * dim + c] = sum;
             }
         }
@@ -171,7 +137,7 @@ MatrixDD::Edge MatrixDD::buildOperation(std::size_t site, const Operation& op,
                 break;
             }
         }
-        const Edge identityBelow = buildIdentity(site + 1);
+        const DDEdge identityBelow = buildIdentity(site + 1);
         for (Dimension r = 0; r < dim; ++r) {
             if (control != nullptr && control->level != r) {
                 edges[static_cast<std::size_t>(r) * dim + r] = identityBelow;
@@ -184,44 +150,42 @@ MatrixDD::Edge MatrixDD::buildOperation(std::size_t site, const Operation& op,
     Complex weight;
     const NodeRef ref =
         makeNode(static_cast<std::uint32_t>(site), std::move(edges), weight, tol);
-    return Edge{ref, weight};
+    return DDEdge{ref, weight};
 }
 
-MatrixDD::Edge MatrixDD::addEdges(Edge a, Edge b, double tol) {
-    if (a.isZero() || std::abs(a.weight) <= tol) {
+DDEdge MatrixDD::addEdges(DDEdge a, DDEdge b, double tol) {
+    if (a.isZeroStub() || std::abs(a.weight) <= tol) {
         return b;
     }
-    if (b.isZero() || std::abs(b.weight) <= tol) {
+    if (b.isZeroStub() || std::abs(b.weight) <= tol) {
         return a;
     }
-    if (node(a.node).site == kTerminalSite) {
-        ensureThat(node(b.node).site == kTerminalSite,
-                   "MatrixDD::addEdges: level mismatch");
+    if (node(a.node).isTerminal()) {
+        ensureThat(node(b.node).isTerminal(), "MatrixDD::addEdges: level mismatch");
         const Complex sum = a.weight + b.weight;
         if (std::abs(sum) <= tol) {
-            return Edge{};
+            return DDEdge{};
         }
-        return Edge{0, sum};
+        return DDEdge{0, sum};
     }
-    ensureThat(node(a.node).site == node(b.node).site,
-               "MatrixDD::addEdges: site mismatch");
+    ensureThat(node(a.node).site == node(b.node).site, "MatrixDD::addEdges: site mismatch");
     // Node addresses are stable (chunked pool), so holding references
     // across the allocating recursion below would be safe; per-edge
     // re-fetches through the NodeRefs are kept for uniformity.
     const std::uint32_t site = node(a.node).site;
     const std::size_t arity = node(a.node).edges.size();
-    std::vector<Edge> edges(arity);
+    std::vector<DDEdge> edges(arity);
     for (std::size_t k = 0; k < arity; ++k) {
-        const Edge ea{node(a.node).edges[k].node, a.weight * node(a.node).edges[k].weight};
-        const Edge eb{node(b.node).edges[k].node, b.weight * node(b.node).edges[k].weight};
+        const DDEdge ea{node(a.node).edges[k].node, a.weight * node(a.node).edges[k].weight};
+        const DDEdge eb{node(b.node).edges[k].node, b.weight * node(b.node).edges[k].weight};
         edges[k] = addEdges(ea, eb, tol);
     }
     Complex weight;
     const NodeRef ref = makeNode(site, std::move(edges), weight, tol);
-    return Edge{ref, weight};
+    return DDEdge{ref, weight};
 }
 
-MatrixDD MatrixDD::identity(const Dimensions& dims, std::shared_ptr<MatrixDdStore> store) {
+MatrixDD MatrixDD::identity(const Dimensions& dims, std::shared_ptr<dd::DdNodeStore> store) {
     MatrixDD dd(std::move(store));
     dd.radix_ = MixedRadix(dims);
     dd.root_ = dd.buildIdentity(0);
@@ -229,11 +193,8 @@ MatrixDD MatrixDD::identity(const Dimensions& dims, std::shared_ptr<MatrixDdStor
 }
 
 MatrixDD MatrixDD::fromOperation(const Dimensions& dims, const Operation& op, double tol,
-                                 std::shared_ptr<MatrixDdStore> store) {
-    if (!store) {
-        store = std::make_shared<MatrixDdStore>(tol);
-    }
-    MatrixDD dd(std::move(store));
+                                 std::shared_ptr<dd::DdNodeStore> store) {
+    MatrixDD dd(std::move(store), tol);
     dd.radix_ = MixedRadix(dims);
     requireThat(op.target < dd.radix_.numQudits(),
                 "MatrixDD::fromOperation: target out of range");
@@ -243,13 +204,13 @@ MatrixDD MatrixDD::fromOperation(const Dimensions& dims, const Operation& op, do
 }
 
 MatrixDD MatrixDD::fromCircuit(const Circuit& circuit, double tol,
-                               std::shared_ptr<MatrixDdStore> store) {
+                               std::shared_ptr<dd::DdNodeStore> store) {
     // One store for the whole compilation: per-gate operators and every
     // running product hash-cons into the same table, so the identity
     // scaffolding and repeated gate structure are built exactly once —
     // whether the store is this call's own or a session-lived one.
     if (!store) {
-        store = std::make_shared<MatrixDdStore>(tol);
+        store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol);
     }
     MatrixDD result = identity(circuit.dimensions(), store);
     for (const auto& op : circuit.operations()) {
@@ -263,19 +224,19 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
     requireThat(radix_ == rhs.radix_, "MatrixDD::multiply: registers differ");
     // The product lives on the operands' shared store when they have one
     // (cross-diagram sharing); operands on unrelated stores multiply onto a
-    // fresh private store bucketing at this call's tolerance, as before.
-    MatrixDD result(store_ == rhs.store_ ? store_ : std::make_shared<MatrixDdStore>(tol));
+    // fresh store bucketing at this call's tolerance.
+    MatrixDD result(store_ == rhs.store_ ? store_ : nullptr, tol);
     result.radix_ = radix_;
 
     // product(aRef, bRef) of canonical (weight-1) nodes, memoized; weights
     // factor out linearly.
-    std::unordered_map<std::uint64_t, Edge> memo;
-    const std::function<Edge(NodeRef, NodeRef)> product = [&](NodeRef aRef,
-                                                              NodeRef bRef) -> Edge {
-        if (node(aRef).site == kTerminalSite) {
-            ensureThat(rhs.node(bRef).site == kTerminalSite,
+    std::unordered_map<std::uint64_t, DDEdge> memo;
+    const std::function<DDEdge(NodeRef, NodeRef)> product = [&](NodeRef aRef,
+                                                                NodeRef bRef) -> DDEdge {
+        if (node(aRef).isTerminal()) {
+            ensureThat(rhs.node(bRef).isTerminal(),
                        "MatrixDD::multiply: level mismatch");
-            return Edge{0, Complex{1.0, 0.0}};
+            return DDEdge{0, Complex{1.0, 0.0}};
         }
         ensureThat(node(aRef).site == rhs.node(bRef).site,
                    "MatrixDD::multiply: site mismatch");
@@ -287,50 +248,50 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
         // Copy both operands' shapes up front (cheap, and keeps the inner
         // loops independent of the allocating product/addEdges recursion).
         const std::uint32_t siteA = node(aRef).site;
-        const std::vector<Edge> aEdges = node(aRef).edges;
-        const std::vector<Edge> bEdges = rhs.node(bRef).edges;
+        const std::vector<DDEdge> aEdges = node(aRef).edges;
+        const std::vector<DDEdge> bEdges = rhs.node(bRef).edges;
         const Dimension dim = radix_.dimensionAt(siteA);
-        std::vector<Edge> edges(static_cast<std::size_t>(dim) * dim);
+        std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
         for (Dimension r = 0; r < dim; ++r) {
             for (Dimension c = 0; c < dim; ++c) {
-                Edge acc;
+                DDEdge acc;
                 for (Dimension k = 0; k < dim; ++k) {
-                    const Edge& ea = aEdges[static_cast<std::size_t>(r) * dim + k];
-                    const Edge& eb = bEdges[static_cast<std::size_t>(k) * dim + c];
-                    if (ea.isZero() || eb.isZero()) {
+                    const DDEdge& ea = aEdges[static_cast<std::size_t>(r) * dim + k];
+                    const DDEdge& eb = bEdges[static_cast<std::size_t>(k) * dim + c];
+                    if (ea.isZeroStub() || eb.isZeroStub()) {
                         continue;
                     }
-                    const Edge sub = product(ea.node, eb.node);
-                    if (sub.isZero()) {
+                    const DDEdge sub = product(ea.node, eb.node);
+                    if (sub.isZeroStub()) {
                         continue;
                     }
                     acc = result.addEdges(
-                        acc, Edge{sub.node, sub.weight * ea.weight * eb.weight}, tol);
+                        acc, DDEdge{sub.node, sub.weight * ea.weight * eb.weight}, tol);
                 }
                 edges[static_cast<std::size_t>(r) * dim + c] = acc;
             }
         }
         Complex weight;
         const NodeRef ref = result.makeNode(siteA, std::move(edges), weight, tol);
-        const Edge edge{ref, weight};
+        const DDEdge edge{ref, weight};
         memo.emplace(key, edge);
         return edge;
     };
 
-    if (root_.isZero() || rhs.root_.isZero()) {
-        result.root_ = Edge{};
+    if (root_.isZeroStub() || rhs.root_.isZeroStub()) {
+        result.root_ = DDEdge{};
         return result;
     }
-    const Edge top = product(root_.node, rhs.root_.node);
-    result.root_ = Edge{top.node, top.weight * root_.weight * rhs.root_.weight};
+    const DDEdge top = product(root_.node, rhs.root_.node);
+    result.root_ = DDEdge{top.node, top.weight * root_.weight * rhs.root_.weight};
     return result;
 }
 
-MatrixDD::Edge MatrixDD::importFrom(const MatrixDD& source, NodeRef ref,
-                                    std::unordered_map<NodeRef, Edge>& memo,
-                                    bool conjugateTranspose, double tol) {
-    if (source.node(ref).site == kTerminalSite) {
-        return Edge{0, Complex{1.0, 0.0}};
+DDEdge MatrixDD::importFrom(const MatrixDD& source, NodeRef ref,
+                            std::unordered_map<NodeRef, DDEdge>& memo, bool conjugateTranspose,
+                            double tol) {
+    if (source.node(ref).isTerminal()) {
+        return DDEdge{0, Complex{1.0, 0.0}};
     }
     if (const auto it = memo.find(ref); it != memo.end()) {
         return it->second;
@@ -338,26 +299,26 @@ MatrixDD::Edge MatrixDD::importFrom(const MatrixDD& source, NodeRef ref,
     // Copy the source shape up front (keeps the loop independent of the
     // allocating recursion below).
     const std::uint32_t site = source.node(ref).site;
-    const std::vector<Edge> sourceEdges = source.node(ref).edges;
+    const std::vector<DDEdge> sourceEdges = source.node(ref).edges;
     const Dimension dim = radix_.dimensionAt(site);
-    std::vector<Edge> edges(static_cast<std::size_t>(dim) * dim);
+    std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
     for (Dimension r = 0; r < dim; ++r) {
         for (Dimension c = 0; c < dim; ++c) {
             const std::size_t from = conjugateTranspose
                                          ? static_cast<std::size_t>(c) * dim + r
                                          : static_cast<std::size_t>(r) * dim + c;
-            const Edge& edge = sourceEdges[from];
-            if (edge.isZero()) {
+            const DDEdge& edge = sourceEdges[from];
+            if (edge.isZeroStub()) {
                 continue;
             }
-            const Edge sub = importFrom(source, edge.node, memo, conjugateTranspose, tol);
+            const DDEdge sub = importFrom(source, edge.node, memo, conjugateTranspose, tol);
             const Complex w = conjugateTranspose ? std::conj(edge.weight) : edge.weight;
-            edges[static_cast<std::size_t>(r) * dim + c] = Edge{sub.node, sub.weight * w};
+            edges[static_cast<std::size_t>(r) * dim + c] = DDEdge{sub.node, sub.weight * w};
         }
     }
     Complex weight;
     const NodeRef newRef = makeNode(site, std::move(edges), weight, tol);
-    const Edge result{newRef, weight};
+    const DDEdge result{newRef, weight};
     memo.emplace(ref, result);
     return result;
 }
@@ -365,30 +326,30 @@ MatrixDD::Edge MatrixDD::importFrom(const MatrixDD& source, NodeRef ref,
 MatrixDD MatrixDD::adjoint() const {
     MatrixDD result(store_);
     result.radix_ = radix_;
-    if (root_.isZero()) {
+    if (root_.isZeroStub()) {
         return result;
     }
-    std::unordered_map<NodeRef, Edge> memo;
-    const Edge top =
+    std::unordered_map<NodeRef, DDEdge> memo;
+    const DDEdge top =
         result.importFrom(*this, root_.node, memo, /*conjugateTranspose=*/true,
                           Tolerance::kDefault);
-    result.root_ = Edge{top.node, top.weight * std::conj(root_.weight)};
+    result.root_ = DDEdge{top.node, top.weight * std::conj(root_.weight)};
     return result;
 }
 
 Complex MatrixDD::hilbertSchmidtOverlap(const MatrixDD& other) const {
     requireThat(radix_ == other.radix_,
                 "MatrixDD::hilbertSchmidtOverlap: registers differ");
-    if (root_.isZero() || other.root_.isZero()) {
+    if (root_.isZeroStub() || other.root_.isZeroStub()) {
         return Complex{0.0, 0.0};
     }
     std::unordered_map<std::uint64_t, Complex> memo;
     const std::function<Complex(NodeRef, NodeRef)> visit = [&](NodeRef a,
                                                                NodeRef b) -> Complex {
-        const Node& na = node(a);
-        const Node& nb = other.node(b);
-        if (na.site == kTerminalSite) {
-            ensureThat(nb.site == kTerminalSite, "hilbertSchmidtOverlap: level mismatch");
+        const DDNode& na = node(a);
+        const DDNode& nb = other.node(b);
+        if (na.isTerminal()) {
+            ensureThat(nb.isTerminal(), "hilbertSchmidtOverlap: level mismatch");
             return Complex{1.0, 0.0};
         }
         ensureThat(na.site == nb.site, "hilbertSchmidtOverlap: site mismatch");
@@ -399,9 +360,9 @@ Complex MatrixDD::hilbertSchmidtOverlap(const MatrixDD& other) const {
         }
         Complex sum{0.0, 0.0};
         for (std::size_t k = 0; k < na.edges.size(); ++k) {
-            const Edge& ea = na.edges[k];
-            const Edge& eb = nb.edges[k];
-            if (ea.isZero() || eb.isZero()) {
+            const DDEdge& ea = na.edges[k];
+            const DDEdge& eb = nb.edges[k];
+            if (ea.isZeroStub() || eb.isZeroStub()) {
                 continue;
             }
             sum += std::conj(ea.weight) * eb.weight * visit(ea.node, eb.node);
@@ -413,7 +374,7 @@ Complex MatrixDD::hilbertSchmidtOverlap(const MatrixDD& other) const {
 }
 
 bool MatrixDD::equivalentUpToGlobalPhase(const MatrixDD& other, double tol) const {
-    if (store_ == other.store_ && store_ != nullptr && !root_.isZero() &&
+    if (store_ == other.store_ && store_ != nullptr && !root_.isZeroStub() &&
         root_.node == other.root_.node &&
         std::abs(std::abs(root_.weight) - std::abs(other.root_.weight)) <= tol) {
         // One shared hash-consed store: equal canonical roots mean the
@@ -437,19 +398,19 @@ bool MatrixDD::equivalentUpToGlobalPhase(const MatrixDD& other, double tol) cons
 Complex MatrixDD::entry(const Digits& row, const Digits& col) const {
     requireThat(row.size() == radix_.numQudits() && col.size() == radix_.numQudits(),
                 "MatrixDD::entry: digit count mismatch");
-    if (root_.isZero()) {
+    if (root_.isZeroStub()) {
         return Complex{0.0, 0.0};
     }
     Complex product = root_.weight;
     NodeRef current = root_.node;
     for (std::size_t site = 0; site < row.size(); ++site) {
-        const Node& n = node(current);
+        const DDNode& n = node(current);
         ensureThat(n.site == site, "MatrixDD::entry: malformed levels");
         const Dimension dim = radix_.dimensionAt(site);
         requireThat(row[site] < dim && col[site] < dim, "MatrixDD::entry: digit range");
-        const Edge& edge =
+        const DDEdge& edge =
             n.edges[static_cast<std::size_t>(row[site]) * dim + col[site]];
-        if (edge.isZero()) {
+        if (edge.isZeroStub()) {
             return Complex{0.0, 0.0};
         }
         product *= edge.weight;
@@ -473,29 +434,7 @@ DenseMatrix MatrixDD::toDenseMatrix() const {
 }
 
 std::uint64_t MatrixDD::nodeCount() const {
-    if (root_.isZero()) {
-        return 0;
-    }
-    std::vector<bool> seen(store_->size(), false);
-    std::vector<NodeRef> stack{root_.node};
-    seen[root_.node] = true;
-    std::uint64_t count = 0;
-    while (!stack.empty()) {
-        const NodeRef ref = stack.back();
-        stack.pop_back();
-        const Node& n = node(ref);
-        if (n.site == kTerminalSite) {
-            continue;
-        }
-        ++count;
-        for (const auto& edge : n.edges) {
-            if (!edge.isZero() && !seen[edge.node]) {
-                seen[edge.node] = true;
-                stack.push_back(edge.node);
-            }
-        }
-    }
-    return count;
+    return store_->reachable(std::span<const NodeRef>(&root_.node, 1)).size();
 }
 
 } // namespace mqsp

@@ -13,69 +13,23 @@
 
 namespace mqsp {
 
-/// Node pool + uniquing table for matrix decision diagrams — the
-/// operator-side counterpart of dd::DdNodeStore. A store can back one
-/// MatrixDD (the historical per-diagram pool) or be shared across every
-/// operator a session touches (DdBackend's equivalence path): nodes are
-/// append-only and immutable, all allocation goes through the same
-/// open-addressed dd::UniqueTable as the vector-DD session store, and
-/// copying a MatrixDD aliases the store in O(1). A store constructed
-/// `Sharded` is safe for concurrent interning from batch items: the probe
-/// and the pool append run under the key's shard mutex, and the chunked
-/// pool keeps node addresses stable so readers never lock.
-class MatrixDdStore {
-public:
-    using NodeRef = std::uint32_t;
-
-    struct Edge {
-        NodeRef node = 0xffffffffU;
-        Complex weight{0.0, 0.0};
-        [[nodiscard]] bool isZero() const noexcept { return node == 0xffffffffU; }
-    };
-
-    struct Node {
-        std::uint32_t site = 0;
-        std::vector<Edge> edges; // dim(site)^2, row-major
-    };
-
-    explicit MatrixDdStore(
-        double tolerance = Tolerance::kDefault,
-        dd::UniqueTable::Concurrency concurrency = dd::UniqueTable::Concurrency::Serial);
-
-    MatrixDdStore(const MatrixDdStore&) = delete;
-    MatrixDdStore& operator=(const MatrixDdStore&) = delete;
-
-    [[nodiscard]] const Node& node(NodeRef ref) const;
-    [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
-    [[nodiscard]] double tolerance() const noexcept { return table_.tolerance(); }
-
-    /// Hash-consed allocation: the canonical ref of an existing structural
-    /// twin, or a freshly appended node. On a Sharded store, exactly one
-    /// node is created per distinct structural key however many threads
-    /// race on it.
-    NodeRef intern(std::uint32_t site, std::vector<Edge> edges);
-
-    [[nodiscard]] dd::UniqueTableStats uniqueStats() const { return table_.stats(); }
-
-private:
-    dd::detail::ChunkedNodePool<Node> pool_;
-    dd::UniqueTable table_;
-};
-
 /// Edge-weighted matrix decision diagram for operators on mixed-dimensional
 /// registers — the operator-side companion of DecisionDiagram, in the
 /// tradition of QMDDs (the paper's references [28], [31]) generalized to a
 /// variable number of successors per level.
 ///
-/// A node at site s has dim(s)^2 out-edges in row-major order; the operator
+/// Nodes are the state diagrams' `DDNode`s: a node at site s has dim(s)^2
+/// out-edges in row-major order (kNoNode for a zero edge), and the operator
 /// it represents is M = sum_{r,c} w_{rc} |r><c| (x) M_{rc}. Nodes are
 /// normalized by their largest-magnitude weight (pushed into the in-edge)
-/// and hash-consed through the store's uniquing table, so structurally
-/// equal operators share sub-graphs and the zero operator is a null edge.
-/// With one shared store (pass it to the factories, as DdBackend does for
-/// its whole lifetime) the sharing crosses diagram boundaries: per-gate
+/// and allocated on an interning dd::DdNodeStore, so structurally equal
+/// operators share sub-graphs and the zero operator is a null edge. With
+/// one shared store (pass it to the factories, as DdBackend does for its
+/// whole lifetime) the sharing crosses diagram boundaries: per-gate
 /// operators, their products, and both sides of an equivalence check build
-/// each sub-operator once.
+/// each sub-operator once. The store is safe for concurrent compiles (its
+/// table is sharded, its pool address-stable). Keep operators off a
+/// DdSession's store: its GC knows only state roots and would collect them.
 ///
 /// Supported workflow:
 ///   MatrixDD::fromCircuit(c)                 — compile a circuit
@@ -85,30 +39,27 @@ private:
 ///   toDenseMatrix / entry                    — small-register inspection
 class MatrixDD {
 public:
-    using NodeRef = MatrixDdStore::NodeRef;
-    static constexpr NodeRef kNull = 0xffffffffU;
-    using Edge = MatrixDdStore::Edge;
-
     /// The identity operator on a register.
     [[nodiscard]] static MatrixDD identity(const Dimensions& dims,
-                                           std::shared_ptr<MatrixDdStore> store = nullptr);
+                                           std::shared_ptr<dd::DdNodeStore> store = nullptr);
 
     /// One (possibly multi-controlled) operation as an operator. Controls
     /// may sit anywhere (above or below the target).
     [[nodiscard]] static MatrixDD fromOperation(const Dimensions& dims, const Operation& op,
                                                 double tol = Tolerance::kDefault,
-                                                std::shared_ptr<MatrixDdStore> store = nullptr);
+                                                std::shared_ptr<dd::DdNodeStore> store = nullptr);
 
     /// The whole circuit as an operator (ops composed in application order).
     /// Every intermediate (per-gate operators and running products) lives
-    /// on one store — the given one, or a fresh private one.
+    /// on one interning store — the given one, or a fresh one of this
+    /// call's own.
     [[nodiscard]] static MatrixDD fromCircuit(const Circuit& circuit,
                                               double tol = Tolerance::kDefault,
-                                              std::shared_ptr<MatrixDdStore> store = nullptr);
+                                              std::shared_ptr<dd::DdNodeStore> store = nullptr);
 
     /// Operator composition: (*this) after `rhs` — i.e. the matrix product
     /// this * rhs. Registers must match. The product lives on the shared
-    /// store when the operands share one, else on a fresh private store.
+    /// store when the operands share one, else on a fresh store.
     [[nodiscard]] MatrixDD multiply(const MatrixDD& rhs, double tol = Tolerance::kDefault) const;
 
     /// Conjugate transpose.
@@ -136,35 +87,31 @@ public:
     [[nodiscard]] std::uint64_t nodeCount() const;
 
     [[nodiscard]] const MixedRadix& radix() const noexcept { return radix_; }
-    [[nodiscard]] const Edge& root() const noexcept { return root_; }
-    [[nodiscard]] const std::shared_ptr<MatrixDdStore>& store() const noexcept {
-        return store_;
-    }
+    [[nodiscard]] const DDEdge& root() const noexcept { return root_; }
+    [[nodiscard]] const std::shared_ptr<dd::DdNodeStore>& store() const noexcept { return store_; }
 
 private:
-    using Node = MatrixDdStore::Node;
+    /// A diagram on `store` (nullptr -> a fresh interning store at `tol`).
+    explicit MatrixDD(std::shared_ptr<dd::DdNodeStore> store, double tol = Tolerance::kDefault);
 
-    MatrixDD() = default;
-    explicit MatrixDD(std::shared_ptr<MatrixDdStore> store);
-
-    [[nodiscard]] const Node& node(NodeRef ref) const;
-    NodeRef makeNode(std::uint32_t site, std::vector<Edge> edges, Complex& weightOut,
+    [[nodiscard]] const DDNode& node(NodeRef ref) const;
+    NodeRef makeNode(std::uint32_t site, std::vector<DDEdge> edges, Complex& weightOut,
                      double tol);
 
-    Edge buildIdentity(std::size_t site);
-    Edge buildOperation(std::size_t site, const Operation& op, const DenseMatrix& local,
-                        double tol);
-    Edge buildProjector(std::size_t site, const Operation& op, double tol);
-    Edge addEdges(Edge a, Edge b, double tol);
-    Edge importFrom(const MatrixDD& source, NodeRef ref,
-                    std::unordered_map<NodeRef, Edge>& memo, bool conjugateTranspose,
-                    double tol);
+    DDEdge buildIdentity(std::size_t site);
+    DDEdge buildOperation(std::size_t site, const Operation& op, const DenseMatrix& local,
+                          double tol);
+    DDEdge buildProjector(std::size_t site, const Operation& op, double tol);
+    DDEdge addEdges(DDEdge a, DDEdge b, double tol);
+    DDEdge importFrom(const MatrixDD& source, NodeRef ref,
+                      std::unordered_map<NodeRef, DDEdge>& memo, bool conjugateTranspose,
+                      double tol);
 
     MixedRadix radix_;
-    std::shared_ptr<MatrixDdStore> store_;
-    Edge root_;
+    std::shared_ptr<dd::DdNodeStore> store_;
+    DDEdge root_;
     // Memo cache for identity suffixes (one per site; refs into store_).
-    std::vector<Edge> identitySuffix_;
+    std::vector<DDEdge> identitySuffix_;
 };
 
 } // namespace mqsp

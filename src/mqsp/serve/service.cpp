@@ -1,10 +1,10 @@
 #include "mqsp/serve/service.hpp"
 
 #include "mqsp/circuit/qasm.hpp"
+#include "mqsp/states/family.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parse.hpp"
-#include "mqsp/support/rng.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <utility>
 
 namespace mqsp::serve {
@@ -44,67 +45,12 @@ void rejectUnknownOptions(const Request& request,
     }
 }
 
-[[nodiscard]] std::uint64_t uintOption(const Request& request, const char* key,
+/// The value of option `flag` (spelled as a client writes it, "--weight"),
+/// or `fallback` when the request does not set it.
+[[nodiscard]] std::uint64_t uintOption(const Request& request, std::string_view flag,
                                        std::uint64_t fallback) {
-    const std::string* text = request.option(key);
-    return text == nullptr ? fallback : parse::uint64(*text, std::string("--") + key);
-}
-
-struct FamilySpec {
-    std::string name;
-    std::uint64_t weight = 0; ///< dicke
-    std::uint32_t count = 0;  ///< cyclic
-    std::uint64_t seed = 0;   ///< random
-    [[nodiscard]] bool isRandom() const noexcept { return name == "random"; }
-};
-
-[[nodiscard]] StateVector makeDenseState(const FamilySpec& spec, const Dimensions& dims) {
-    if (spec.name == "ghz") {
-        return states::ghz(dims);
-    }
-    if (spec.name == "w") {
-        return states::wState(dims);
-    }
-    if (spec.name == "embw") {
-        return states::embeddedWState(dims);
-    }
-    if (spec.name == "uniform") {
-        return states::uniform(dims);
-    }
-    if (spec.name == "dicke") {
-        return states::dicke(dims, spec.weight);
-    }
-    if (spec.name == "cyclic") {
-        return states::cyclic(dims, Digits(dims.size(), 0), spec.count);
-    }
-    if (spec.name == "random") {
-        Rng rng(spec.seed);
-        return states::random(dims, rng);
-    }
-    detail::throwInternal("makeDenseState: unhandled family " + spec.name);
-}
-
-[[nodiscard]] DecisionDiagram makeSessionDiagram(const FamilySpec& spec, const Dimensions& dims,
-                                                 const dd::DdSession& session) {
-    if (spec.name == "ghz") {
-        return DecisionDiagram::ghzState(dims, &session);
-    }
-    if (spec.name == "w") {
-        return DecisionDiagram::wState(dims, &session);
-    }
-    if (spec.name == "embw") {
-        return DecisionDiagram::embeddedWState(dims, &session);
-    }
-    if (spec.name == "uniform") {
-        return DecisionDiagram::uniformState(dims, &session);
-    }
-    if (spec.name == "dicke") {
-        return DecisionDiagram::dickeState(dims, spec.weight, &session);
-    }
-    if (spec.name == "cyclic") {
-        return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), spec.count, &session);
-    }
-    detail::throwInternal("makeSessionDiagram: unhandled family " + spec.name);
+    const std::string* text = request.option(flag.substr(2));
+    return text == nullptr ? fallback : parse::uint64(*text, flag);
 }
 
 } // namespace
@@ -288,29 +234,26 @@ std::string VerificationService::handlePrep(const Request& request) {
                 "admission: session node budget exhausted (" + u64(poolNodes) + " > " +
                     u64(limits_.maxSessionNodes) + " dd nodes) — run GC or DROP idle targets");
 
-    FamilySpec family;
-    family.name = request.family;
-    const bool known = family.name == "ghz" || family.name == "w" || family.name == "embw" ||
-                       family.name == "uniform" || family.name == "dicke" ||
-                       family.name == "cyclic" || family.name == "random";
-    requireThat(known, "unknown state family '" + parse::clipForMessage(family.name) +
-                           "' (ghz, w, embw, uniform, dicke, cyclic, random)");
+    const std::optional<states::Family> known = states::familyNamed(request.family);
+    requireThat(known.has_value(), "unknown state family '" +
+                                       parse::clipForMessage(request.family) +
+                                       "' (ghz, w, embw, uniform, dicke, cyclic, random)");
+    states::FamilySpec family = states::defaultSpec(*known, dims);
     const std::uint64_t maxWeight = states::maxDickeWeight(dims);
-    family.weight = uintOption(request, "weight", std::min<std::uint64_t>(2, maxWeight));
-    requireThat(family.name == "dicke" || request.option("weight") == nullptr,
+    family.weight = uintOption(request, "--weight", family.weight);
+    requireThat(family.family == states::Family::Dicke || request.option("weight") == nullptr,
                 "--weight only applies to PREP:DICKE");
     requireThat(family.weight <= maxWeight,
                 "--weight needs a value in [0, " + u64(maxWeight) +
                     "] for this register (sum of dim_i - 1), got " + u64(family.weight));
-    const std::uint64_t countRaw =
-        uintOption(request, "count", states::distinctCyclicShifts(dims));
-    requireThat(family.name == "cyclic" || request.option("count") == nullptr,
+    const std::uint64_t countRaw = uintOption(request, "--count", family.count);
+    requireThat(family.family == states::Family::Cyclic || request.option("count") == nullptr,
                 "--count only applies to PREP:CYCLIC");
     requireThat(countRaw >= 1 && countRaw <= std::numeric_limits<std::uint32_t>::max(),
                 "--count needs a value in [1, 2^32)");
     family.count = static_cast<std::uint32_t>(countRaw);
-    family.seed = uintOption(request, "seed", Rng::kDefaultSeed);
-    requireThat(family.name == "random" || request.option("seed") == nullptr,
+    family.seed = uintOption(request, "--seed", family.seed);
+    requireThat(family.family == states::Family::Random || request.option("seed") == nullptr,
                 "--seed only applies to PREP:RANDOM");
 
     const std::string* approxText = request.option("approx");
@@ -322,17 +265,17 @@ std::string VerificationService::handlePrep(const Request& request) {
 
     SynthesisOptions options;
     options.emitIdentityOperations = false;
-    options.circuitName = family.name;
+    options.circuitName = request.family;
     options.tolerance = session->tolerance();
 
     PreparedTarget entry;
-    entry.family = family.name;
+    entry.family = request.family;
     entry.dims = formatDimensionSpec(dims);
     entry.approx = approxText != nullptr;
     entry.threshold = threshold;
 
     PreparationResult result;
-    if (approxText != nullptr || family.isRandom()) {
+    if (approxText != nullptr || family.family == states::Family::Random) {
         // Dense path: random states have no diagram builder, and the
         // approximation pass needs a tree-shaped private diagram (it
         // prunes in place — impossible on immutable session nodes). The
@@ -344,13 +287,13 @@ std::string VerificationService::handlePrep(const Request& request) {
                         " builds a dense amplitude vector, and the register has " +
                         u64(radix.totalDimension()) + " amplitudes (dense ceiling " +
                         u64(kDenseBackendCeiling) + ")");
-        const StateVector state = makeDenseState(family, dims);
+        const StateVector state = states::makeDenseState(family, dims);
         entry.target =
             EvalState(session->intern(DecisionDiagram::fromStateVector(state, options.tolerance)));
         result = approxText != nullptr ? prepareApproximated(state, threshold, options)
                                        : prepareExact(state, options);
     } else {
-        DecisionDiagram diagram = makeSessionDiagram(family, dims, *session);
+        DecisionDiagram diagram = states::makeDiagram(family, dims, session.get());
         entry.target = EvalState(diagram);
         result = prepareExact(std::move(diagram), options);
     }
@@ -388,7 +331,7 @@ std::string VerificationService::handleVerify(const Request& request) {
     requireThat(entry->kind == PreparedTarget::Kind::Prepared,
                 "target " + u64(entry->id) +
                     " is a STREAM session — use REVERIFY to check it");
-    const std::uint64_t repeat = uintOption(request, "repeat", 1);
+    const std::uint64_t repeat = uintOption(request, "--repeat", 1);
     requireThat(repeat >= 1 && repeat <= limits_.maxVerifyRepeat,
                 "--repeat needs a value in [1, " + u64(limits_.maxVerifyRepeat) + "]");
 
@@ -457,7 +400,7 @@ std::string VerificationService::handleStream(const Request& request) {
     entry.dims = formatDimensionSpec(dims);
     entry.circuit = Circuit(dims, "stream"); // empty: carries the register only
     entry.target = backend_->zeroState(dims);
-    entry.checkpointInterval = uintOption(request, "checkpoint", 0);
+    entry.checkpointInterval = uintOption(request, "--checkpoint", 0);
 
     const PreparedTarget& stored = registry_.add(std::move(entry));
     streams_.fetch_add(1, std::memory_order_relaxed);

@@ -373,8 +373,8 @@ DdBackend::DdBackend(double tolerance)
 DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
     : EvaluationBackend(config),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(
-          tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
+      operatorStore_(
+          std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tolerance)) {}
 
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(DecisionDiagram::zeroState(dims, session_.get()));
@@ -390,13 +390,13 @@ void DdBackend::apply(EvalState& state, const Operation& op) const {
 
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {
     requireThat(a.radix() == b.radix(), "DdBackend::circuitsEquivalent: registers differ");
-    // Both sides compile onto the backend's shared operator store (a
-    // Sharded MatrixDdStore, so concurrent batch items intern safely):
+    // Both sides compile onto the backend's shared operator store (an
+    // interning store, so concurrent batch items intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
     // short-circuit on root identity.
-    const MatrixDD lhs = MatrixDD::fromCircuit(a, session_->tolerance(), matrixStore_);
-    const MatrixDD rhs = MatrixDD::fromCircuit(b, session_->tolerance(), matrixStore_);
+    const MatrixDD lhs = MatrixDD::fromCircuit(a, session_->tolerance(), operatorStore_);
+    const MatrixDD rhs = MatrixDD::fromCircuit(b, session_->tolerance(), operatorStore_);
     return lhs.equivalentUpToGlobalPhase(rhs, tol);
 }
 

@@ -14,8 +14,6 @@
 
 namespace mqsp {
 
-class MatrixDdStore;
-
 /// Which evaluation substrate a backend runs on.
 enum class BackendKind {
     Dense, ///< dense state vector (O(∏dims) memory, exact reference)
@@ -302,21 +300,22 @@ private:
 /// (mdd/MatrixDD) — memory and time scale with diagram size, not with
 /// ∏dims, so structured states verify on registers of 10^8+ amplitudes.
 ///
-/// Memory model: the backend owns one dd::DdSession (and one shared
-/// MatrixDdStore for the equivalence path) for its whole lifetime. Every
-/// target, replayed state, and per-gate intermediate evaluated on this
-/// backend allocates through the session's uniquing table, so identical
-/// sub-trees are built once per backend, repeated verifications hit the
-/// session compute cache, and `ddSession()->stats()` reports the
-/// dd_nodes / unique_hit_rate / cache_hit_rate metrics.
+/// Memory model: the backend owns two interning dd::DdNodeStores for its
+/// whole lifetime — its dd::DdSession's, for states, and one for the
+/// operator diagrams of the equivalence path. Every target, replayed state,
+/// and per-gate intermediate evaluated on this backend allocates through
+/// the session's uniquing table, so identical sub-trees are built once per
+/// backend, repeated verifications hit the session compute cache, and
+/// `ddSession()->stats()` reports the dd_nodes / unique_hit_rate /
+/// cache_hit_rate metrics (operator nodes are not counted there).
 ///
-/// Concurrency: the session's uniquing table is sharded and its compute
-/// cache striped (dd/unique_table.hpp), so batch items fanned out by
-/// `verifyBatch` intern into this one shared session from every
-/// worker — cross-item sharing is exactly where the table pays most. The
-/// distinct structural key set (dd_nodes) is invariant under thread count
-/// and item order; cache hit rates of concurrent batches depend on the
-/// interleaving and are reported as observed.
+/// Concurrency: both stores' uniquing tables are sharded and the session's
+/// compute cache striped (dd/unique_table.hpp), so batch items fanned out
+/// by `verifyBatch` intern into these shared stores from every worker —
+/// cross-item sharing is exactly where the table pays most. The distinct
+/// structural key set (dd_nodes) is invariant under thread count and item
+/// order; cache hit rates of concurrent batches depend on the interleaving
+/// and are reported as observed.
 class DdBackend final : public EvaluationBackend {
 public:
     explicit DdBackend(double tolerance = Tolerance::kDefault);
@@ -337,7 +336,7 @@ public:
 
 private:
     std::shared_ptr<dd::DdSession> session_;
-    std::shared_ptr<MatrixDdStore> matrixStore_;
+    std::shared_ptr<dd::DdNodeStore> operatorStore_;
 };
 
 /// Factory for a backend of the given kind (process-wide ExecutionConfig).

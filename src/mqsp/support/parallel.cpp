@@ -1,6 +1,7 @@
 #include "mqsp/support/parallel.hpp"
 
 #include "mqsp/support/error.hpp"
+#include "mqsp/support/parse.hpp"
 
 #include <atomic>
 #include <condition_variable>
@@ -35,28 +36,23 @@ unsigned hardwareThreads() noexcept {
     return hw == 0 ? 1U : hw;
 }
 
+unsigned parseThreadCount(std::string_view text, std::string_view context) {
+    const std::uint64_t count = parse::uint64(text, context);
+    if (count > kMaxThreads) {
+        parse::refuse(context, "a thread count of at most " + std::to_string(kMaxThreads), text);
+    }
+    return static_cast<unsigned>(count);
+}
+
 unsigned resolveThreadCount(unsigned requested) {
     if (requested > 0) {
         return requested;
     }
     if (const char* env = std::getenv("MQSP_THREADS")) {
-        const std::string text(env);
-        std::size_t consumed = 0;
-        unsigned long parsed = 0;
-        try {
-            if (text.empty() || text.front() == '-') {
-                throw std::invalid_argument(text);
-            }
-            parsed = std::stoul(text, &consumed);
-        } catch (const std::exception&) {
-            consumed = 0;
-        }
-        requireThat(!text.empty() && consumed == text.size(),
-                    "MQSP_THREADS expects a non-negative integer, got '" + text + "'");
-        if (parsed > 0) {
-            return static_cast<unsigned>(parsed);
-        }
         // MQSP_THREADS=0 means automatic, same as unset.
+        if (const unsigned parsed = parseThreadCount(env, "MQSP_THREADS"); parsed > 0) {
+            return parsed;
+        }
     }
     return hardwareThreads();
 }

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 namespace mqsp::parallel {
@@ -38,13 +39,21 @@ struct ExecutionConfig {
     friend bool operator==(const ExecutionConfig&, const ExecutionConfig&) = default;
 };
 
+/// The largest thread count `--threads` and MQSP_THREADS accept.
+inline constexpr unsigned kMaxThreads = 1024;
+
 /// max(1, std::thread::hardware_concurrency()).
 [[nodiscard]] unsigned hardwareThreads() noexcept;
+
+/// Parse a thread-count field (0 = automatic) named `context` in the error:
+/// a non-negative integer no larger than kMaxThreads, refused otherwise
+/// instead of being narrowed.
+[[nodiscard]] unsigned parseThreadCount(std::string_view text, std::string_view context);
 
 /// Resolve a requested worker count: `requested` when > 0, else the
 /// MQSP_THREADS environment variable when set and > 0, else
 /// hardwareThreads(). Throws InvalidArgumentError when MQSP_THREADS is set
-/// but not a positive integer.
+/// but not a count parseThreadCount accepts.
 [[nodiscard]] unsigned resolveThreadCount(unsigned requested = 0);
 
 /// The process-wide thread count all kernels run at (resolved lazily on

@@ -71,20 +71,36 @@ namespace mqsp::parse {
     return out;
 }
 
+/// Throw the refusal of a malformed field: "<context> expects <expected>,
+/// got '<text, clipped>'". Every parse:: refusal is worded this way.
+[[noreturn]] inline void refuse(std::string_view context, std::string_view expected,
+                                std::string_view text) {
+    std::string message(context);
+    message += " expects ";
+    message += expected;
+    message += ", got '";
+    message += clipForMessage(text);
+    message += '\'';
+    detail::throwInvalidArgument(message);
+}
+
 /// Throwing wrapper around tryUint64: `context` names the field (flag,
-/// spec entry, protocol option) for the error message.
-[[nodiscard]] inline std::uint64_t uint64(std::string_view text, const std::string& context) {
+/// spec entry, protocol option) for the error message, which is built only
+/// when the parse fails — a passing parse allocates nothing.
+[[nodiscard]] inline std::uint64_t uint64(std::string_view text, std::string_view context) {
     const auto value = tryUint64(text);
-    requireThat(value.has_value(),
-                context + " expects a non-negative integer, got '" + clipForMessage(text) + "'");
+    if (!value) {
+        refuse(context, "a non-negative integer", text);
+    }
     return *value;
 }
 
 /// Throwing wrapper around tryDouble; `context` names the field.
-[[nodiscard]] inline double real(std::string_view text, const std::string& context) {
+[[nodiscard]] inline double real(std::string_view text, std::string_view context) {
     const auto value = tryDouble(text);
-    requireThat(value.has_value(),
-                context + " expects a number, got '" + clipForMessage(text) + "'");
+    if (!value) {
+        refuse(context, "a number", text);
+    }
     return *value;
 }
 

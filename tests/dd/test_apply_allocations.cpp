@@ -4,6 +4,7 @@
 // kind, whether its additions hit the compute cache or recompute into
 // table hits.
 
+#include "common/counting_new.hpp"
 #include "common/random_circuit.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/dd/unique_table.hpp"
@@ -13,31 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdlib>
-#include <new>
-
-// Counting replacement of the global allocation functions (this suite is its
-// own executable, so the replacement stays local to it). Every sized,
-// unsized and array form funnels through these two; only allocations made
-// by the current thread are counted. They stay out of line: once inlined,
-// GCC sees free() applied to a pointer from operator new and reports a
-// mismatched pair (-Wmismatched-new-delete).
-namespace {
-thread_local std::size_t gAllocations = 0;
-} // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-    ++gAllocations;
-    if (void* p = std::malloc(size == 0 ? 1 : size)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mqsp {
 namespace {
@@ -48,9 +24,9 @@ std::size_t allocationsInsideApply(const dd::DdSession& session, const Circuit& 
     DecisionDiagram state = DecisionDiagram::zeroState(circuit.dimensions(), &session);
     std::size_t allocations = 0;
     for (const Operation& op : circuit.operations()) {
-        const std::size_t before = gAllocations;
+        const std::size_t before = counting_new::allocations;
         state.applyOperation(op);
-        allocations += gAllocations - before;
+        allocations += counting_new::allocations - before;
     }
     return allocations;
 }
@@ -70,9 +46,9 @@ TEST(ApplyAllocations, ReplayingAnInternedCircuitAllocatesNothing) {
 /// `input`.
 std::size_t allocationsOfGate(const DecisionDiagram& input, const Operation& op) {
     DecisionDiagram state = input;
-    const std::size_t before = gAllocations;
+    const std::size_t before = counting_new::allocations;
     state.applyOperation(op);
-    return gAllocations - before;
+    return counting_new::allocations - before;
 }
 
 TEST(ApplyAllocations, ALargeGateMemoIsReleasedAfterASmallGate) {
@@ -95,9 +71,9 @@ TEST(ApplyAllocations, ALargeGateMemoIsReleasedAfterASmallGate) {
 }
 
 TEST(ApplyAllocations, CounterIsLive) {
-    const std::size_t before = gAllocations;
+    const std::size_t before = counting_new::allocations;
     ::operator delete(::operator new(64));
-    EXPECT_EQ(gAllocations - before, 1U);
+    EXPECT_EQ(counting_new::allocations - before, 1U);
 }
 
 } // namespace

@@ -76,7 +76,7 @@ TEST(UniqueTable, WeightsMergeWithinToleranceBucketsOnly) {
 }
 
 TEST(UniqueTable, GrowsPastInitialCapacityAndKeepsEveryEntry) {
-    dd::UniqueTable table(kTol, /*initialCapacity=*/16);
+    dd::UniqueTable table(kTol);
     constexpr NodeRef kCount = 3000;
     for (NodeRef i = 0; i < kCount; ++i) {
         ASSERT_EQ(findOrRecord(table, 0, edgeList({{i, 1.0}}), i + 1), i + 1);
@@ -180,7 +180,7 @@ TEST(DdNodeStore, InterningStoreDeduplicatesWithoutCreatingGarbage) {
     const NodeRef b = store.allocate(0, edgeList({{0, 1.0}}));
     EXPECT_EQ(a, b);
     EXPECT_EQ(store.size(), 2U); // terminal + one canonical node, no garbage
-    EXPECT_EQ(store.uniqueTable().stats().hits, 1U);
+    EXPECT_EQ(store.uniqueTable()->stats().hits, 1U);
 }
 
 TEST(DdNodeStore, InterningStoreRefusesInPlaceMutation) {
@@ -421,9 +421,9 @@ TEST(DdSession, KeyHashKeepsProbesShort) {
         << stats.probeSteps << " probe steps over " << stats.lookups << " lookups";
 }
 
-// --- MatrixDdStore ---------------------------------------------------------
+// --- operator diagrams on a DdNodeStore --------------------------------------
 
-TEST(MatrixDdStore, SharedStoreCrossesDiagramBoundaries) {
+TEST(DdNodeStore, SharedOperatorStoreCrossesDiagramBoundaries) {
     const Dimensions dims{3, 2};
     Rng rng(7);
     const StateVector target = states::random(dims, rng);
@@ -431,14 +431,14 @@ TEST(MatrixDdStore, SharedStoreCrossesDiagramBoundaries) {
     lean.emitIdentityOperations = false;
     const auto prep = prepareExact(target, lean);
 
-    const auto store = std::make_shared<MatrixDdStore>();
+    const auto store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning);
     const MatrixDD a = MatrixDD::fromCircuit(prep.circuit, Tolerance::kDefault, store);
     const std::size_t afterFirst = store->size();
     const MatrixDD b = MatrixDD::fromCircuit(prep.circuit, Tolerance::kDefault, store);
 
     // The identical circuit recompiles without allocating a single node...
     EXPECT_EQ(store->size(), afterFirst);
-    EXPECT_GT(store->uniqueStats().hits, 0U);
+    EXPECT_GT(store->uniqueTable()->stats().hits, 0U);
     // ...lands on the same canonical root, and the equivalence check
     // short-circuits on root identity.
     EXPECT_EQ(a.root().node, b.root().node);

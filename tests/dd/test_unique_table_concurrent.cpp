@@ -1,18 +1,24 @@
 // Concurrency stress tests for the sharded uniquing table, the chunked
-// node pool, and the striped compute cache (dd/unique_table.{hpp,cpp}).
+// node pool, and the striped compute cache (dd/unique_table.{hpp,cpp}),
+// and for operator diagrams compiled concurrently onto one store.
 // These run threads through parallel::runOnThreads — plain std::threads
 // behind a start barrier, bypassing the TaskPool's one-region-at-a-time
 // submission — so the findOrInsert/store/lookup bodies genuinely overlap.
 // The suite is part of the TSan CI job: the assertions below check the
 // uniquing invariants, TSan checks the memory orderings.
 
+#include "common/random_circuit.hpp"
 #include "mqsp/dd/unique_table.hpp"
+#include "mqsp/mdd/matrix_dd.hpp"
+#include "mqsp/states/states.hpp"
 #include "mqsp/support/parallel.hpp"
+#include "mqsp/synth/synthesizer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace mqsp {
@@ -48,7 +54,7 @@ TEST(ConcurrentUniqueTable, OverlappingKeySetsYieldOneRefPerDistinctKey) {
     // Post-hoc scan: the pool holds the terminal plus exactly one node per
     // distinct key, the table one entry per key.
     EXPECT_EQ(store.size(), static_cast<std::size_t>(kKeys) + 1);
-    EXPECT_EQ(store.uniqueTable().size(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(store.uniqueTable()->size(), static_cast<std::size_t>(kKeys));
     for (NodeRef k = 0; k < kKeys; ++k) {
         for (unsigned thread = 1; thread < kThreads; ++thread) {
             ASSERT_EQ(got[thread][k], got[0][k]) << "key " << k << " thread " << thread;
@@ -61,21 +67,20 @@ TEST(ConcurrentUniqueTable, OverlappingKeySetsYieldOneRefPerDistinctKey) {
     // Per-shard key sets are thread-count invariant, so so are the summed
     // counters: every thread's every call was one lookup, and each key
     // missed exactly once.
-    const dd::UniqueTableStats stats = store.uniqueTable().stats();
+    const dd::UniqueTableStats stats = store.uniqueTable()->stats();
     EXPECT_EQ(stats.lookups, static_cast<std::uint64_t>(kThreads) * kKeys);
     EXPECT_EQ(stats.misses, kKeys);
     EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1) * kKeys);
 }
 
 TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
-    // Small initial capacity + enough keys to force several per-shard
-    // rehashes while other threads are probing the same shard. Entries
+    // Enough keys to force several per-shard rehashes from the 16-slot
+    // start while other threads are probing the same shard. Entries
     // recorded before a grow must survive it (canonical refs stable).
     constexpr unsigned kThreads = 4;
     constexpr NodeRef kKeys = 3000;
 
-    dd::UniqueTable table(kTol, /*initialCapacity=*/16,
-                          dd::UniqueTable::Concurrency::Sharded);
+    dd::UniqueTable table(kTol);
     std::atomic<NodeRef> nextRef{1};
     std::vector<std::vector<NodeRef>> got(kThreads, std::vector<NodeRef>(kKeys, kNoNode));
     parallel::runOnThreads(kThreads, [&](unsigned thread) {
@@ -104,6 +109,42 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
             ASSERT_EQ(got[thread][k], canonical) << "key " << k << " thread " << thread;
         }
     }
+}
+
+TEST(ConcurrentUniqueTable, OperatorDiagramsInternOncePerKey) {
+    // DdBackend compiles the circuits of concurrent batch items onto one
+    // shared operator store. Four threads compile the same circuits here:
+    // each distinct operator node must be created once, every thread must
+    // land on the same canonical roots, and the store must end up exactly
+    // as a single-threaded compile leaves it.
+    constexpr unsigned kThreads = 4;
+    Rng rng(29);
+    const std::vector<Circuit> circuits{
+        prepareExact(states::random({3, 4, 2}, rng)).circuit,
+        prepareExact(states::wState({2, 3, 2, 3})).circuit,
+        randomAllKindCircuit({3, 2, 4}, 60, 5),
+    };
+    const auto compileAll = [&circuits](const std::shared_ptr<dd::DdNodeStore>& store) {
+        std::vector<NodeRef> roots;
+        for (const Circuit& circuit : circuits) {
+            roots.push_back(MatrixDD::fromCircuit(circuit, kTol, store).root().node);
+        }
+        return roots;
+    };
+
+    const auto serial = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, kTol);
+    (void)compileAll(serial);
+    const auto shared = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, kTol);
+    std::vector<std::vector<NodeRef>> roots(kThreads);
+    parallel::runOnThreads(kThreads,
+                           [&](unsigned thread) { roots[thread] = compileAll(shared); });
+
+    for (unsigned thread = 1; thread < kThreads; ++thread) {
+        EXPECT_EQ(roots[thread], roots[0]) << "thread " << thread;
+    }
+    EXPECT_EQ(shared->size(), serial->size());
+    EXPECT_EQ(shared->uniqueTable()->stats().misses, serial->uniqueTable()->stats().misses);
+    EXPECT_EQ(shared->uniqueTable()->size(), serial->size() - 1); // the terminal is no key
 }
 
 // --- chunked pool ----------------------------------------------------------

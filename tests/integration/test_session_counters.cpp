@@ -197,7 +197,7 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
         // garbageCollect on a private tree by hand.
         DecisionDiagram approximated = tree;
         const ApproximationReport report =
-            approximate(approximated, ApproximationOptions{0.9, true, Tolerance::kDefault});
+            approximate(approximated, ApproximationOptions{0.9, Tolerance::kDefault});
         digest.add(static_cast<std::uint64_t>(report.mergedNodes));
         addDiagram(digest, approximated);
         DecisionDiagram reduced = DecisionDiagram::wState(dims);
@@ -207,13 +207,13 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
         addDiagram(digest, reduced);
 
         // An operator DD compiled twice on one shared store.
-        const auto store = std::make_shared<MatrixDdStore>();
+        const auto store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning);
         const Circuit circuit = prepareExact(states::random(dims, rng)).circuit;
         const MatrixDD first = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
         const MatrixDD second = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
         digest.add(static_cast<std::uint64_t>(second.root().node == first.root().node));
         digest.add(static_cast<std::uint64_t>(store->size()));
-        addUnique(digest, store->uniqueStats());
+        addUnique(digest, store->uniqueTable()->stats());
 
         const dd::DdSessionStats stats = session.stats();
         sessionLookups += stats.unique.lookups;

@@ -55,6 +55,24 @@ TEST(ExecutionConfig, ResolveReadsEnvironment) {
     EXPECT_THROW((void)resolveThreadCount(0), InvalidArgumentError);
     ::setenv("MQSP_THREADS", "-2", 1);
     EXPECT_THROW((void)resolveThreadCount(0), InvalidArgumentError);
+    // A count is parsed whole and refused past kMaxThreads, not narrowed
+    // to unsigned (which would read 4294967297 as 1 and 5000000000 as
+    // 705032704 workers). Only resolveThreadCount runs here: no such count
+    // reaches a pool.
+    ::setenv("MQSP_THREADS", "1024", 1);
+    EXPECT_EQ(resolveThreadCount(0), kMaxThreads);
+    for (const char* text : {"+3", " 3", "3 ", "1025", "4294967297", "5000000000"}) {
+        ::setenv("MQSP_THREADS", text, 1);
+        EXPECT_THROW((void)resolveThreadCount(0), InvalidArgumentError) << "'" << text << "'";
+    }
+    ::setenv("MQSP_THREADS", "5000000000", 1);
+    try {
+        (void)resolveThreadCount(0);
+        ADD_FAILURE() << "expected InvalidArgumentError";
+    } catch (const InvalidArgumentError& error) {
+        EXPECT_STREQ(error.what(),
+                     "MQSP_THREADS expects a thread count of at most 1024, got '5000000000'");
+    }
     if (saved != nullptr) {
         ::setenv("MQSP_THREADS", savedValue.c_str(), 1);
     } else {

@@ -1,9 +1,11 @@
 #include "mqsp/support/parse.hpp"
 
+#include "common/counting_new.hpp"
 #include "mqsp/support/error.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <limits>
 #include <string>
 
@@ -114,6 +116,25 @@ TEST(ParseRealThrowing, SuccessAndErrorMessage) {
         EXPECT_NE(what.find("expects a number"), std::string::npos) << what;
         EXPECT_NE(what.find("'half'"), std::string::npos) << what;
     }
+}
+
+TEST(ParseThrowing, PassingParsesAllocateNothing) {
+    // The refusal message is built only on the throwing path, so a field
+    // that parses costs no allocation, however long its context.
+    const std::string text = "123456789";
+    const std::size_t before = counting_new::allocations;
+    std::uint64_t sum = 0;
+    double total = 0.0;
+    for (int i = 0; i < 100; ++i) {
+        sum += parse::uint64(text, "DecisionDiagram::deserialize: edge reference");
+        sum += parse::uint64("42", "--shots");
+        total += parse::real("0.98", "--approx");
+        total += parse::real("-1.5e-3", "parseCircuitJsonLines: value for key 'theta'");
+    }
+    const std::size_t allocations = counting_new::allocations - before;
+    EXPECT_EQ(allocations, 0U);
+    EXPECT_EQ(sum, std::uint64_t{100} * (123456789 + 42));
+    EXPECT_NEAR(total, 100 * (0.98 - 1.5e-3), 1e-9);
 }
 
 } // namespace

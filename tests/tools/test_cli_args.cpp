@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace mqsp::cli {
@@ -82,6 +84,35 @@ TEST(CliArgs, DoubleRejectsTrailingGarbage) {
     Args args({"--approx", "0.98x"});
     EXPECT_THROW((void)argDouble(args.argc(), args.argv(), "--approx", 1.0),
                  mqsp::InvalidArgumentError);
+}
+
+TEST(CliArgs, ThreadsAcceptsCountsUpToTheCapAndRefusesTheRest) {
+    for (const auto& [text, threads] :
+         {std::pair<const char*, unsigned>{"0", 0U}, {"4", 4U}, {"1024", 1024U}}) {
+        Args args({"--threads", text});
+        EXPECT_EQ(argThreads(args.argc(), args.argv()), threads) << text;
+    }
+    Args absent({"--qasm"});
+    EXPECT_EQ(argThreads(absent.argc(), absent.argv()), 0U);
+    // A count past the cap is refused, not narrowed to unsigned (which
+    // would read 5000000000 as 705032704 workers and 4294967297 as 1).
+    // Only argThreads runs here: no such count reaches a pool.
+    for (const char* text : {"1025", "4294967297", "5000000000"}) {
+        Args args({"--threads", text});
+        try {
+            (void)argThreads(args.argc(), args.argv());
+            ADD_FAILURE() << "expected mqsp::InvalidArgumentError for " << text;
+        } catch (const mqsp::InvalidArgumentError& error) {
+            EXPECT_EQ(std::string(error.what()),
+                      std::string("--threads expects a thread count of at most 1024, got '") +
+                          text + "'");
+        }
+    }
+    for (const char* text : {"+3", " 3", "-1", "", "3x"}) {
+        Args args({"--threads", text});
+        EXPECT_THROW((void)argThreads(args.argc(), args.argv()), mqsp::InvalidArgumentError)
+            << "'" << text << "'";
+    }
 }
 
 } // namespace

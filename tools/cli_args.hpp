@@ -59,11 +59,12 @@ inline double argDouble(int argc, char** argv, const std::string& flag, double f
     return parse::real(*text, flag);
 }
 
-/// Parse `--threads N` (0 or absent = automatic). Shared by the CLI tools
-/// and the bench harness so the flag spells and validates identically
-/// everywhere.
+/// Parse `--threads N` (0 or absent = automatic; at most
+/// parallel::kMaxThreads). Shared by the CLI tools and the bench harness so
+/// the flag spells and validates identically everywhere.
 inline unsigned argThreads(int argc, char** argv) {
-    return static_cast<unsigned>(argUint(argc, argv, "--threads", 0));
+    const auto text = argValue(argc, argv, "--threads");
+    return text ? parallel::parseThreadCount(*text, "--threads") : 0;
 }
 
 /// Resolve and install the process-wide worker-thread count: `--threads N`

@@ -25,18 +25,19 @@
 #include "mqsp/opt/optimizer.hpp"
 #include "mqsp/sim/backend.hpp"
 #include "mqsp/sim/density_simulator.hpp"
+#include "mqsp/states/family.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parse.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace {
@@ -75,13 +76,6 @@ void usage() {
 )");
 }
 
-/// Default Dicke excitation weight for a bare `--state dicke`: 2 keeps the
-/// term count (and therefore the synthesized circuit) quadratic in the
-/// register size, so the family stays usable on 10^8-amplitude registers.
-std::uint64_t defaultDickeWeight(const Dimensions& dims) {
-    return std::min<std::uint64_t>(2, states::maxDickeWeight(dims));
-}
-
 StateVector loadAmplitudes(const Dimensions& dims, const std::string& path) {
     std::ifstream in(path);
     requireThat(in.good(), "cannot open amplitude file: " + path);
@@ -96,121 +90,43 @@ StateVector loadAmplitudes(const Dimensions& dims, const std::string& path) {
     return state;
 }
 
-/// A parsed `--state` spec: the family plus its optional `=<n>` parameter
-/// (dicke weight / cyclic shift count), resolved against the register once
-/// so every consumer agrees on the interpretation.
-struct StateSpec {
-    enum class Family { Ghz, W, EmbW, Uniform, Random, Dicke, Cyclic };
-
-    Family family = Family::Ghz;
-    std::uint64_t parameter = 0; ///< dicke weight or cyclic count
-
-    /// DD-native builder exists (everything except random)?
-    [[nodiscard]] bool hasDiagramBuilder() const {
-        return family != Family::Random;
+/// Parse `--state <name>[=<n>]`: a family name, with an optional weight
+/// (dicke=<w>) or shift count (cyclic=<n>) overriding the family default;
+/// `seed` is the random family's.
+states::FamilySpec parseStateSpec(const std::string& name, const Dimensions& dims,
+                                  std::uint64_t seed) {
+    const std::size_t equals = name.find('=');
+    const std::optional<states::Family> family =
+        states::familyNamed(std::string_view(name).substr(0, equals));
+    const bool takesValue =
+        family == states::Family::Dicke || family == states::Family::Cyclic;
+    if (!family || (equals != std::string::npos && !takesValue)) {
+        detail::throwInvalidArgument("unknown state '" + name + "'");
     }
-
-    /// Native form is a DAG, not a tree (uniform's shared chain, dicke's
-    /// (site, weight) lattice, cyclic's shift-set sharing): the
-    /// approximation pass needs a tree, so these fall back to the dense
-    /// constructor under --approx.
-    [[nodiscard]] bool isDagOnly() const {
-        return family == Family::Uniform || family == Family::Dicke ||
-               family == Family::Cyclic;
+    states::FamilySpec spec = states::defaultSpec(*family, dims);
+    spec.seed = seed;
+    if (equals == std::string::npos) {
+        return spec;
     }
-};
-
-StateSpec parseStateSpec(const std::string& name, const Dimensions& dims) {
-    if (name == "ghz") {
-        return {StateSpec::Family::Ghz, 0};
-    }
-    if (name == "w") {
-        return {StateSpec::Family::W, 0};
-    }
-    if (name == "embw") {
-        return {StateSpec::Family::EmbW, 0};
-    }
-    if (name == "uniform") {
-        return {StateSpec::Family::Uniform, 0};
-    }
-    if (name == "random") {
-        return {StateSpec::Family::Random, 0};
-    }
-    if (name == "dicke") {
-        return {StateSpec::Family::Dicke, defaultDickeWeight(dims)};
-    }
-    if (name.rfind("dicke=", 0) == 0) {
+    const std::string_view value = std::string_view(name).substr(equals + 1);
+    if (*family == states::Family::Dicke) {
         // Strict parse: "dicke=junk" and "dicke=-1" must fail with a named
         // error, not a bare stoull exception or a wrapped huge weight; the
         // weight is then range-checked against the register's maximum
         // excitation count, mirroring the cyclic= bounds check below.
-        const std::uint64_t weight = parse::uint64(name.substr(6), "--state dicke=<weight>");
+        spec.weight = parse::uint64(value, "--state dicke=<weight>");
         const std::uint64_t maxWeight = states::maxDickeWeight(dims);
-        requireThat(weight <= maxWeight,
+        requireThat(spec.weight <= maxWeight,
                     "dicke=<weight> needs a weight in [0, " + std::to_string(maxWeight) +
                         "] for this register (sum of dim_i - 1), got " +
-                        std::to_string(weight));
-        return {StateSpec::Family::Dicke, weight};
+                        std::to_string(spec.weight));
+        return spec;
     }
-    if (name == "cyclic") {
-        return {StateSpec::Family::Cyclic, states::distinctCyclicShifts(dims)};
-    }
-    if (name.rfind("cyclic=", 0) == 0) {
-        const std::uint64_t count = parse::uint64(name.substr(7), "--state cyclic=<count>");
-        requireThat(count >= 1 && count <= std::numeric_limits<std::uint32_t>::max(),
-                    "cyclic=<count> needs a count in [1, 2^32)");
-        return {StateSpec::Family::Cyclic, count};
-    }
-    detail::throwInvalidArgument("unknown state '" + name + "'");
-}
-
-StateVector makeNamedState(const StateSpec& spec, const Dimensions& dims,
-                           std::uint64_t seed) {
-    switch (spec.family) {
-    case StateSpec::Family::Ghz:
-        return states::ghz(dims);
-    case StateSpec::Family::W:
-        return states::wState(dims);
-    case StateSpec::Family::EmbW:
-        return states::embeddedWState(dims);
-    case StateSpec::Family::Uniform:
-        return states::uniform(dims);
-    case StateSpec::Family::Random: {
-        Rng rng(seed);
-        return states::random(dims, rng);
-    }
-    case StateSpec::Family::Dicke:
-        return states::dicke(dims, spec.parameter);
-    case StateSpec::Family::Cyclic:
-        return states::cyclic(dims, Digits(dims.size(), 0),
-                              static_cast<std::uint32_t>(spec.parameter));
-    }
-    detail::throwInternal("makeNamedState: unhandled family");
-}
-
-/// Build the target as a diagram — on the backend's DD session when one is
-/// given (hash-consed into the shared store, so the verification replay
-/// later hits the very nodes built here), else on a private store.
-DecisionDiagram buildNamedDiagram(const StateSpec& spec, const Dimensions& dims,
-                                  const dd::DdSession* session) {
-    switch (spec.family) {
-    case StateSpec::Family::Ghz:
-        return DecisionDiagram::ghzState(dims, session);
-    case StateSpec::Family::W:
-        return DecisionDiagram::wState(dims, session);
-    case StateSpec::Family::EmbW:
-        return DecisionDiagram::embeddedWState(dims, session);
-    case StateSpec::Family::Uniform:
-        return DecisionDiagram::uniformState(dims, session);
-    case StateSpec::Family::Dicke:
-        return DecisionDiagram::dickeState(dims, spec.parameter, session);
-    case StateSpec::Family::Cyclic:
-        return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0),
-                                            static_cast<std::uint32_t>(spec.parameter), session);
-    case StateSpec::Family::Random:
-        break;
-    }
-    detail::throwInvalidArgument("no diagram builder for a random state");
+    const std::uint64_t count = parse::uint64(value, "--state cyclic=<count>");
+    requireThat(count >= 1 && count <= std::numeric_limits<std::uint32_t>::max(),
+                "cyclic=<count> needs a count in [1, 2^32)");
+    spec.count = static_cast<std::uint32_t>(count);
+    return spec;
 }
 
 } // namespace
@@ -240,10 +156,12 @@ int main(int argc, char** argv) {
         // Does the dd pipeline have a native diagram builder for this
         // target? (The DAG-form builders — uniform, dicke, cyclic — are not
         // usable under --approx: the approximation pass needs a tree.)
-        const std::optional<StateSpec> stateSpec =
-            amplitudePath ? std::nullopt
-                          : std::optional<StateSpec>(parseStateSpec(*stateName, dims));
-        const bool hasNativeDiagram = stateSpec && stateSpec->hasDiagramBuilder() &&
+        const std::optional<states::FamilySpec> stateSpec =
+            amplitudePath
+                ? std::nullopt
+                : std::optional<states::FamilySpec>(parseStateSpec(*stateName, dims, seed));
+        const bool hasNativeDiagram = stateSpec &&
+                                      stateSpec->family != states::Family::Random &&
                                       !(approx && stateSpec->isDagOnly());
 
         const std::string backendSpec =
@@ -276,7 +194,7 @@ int main(int argc, char** argv) {
                             " — use --backend dd");
             const StateVector state = amplitudePath
                                           ? loadAmplitudes(dims, *amplitudePath)
-                                          : makeNamedState(*stateSpec, dims, seed);
+                                          : states::makeDenseState(*stateSpec, dims);
             result = approx ? prepareApproximated(state, threshold, options)
                             : prepareExact(state, options);
             target = EvalState(state);
@@ -293,8 +211,7 @@ int main(int argc, char** argv) {
             const auto session = backend->ddSession();
             DecisionDiagram diagram;
             if (hasNativeDiagram) {
-                diagram = buildNamedDiagram(*stateSpec, dims,
-                                            approx ? nullptr : session.get());
+                diagram = states::makeDiagram(*stateSpec, dims, approx ? nullptr : session.get());
             }
             if (diagram.rootNode() == kNoNode) {
                 requireThat(radix.totalDimension() <= kDenseBackendCeiling,
@@ -311,7 +228,7 @@ int main(int argc, char** argv) {
                                       "with --backend dd on registers this large");
                 const StateVector state = amplitudePath
                                               ? loadAmplitudes(dims, *amplitudePath)
-                                              : makeNamedState(*stateSpec, dims, seed);
+                                              : states::makeDenseState(*stateSpec, dims);
                 diagram = DecisionDiagram::fromStateVector(state, options.tolerance);
             }
             target = EvalState(diagram); // pre-approximation copy: the verify target
