@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace mqsp {
 
@@ -107,17 +108,25 @@ std::vector<Control> extractControls(const std::string& line) {
         if (line[cursor] == '[') {
             const auto comma = line.find(',', cursor);
             const auto close = line.find(']', cursor);
-            requireThat(comma != std::string::npos && close != std::string::npos &&
-                            comma < close,
-                        "parseCircuitJsonLines: malformed control pair in: " +
-                            parse::clipForMessage(line));
+            if (comma == std::string::npos || close == std::string::npos || comma > close) {
+                detail::throwInvalidArgument("parseCircuitJsonLines: malformed control pair in: " +
+                                             parse::clipForMessage(line));
+            }
+            // Both fields parse in place; the message is built only to throw.
+            const std::string_view view(line);
+            const auto field = [&](std::size_t from, std::size_t to) {
+                const std::string_view text = view.substr(from, to - from);
+                const auto value = parse::tryUint64(text);
+                if (!value) {
+                    parse::refuse("parseCircuitJsonLines: control pair in: " +
+                                      parse::clipForMessage(line),
+                                  "a non-negative integer", text);
+                }
+                return *value;
+            };
             Control ctrl;
-            const std::string context =
-                "parseCircuitJsonLines: control pair in: " + parse::clipForMessage(line);
-            ctrl.qudit = static_cast<std::size_t>(
-                parse::uint64(line.substr(cursor + 1, comma - cursor - 1), context));
-            ctrl.level = static_cast<Level>(
-                parse::uint64(line.substr(comma + 1, close - comma - 1), context));
+            ctrl.qudit = static_cast<std::size_t>(field(cursor + 1, comma));
+            ctrl.level = static_cast<Level>(field(comma + 1, close));
             controls.push_back(ctrl);
             cursor = close + 1;
         } else {

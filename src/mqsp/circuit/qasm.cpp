@@ -3,7 +3,7 @@
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parse.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -220,9 +220,20 @@ public:
     }
 
 private:
+    // Character classes of the "C" locale, tested directly: the library
+    // never calls setlocale, and a locale lookup per character is the
+    // largest cost of scanning a statement.
+    [[nodiscard]] static bool isSpace(char ch) noexcept {
+        return ch == ' ' || (ch >= '\t' && ch <= '\r');
+    }
+    [[nodiscard]] static bool isDigit(char ch) noexcept { return ch >= '0' && ch <= '9'; }
+    [[nodiscard]] static bool isWordChar(char ch) noexcept {
+        return isDigit(ch) || (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+               ch == '.' || ch == '_';
+    }
+
     void skipSpace() {
-        while (cursor_ < line_.size() &&
-               std::isspace(static_cast<unsigned char>(line_[cursor_])) != 0) {
+        while (cursor_ < line_.size() && isSpace(line_[cursor_])) {
             ++cursor_;
         }
     }
@@ -245,9 +256,7 @@ private:
     std::string_view word() {
         skipSpace();
         const std::size_t start = cursor_;
-        while (cursor_ < line_.size() &&
-               (std::isalnum(static_cast<unsigned char>(line_[cursor_])) != 0 ||
-                line_[cursor_] == '.' || line_[cursor_] == '_')) {
+        while (cursor_ < line_.size() && isWordChar(line_[cursor_])) {
             ++cursor_;
         }
         return line_.substr(start, cursor_ - start);
@@ -256,8 +265,7 @@ private:
     std::uint64_t integer() {
         skipSpace();
         const std::size_t start = cursor_;
-        while (cursor_ < line_.size() &&
-               std::isdigit(static_cast<unsigned char>(line_[cursor_])) != 0) {
+        while (cursor_ < line_.size() && isDigit(line_[cursor_])) {
             ++cursor_;
         }
         if (start == cursor_) {
@@ -310,8 +318,13 @@ private:
         return index;
     }
 
+    /// The control list after "ctl". Entries are comma-separated and the
+    /// statement holds no other comma, so the rest of the line bounds their
+    /// number: the list is reserved once.
     std::vector<Control> parseControls() {
         std::vector<Control> controls;
+        const std::string_view rest = line_.substr(cursor_);
+        controls.reserve(1 + static_cast<std::size_t>(std::count(rest.begin(), rest.end(), ',')));
         while (true) {
             const std::size_t qudit = site();
             expect('=', "control level");

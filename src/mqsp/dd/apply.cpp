@@ -286,7 +286,7 @@ void DecisionDiagram::applyOperation(const Operation& op) {
 
         /// Row r of the mixed target level, sum_c M(r, c) * edge_c, added
         /// over the non-zero coefficients in ascending column order.
-        WeightedEdge mixRow(const std::vector<DDEdge>& source, std::size_t r) {
+        WeightedEdge mixRow(std::span<const DDEdge> source, std::size_t r) {
             WeightedEdge acc;
             const auto term = [&](std::size_t c, const Complex& coefficient) {
                 if (coefficient == Complex{0.0, 0.0} || source[c].isZeroStub()) {

@@ -47,10 +47,6 @@ void DecisionDiagram::ensureStore(double tol) {
     }
 }
 
-NodeRef DecisionDiagram::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
-    return store_->allocate(site, std::move(edges));
-}
-
 NodeRef DecisionDiagram::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
     return store_->allocate(site, edges);
 }
@@ -60,9 +56,9 @@ const DDNode& DecisionDiagram::node(NodeRef ref) const {
     return store_->node(ref);
 }
 
-DDNode& DecisionDiagram::mutableNode(NodeRef ref) {
+std::span<DDEdge> DecisionDiagram::mutableEdges(NodeRef ref) {
     requireThat(store_ != nullptr, "DecisionDiagram::node: empty diagram");
-    return store_->mutableNode(ref);
+    return store_->mutableEdges(ref);
 }
 
 namespace {
@@ -154,7 +150,7 @@ DDEdge DecisionDiagram::buildTree(std::size_t site, const Complex* amps, std::ui
             edge.weight /= norm;
         }
     }
-    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), std::move(edges));
+    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), edges);
     return DDEdge{ref, Complex{norm, 0.0}};
 }
 
@@ -193,7 +189,7 @@ DDEdge DecisionDiagram::buildDenseTree(std::size_t site, const Complex* amps,
             edge.weight /= norm;
         }
     }
-    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), std::move(edges));
+    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), edges);
     return DDEdge{ref, Complex{norm, 0.0}};
 }
 

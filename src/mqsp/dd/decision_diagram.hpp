@@ -327,8 +327,7 @@ private:
     /// Make sure a store exists (fresh private one when default-constructed).
     void ensureStore(double tol = Tolerance::kDefault);
 
-    [[nodiscard]] DDNode& mutableNode(NodeRef ref);
-    NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
+    [[nodiscard]] std::span<DDEdge> mutableEdges(NodeRef ref);
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
     /// This diagram's reachable nodes rebuilt on `store` (nullptr -> a

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mqsp {
 
@@ -149,10 +150,8 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
         requireThat(site < dims.size(), "DecisionDiagram::deserialize: site out of range");
         requireThat(numEdges == dims[site],
                     "DecisionDiagram::deserialize: edge count does not match dimension");
-        DDNode n;
-        n.site = site;
-        n.edges.resize(numEdges);
-        for (auto& edge : n.edges) {
+        std::vector<DDEdge> edges(numEdges);
+        for (auto& edge : edges) {
             std::string refText;
             double re = 0.0;
             double im = 0.0;
@@ -166,7 +165,7 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
                               Complex{re, im}, pruned != 0};
             }
         }
-        (void)dd.allocate(n.site, std::move(n.edges));
+        (void)dd.allocate(site, edges);
     }
     detail::throwInvalidArgument("DecisionDiagram::deserialize: missing end line");
 }

@@ -72,7 +72,7 @@ DecisionDiagram DecisionDiagram::basisState(const Dimensions& dims, const Digits
                     "DecisionDiagram::basisState: digit exceeds dimension");
         std::vector<DDEdge> edges(dim);
         edges[digits[site]] = DDEdge{below, Complex{1.0, 0.0}};
-        below = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+        below = dd.allocate(static_cast<std::uint32_t>(site), edges);
     }
     dd.root_ = below;
     dd.rootWeight_ = Complex{1.0, 0.0};
@@ -94,11 +94,11 @@ DecisionDiagram DecisionDiagram::ghzState(const Dimensions& dims, const dd::DdSe
         for (std::size_t site = n; site-- > 1;) {
             std::vector<DDEdge> edges(dd.radix_.dimensionAt(site));
             edges[k] = DDEdge{below, Complex{1.0, 0.0}};
-            below = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+            below = dd.allocate(static_cast<std::uint32_t>(site), edges);
         }
         rootEdges[k] = DDEdge{below, Complex{branchWeight, 0.0}};
     }
-    dd.root_ = dd.allocate(0, std::move(rootEdges));
+    dd.root_ = dd.allocate(0, rootEdges);
     dd.rootWeight_ = Complex{1.0, 0.0};
     return dd;
 }
@@ -127,7 +127,7 @@ DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embed
         for (std::size_t s = n; s-- > site;) {
             std::vector<DDEdge> edges(dd.radix_.dimensionAt(s));
             edges[0] = DDEdge{below, Complex{1.0, 0.0}};
-            below = dd.allocate(static_cast<std::uint32_t>(s), std::move(edges));
+            below = dd.allocate(static_cast<std::uint32_t>(s), edges);
         }
         return below;
     };
@@ -148,7 +148,7 @@ DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embed
         for (Dimension l = 1; l <= levels; ++l) {
             edges[l] = DDEdge{zeroChain(site + 1), Complex{excitationWeight, 0.0}};
         }
-        spine = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+        spine = dd.allocate(static_cast<std::uint32_t>(site), edges);
     }
     dd.root_ = spine;
     dd.rootWeight_ = Complex{1.0, 0.0};
@@ -178,7 +178,7 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims,
         for (Dimension k = 0; k < dim; ++k) {
             edges[k] = DDEdge{below, Complex{weight, 0.0}};
         }
-        below = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+        below = dd.allocate(static_cast<std::uint32_t>(site), edges);
     }
     dd.root_ = below;
     dd.rootWeight_ = Complex{1.0, 0.0};
@@ -263,7 +263,7 @@ DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digit
                 }
                 edges[v] = DDEdge{below[child], Complex{weight, 0.0}};
             }
-            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), edges);
         }
         below = std::move(refs);
     }
@@ -349,7 +349,7 @@ DecisionDiagram DecisionDiagram::dickeState(const Dimensions& dims, std::uint64_
                 const double edgeWeight = std::sqrt(static_cast<double>(belowCount) / total);
                 edges[level] = DDEdge{below[childIndex[w - level]], Complex{edgeWeight, 0.0}};
             }
-            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), std::move(edges));
+            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), edges);
         }
         below = std::move(refs);
     }

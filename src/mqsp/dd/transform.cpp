@@ -5,15 +5,16 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 namespace mqsp {
 
 void DecisionDiagram::cutEdge(NodeRef parent, std::size_t edgeIndex) {
-    DDNode& n = mutableNode(parent);
-    requireThat(!n.isTerminal(), "DecisionDiagram::cutEdge: cannot cut terminal edges");
-    requireThat(edgeIndex < n.edges.size(), "DecisionDiagram::cutEdge: edge index out of range");
-    n.edges[edgeIndex] = DDEdge{kNoNode, Complex{0.0, 0.0}, /*pruned=*/true};
+    const std::span<DDEdge> edges = mutableEdges(parent);
+    requireThat(!node(parent).isTerminal(), "DecisionDiagram::cutEdge: cannot cut terminal edges");
+    requireThat(edgeIndex < edges.size(), "DecisionDiagram::cutEdge: edge index out of range");
+    edges[edgeIndex] = DDEdge{kNoNode, Complex{0.0, 0.0}, /*pruned=*/true};
 }
 
 void DecisionDiagram::cutRoot() {
@@ -38,10 +39,10 @@ void DecisionDiagram::renormalize(double tol) {
         if (const auto it = factor.find(ref); it != factor.end()) {
             return it->second;
         }
-        auto& n = mutableNode(ref);
+        const std::span<DDEdge> edges = mutableEdges(ref);
         double sumSquares = 0.0;
         bool any = false;
-        for (auto& edge : n.edges) {
+        for (auto& edge : edges) {
             if (edge.isZeroStub()) {
                 continue;
             }
@@ -59,7 +60,7 @@ void DecisionDiagram::renormalize(double tol) {
         double result = -1.0;
         if (any) {
             const double norm = std::sqrt(sumSquares);
-            for (auto& edge : n.edges) {
+            for (auto& edge : edges) {
                 if (!edge.isZeroStub()) {
                     edge.weight /= norm;
                 }
@@ -113,16 +114,16 @@ std::size_t DecisionDiagram::reduce(double tol) {
         if (const auto it = canonical.find(ref); it != canonical.end()) {
             return it->second;
         }
-        auto& n = mutableNode(ref);
-        for (auto& edge : n.edges) {
+        const std::span<DDEdge> edges = mutableEdges(ref);
+        for (auto& edge : edges) {
             if (!edge.isZeroStub()) {
                 edge.node = visit(edge.node);
             }
         }
         // The node itself becomes canonical when no twin was seen before.
-        const auto keepSelf = [ref] { return ref; };
-        const NodeRef merged =
-            unique.findOrInsert(n.site, n.edges, dd::detail::MakeNodeFnRef(keepSelf));
+        const auto keepSelf = [ref](std::size_t /*shard*/) { return ref; };
+        const NodeRef merged = unique.findOrInsert(node(ref).site, edges,
+                                                   dd::detail::MakeNodeFnRef(keepSelf));
         canonical.emplace(ref, merged);
         return merged;
     };

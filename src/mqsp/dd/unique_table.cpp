@@ -7,10 +7,148 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <unordered_set>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MQSP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MQSP_ASAN 1
+#endif
+#endif
+#if defined(MQSP_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace mqsp::dd {
+
+// --- spare blocks ----------------------------------------------------------
+
+namespace {
+
+void poison([[maybe_unused]] void* block, [[maybe_unused]] std::size_t bytes) noexcept {
+#if defined(MQSP_ASAN)
+    __asan_poison_memory_region(block, bytes);
+#endif
+}
+
+void unpoison([[maybe_unused]] void* block, [[maybe_unused]] std::size_t bytes) noexcept {
+#if defined(MQSP_ASAN)
+    __asan_unpoison_memory_region(block, bytes);
+#endif
+}
+
+struct SpareList;
+
+/// The 16 bytes in front of every block: the list of the thread that took
+/// it, and the link while it waits on that list.
+struct BlockHeader {
+    SpareList* owner;
+    BlockHeader* next;
+};
+static_assert(sizeof(BlockHeader) == 16, "blocks stay 16-byte aligned");
+
+[[nodiscard]] BlockHeader* headerOf(void* block) noexcept {
+    return static_cast<BlockHeader*>(block) - 1;
+}
+
+/// One thread's retired blocks, binned by exact size (each bin a LIFO list
+/// linked through the block headers). Trivially destructible, so it stays
+/// readable while other thread-locals and statics are destroyed;
+/// `SpareReaper` frees the blocks at thread exit and closes the list.
+struct SpareList {
+    struct Bin {
+        std::size_t bytes = 0;
+        BlockHeader* head = nullptr;
+    };
+    /// Distinct block sizes kept: pool blocks double, edge blocks have one
+    /// size (or one per operator arity past a block), caches one per slot
+    /// count. A block whose size no bin holds while every bin is taken is
+    /// freed.
+    static constexpr std::size_t kBins = 32;
+
+    std::array<Bin, kBins> bins{};
+    detail::SpareBlockStats stats{};
+    bool closed = false;
+};
+thread_local SpareList tlsSpare;
+
+struct SpareReaper {
+    SpareReaper() = default;
+    SpareReaper(const SpareReaper&) = delete;
+    SpareReaper& operator=(const SpareReaper&) = delete;
+    ~SpareReaper() {
+        for (SpareList::Bin& bin : tlsSpare.bins) {
+            while (bin.head != nullptr) {
+                BlockHeader* header = bin.head;
+                bin.head = header->next;
+                unpoison(header + 1, bin.bytes);
+                ::operator delete(header);
+            }
+        }
+        tlsSpare.stats.heldBytes = 0;
+        tlsSpare.closed = true;
+    }
+};
+
+} // namespace
+
+void* detail::takeBlock(std::size_t bytes) {
+    SpareList& list = tlsSpare;
+    for (SpareList::Bin& bin : list.bins) {
+        if (bin.bytes == bytes && bin.head != nullptr) {
+            BlockHeader* header = bin.head;
+            bin.head = header->next;
+            unpoison(header + 1, bytes);
+            list.stats.heldBytes -= bytes;
+            ++list.stats.reused;
+            return header + 1;
+        }
+    }
+    ++list.stats.allocated;
+    auto* header = static_cast<BlockHeader*>(::operator new(sizeof(BlockHeader) + bytes));
+    header->owner = &list;
+    return header + 1;
+}
+
+void detail::retireBlock(void* block, std::size_t bytes) noexcept {
+    SpareList& list = tlsSpare;
+    BlockHeader* header = headerOf(block);
+    // Only the taking thread keeps a block: a thread that retires what
+    // others took (a serve GC collecting its workers' nodes) would hold
+    // blocks it never takes again.
+    if (header->owner == &list && !list.closed &&
+        list.stats.heldBytes + bytes <= kSpareBlockCapBytes) {
+        // Registers the thread-exit cleanup with the first retired block.
+        thread_local SpareReaper reaper;
+        SpareList::Bin* home = nullptr;
+        for (SpareList::Bin& bin : list.bins) {
+            if (bin.bytes == bytes) {
+                home = &bin;
+                break;
+            }
+            if (home == nullptr && bin.head == nullptr) {
+                home = &bin; // an empty bin, claimed unless one of this size follows
+            }
+        }
+        if (home != nullptr) {
+            home->bytes = bytes;
+            header->next = home->head;
+            home->head = header;
+            list.stats.heldBytes += bytes;
+            poison(block, bytes);
+            return;
+        }
+    }
+    ::operator delete(header);
+}
+
+detail::SpareBlockStats detail::spareBlockStats() noexcept {
+    return tlsSpare.stats;
+}
 
 // --- UniqueTable -----------------------------------------------------------
 
@@ -113,7 +251,8 @@ NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> ed
     const std::uint64_t hash = bucketKey(site, edges);
     const KeyEdge* key = scratchKey().data();
     const std::size_t arity = edges.size();
-    Shard& shard = shardOf(hash);
+    const std::size_t shardIndex = shardIndexOf(hash);
+    Shard& shard = shards_[shardIndex];
     const std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.stats.lookups;
     if (!shard.slots.empty()) {
@@ -133,7 +272,7 @@ NodeRef UniqueTable::findOrInsert(std::uint32_t site, std::span<const DDEdge> ed
     ++shard.stats.misses;
     // Allocate under the shard lock and record the key before the lock is
     // released, so the next prober of this key sees the canonical entry.
-    const NodeRef value = makeFresh();
+    const NodeRef value = makeFresh(shardIndex);
     insert(shard, hash, site, key, arity, value);
     return value;
 }
@@ -153,7 +292,7 @@ void UniqueTable::clear() {
 void UniqueTable::restoreCanonical(std::uint32_t site, std::span<const DDEdge> edges,
                                    NodeRef value) {
     const std::uint64_t hash = bucketKey(site, edges);
-    Shard& shard = shardOf(hash);
+    Shard& shard = shards_[shardIndexOf(hash)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
     insert(shard, hash, site, scratchKey().data(), edges.size(), value);
 }
@@ -206,6 +345,12 @@ ComputeCache::ComputeCache(double tolerance, std::size_t slots)
       stripeShift_(static_cast<unsigned>(std::countr_zero(slotCount_) -
                                          std::countr_zero(stripeCount_))) {}
 
+ComputeCache::~ComputeCache() {
+    if (entries_ != nullptr) {
+        detail::retireBlock(entries_, blockBytes());
+    }
+}
+
 bool ComputeCache::bucketRatio(const Complex& ratio, std::int64_t& re,
                                std::int64_t& im) const noexcept {
     const double scaledRe = ratio.real() / tolerance_;
@@ -242,12 +387,12 @@ void ComputeCache::ensureAllocated() {
     }
     const std::lock_guard<std::mutex> lock(allocMutex_);
     if (!allocated_.load(std::memory_order_relaxed)) {
-        entries_ = std::make_unique_for_overwrite<Entry[]>(slotCount_);
-        valid_ = std::make_unique<std::uint64_t[]>(
-            (slotCount_ + kSlotsPerWord - 1) / kSlotsPerWord);
-        stripes_ = std::make_unique<std::mutex[]>(stripeCount_);
-        // Release: the arrays are fully constructed before any thread that
-        // observes allocated_ == true dereferences them.
+        void* block = detail::takeBlock(blockBytes());
+        entries_ = static_cast<Entry*>(block);
+        valid_ = reinterpret_cast<std::uint64_t*>(entries_ + slotCount_);
+        std::uninitialized_fill_n(valid_, bitmapWords(), std::uint64_t{0});
+        // Release: the cleared bitmap is visible to any thread that
+        // observes allocated_ == true before it dereferences the arrays.
         allocated_.store(true, std::memory_order_release);
     }
 }
@@ -291,8 +436,8 @@ void ComputeCache::store(Op op, NodeRef x, NodeRef y, const Complex& ratio,
     bool evicted = false;
     {
         const std::lock_guard<std::mutex> lock(stripeOf(slot));
-        entries_[slot] = Entry{x,  y,  re, im, result.node, op, result.value.real(),
-                               result.value.imag()};
+        ::new (&entries_[slot]) Entry{x,  y,  re, im, result.node, op, result.value.real(),
+                                      result.value.imag()};
         evicted = markValid(slot);
     }
     if (evicted) {
@@ -315,7 +460,7 @@ std::uint64_t ComputeCache::compact(const std::vector<NodeRef>& remap) {
     };
     std::uint64_t evicted = 0;
     std::vector<Entry> survivors;
-    const std::size_t words = (slotCount_ + kSlotsPerWord - 1) / kSlotsPerWord;
+    const std::size_t words = bitmapWords();
     for (std::size_t w = 0; w < words; ++w) {
         // Ascending slot order, as the re-slotting below depends on it.
         for (std::uint64_t bits = valid_[w]; bits != 0; bits &= bits - 1) {
@@ -344,7 +489,7 @@ std::uint64_t ComputeCache::compact(const std::vector<NodeRef>& remap) {
         if (markValid(slot)) {
             ++evicted; // two survivors re-slotted to the same bucket
         }
-        entries_[slot] = survivor;
+        ::new (&entries_[slot]) Entry(survivor);
     }
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
     return evicted;
@@ -377,11 +522,20 @@ DdNodeStore::DdNodeStore(Mode mode, double tolerance)
 
 DdNodeStore::DdNodeStore(const DdNodeStore& other) : tolerance_(other.tolerance_) {
     // Only private stores are ever deep-copied (DecisionDiagram value
-    // semantics), and a private store is its nodes and its tolerance.
+    // semantics), and a private store is its nodes, its edges and its
+    // tolerance.
     requireThat(!other.interning(),
                 "DdNodeStore: deep copy of a session-shared store (session diagrams alias "
                 "their store instead)");
-    pool_.copyFrom(other.pool_);
+    const std::size_t count = other.size();
+    for (std::size_t ref = 0; ref < count; ++ref) {
+        const DDNode& node = other.pool_.at(static_cast<NodeRef>(ref));
+        pool_.append(DDNode{node.site, copyEdges(bump_, node.edges)});
+    }
+}
+
+DdNodeStore::~DdNodeStore() {
+    retireEdgeBlocks(edgeBlocks_);
 }
 
 const DDNode& DdNodeStore::node(NodeRef ref) const {
@@ -389,38 +543,64 @@ const DDNode& DdNodeStore::node(NodeRef ref) const {
     return pool_.at(ref);
 }
 
-DDNode& DdNodeStore::mutableNode(NodeRef ref) {
+std::span<DDEdge> DdNodeStore::mutableEdges(NodeRef ref) {
     requireThat(!interning(),
                 "DdNodeStore: in-place node mutation is forbidden on a session-shared "
                 "(interning) store — detach the diagram first");
     requireThat(ref < pool_.size(), "DecisionDiagram::node: invalid reference");
-    return pool_.at(ref);
-}
-
-NodeRef DdNodeStore::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
-    ensureThat(pool_.size() < kNoNode, "DecisionDiagram: node pool exhausted");
-    if (!interning()) {
-        return pool_.append(DDNode{site, std::move(edges)});
-    }
-    // Interning: the probe and the append are one step under the key's
-    // shard lock — `makeFresh` runs only on a genuine miss, so exactly one
-    // node is ever created per distinct structural key, however many batch
-    // items race on it, and a hit allocates nothing at all.
-    const auto makeFresh = [&]() -> NodeRef {
-        return pool_.append(DDNode{site, std::move(edges)});
-    };
-    return hashing_->table.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+    // The edges are this store's own (non-const) block memory; nodes view
+    // them as const only so that readers cannot write them.
+    const std::span<const DDEdge> edges = pool_.at(ref).edges;
+    return {const_cast<DDEdge*>(edges.data()), edges.size()};
 }
 
 NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
     ensureThat(pool_.size() < kNoNode, "DecisionDiagram: node pool exhausted");
-    const auto makeFresh = [&]() -> NodeRef {
-        return pool_.append(DDNode{site, std::vector<DDEdge>(edges.begin(), edges.end())});
-    };
     if (!interning()) {
-        return makeFresh();
+        return pool_.append(DDNode{site, copyEdges(bump_, edges)});
     }
+    // Interning: the probe and the append are one step under the key's
+    // shard lock — `makeFresh` runs only on a genuine miss, so exactly one
+    // node is ever created per distinct structural key, however many batch
+    // items race on it, and a hit writes nothing at all. The edges go to
+    // the shard's own cursor, which only this shard's lock guards.
+    const auto makeFresh = [&](std::size_t shard) -> NodeRef {
+        return pool_.append(DDNode{site, copyEdges(hashing_->cursors[shard], edges)});
+    };
     return hashing_->table.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+}
+
+std::span<DDEdge> DdNodeStore::copyEdges(EdgeCursor& cursor, std::span<const DDEdge> edges) {
+    const std::size_t count = edges.size();
+    if (count == 0) {
+        return {};
+    }
+    DDEdge* at = nullptr;
+    if (count > kEdgeBlockEdges) {
+        at = newEdgeBlock(count);
+    } else {
+        if (static_cast<std::size_t>(cursor.end - cursor.next) < count) {
+            cursor.next = newEdgeBlock(kEdgeBlockEdges);
+            cursor.end = cursor.next + kEdgeBlockEdges;
+        }
+        at = cursor.next;
+        cursor.next += count;
+    }
+    std::uninitialized_copy(edges.begin(), edges.end(), at);
+    return {at, count};
+}
+
+DDEdge* DdNodeStore::newEdgeBlock(std::size_t count) {
+    auto* edges = static_cast<DDEdge*>(detail::takeBlock(count * sizeof(DDEdge)));
+    const std::lock_guard<std::mutex> lock(blockMutex_);
+    edgeBlocks_.push_back(EdgeBlock{edges, count});
+    return edges;
+}
+
+void DdNodeStore::retireEdgeBlocks(const std::vector<EdgeBlock>& blocks) noexcept {
+    for (const EdgeBlock& block : blocks) {
+        detail::retireBlock(block.edges, block.count * sizeof(DDEdge));
+    }
 }
 
 std::vector<NodeRef> DdNodeStore::reachable(std::span<const NodeRef> roots) const {
@@ -484,32 +664,38 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
         }
     }
 
-    // Copy out the survivors with remapped edges, then rebuild the pool
-    // and the table over them. Interning made refs canonical, so the remap
+    // Copy the survivors' edges, remapped, into fresh blocks in the same
+    // order, then retire the old blocks whole and rebuild the pool and the
+    // table over the survivors. Interning made refs canonical, so the remap
     // is injective on survivors and no two keys collapse.
+    const std::vector<EdgeBlock> oldBlocks = std::exchange(edgeBlocks_, {});
+    hashing_->cursors.fill(EdgeCursor{});
+    bump_ = EdgeCursor{};
     std::vector<DDNode> kept;
     kept.reserve(next);
     for (std::size_t ref = 0; ref < before; ++ref) {
         if (live[ref] == 0) {
             continue;
         }
-        DDNode node = pool_.at(static_cast<NodeRef>(ref));
-        for (DDEdge& edge : node.edges) {
+        const DDNode& node = pool_.at(static_cast<NodeRef>(ref));
+        const std::span<DDEdge> edges = copyEdges(bump_, node.edges);
+        for (DDEdge& edge : edges) {
             if (!edge.isZeroStub()) {
                 edge.node = remapOut[edge.node];
             }
         }
-        kept.push_back(std::move(node));
+        kept.push_back(DDNode{node.site, edges});
     }
+    retireEdgeBlocks(oldBlocks);
     pool_.clear();
     hashing_->table.clear();
     for (std::size_t newRef = 0; newRef < kept.size(); ++newRef) {
-        DDNode& node = kept[newRef];
+        const DDNode& node = kept[newRef];
         if (newRef != 0) { // the terminal is not a table key
             hashing_->table.restoreCanonical(node.site, node.edges,
                                              static_cast<NodeRef>(newRef));
         }
-        pool_.append(std::move(node));
+        pool_.append(node);
     }
     stats.nodesAfter = pool_.size();
     stats.cacheEvicted = hashing_->cache.compact(remapOut);

@@ -11,8 +11,8 @@
 //  * a *private* store backs one diagram, appends nodes without uniquing,
 //    and preserves the historical tree semantics exactly — `fromStateVector`
 //    trees, the approximation pass (which mutates nodes in place), and
-//    everything the existing test suite pins. It is its pool and its
-//    tolerance: it carries no table and no cache;
+//    everything the existing test suite pins. It is its pool, its edge
+//    blocks and its tolerance: it carries no table and no cache;
 //  * an *interning* store is shared by every diagram that allocates on it —
 //    a `DdSession`'s targets, replayed states and per-gate intermediates, or
 //    the operators a `DdBackend` compiles. Allocation goes through the
@@ -40,19 +40,29 @@
 //    distinct structural key maps to exactly one NodeRef regardless of
 //    interleaving. Single-threaded users (reduce()'s transient table) take
 //    the same uncontended locks.
-//  * Nodes live in a chunked pool with geometrically growing blocks; a
-//    node's address never changes once allocated, so readers follow NodeRefs
-//    out of edges without any pool-wide lock. Block pointers are published
+//  * Nodes live in a chunked pool with geometrically growing blocks, and
+//    their edges in fixed-size edge blocks the store owns; neither a node
+//    nor its edges ever move once allocated, so readers follow NodeRefs out
+//    of edges without any pool-wide lock. Block pointers are published
 //    with release/acquire ordering; a NodeRef itself is only ever obtained
 //    through a shard mutex (allocation) or from the edges of a node that
-//    was, so the writes constructing a node happen-before every read of it
-//    by mutex-chain transitivity. The memory-ordering contract is spelled
-//    out in docs/ARCHITECTURE.md ("DD session memory").
+//    was, so the writes constructing a node and its edges happen-before
+//    every read of them by mutex-chain transitivity. The memory-ordering
+//    contract is spelled out in docs/ARCHITECTURE.md ("DD session memory").
+//  * A fresh interned node's edges go into its shard's current edge block,
+//    under the shard lock findOrInsert already holds; only taking a new
+//    block takes the store's block-list lock.
 //  * The compute cache synchronizes entry access with striped mutexes and
 //    keeps its counters in relaxed atomics; entries are copied out whole
 //    under the stripe lock, so a concurrent overwrite can cost a hit but
 //    never tears a Result. Entry validity lives in a bitmap whose every
 //    word belongs to exactly one stripe.
+//
+// Block memory (node-pool blocks, edge blocks, compute-cache arrays) comes
+// from, and goes back to, a per-thread spare list (detail::takeBlock /
+// detail::retireBlock), so a session that follows another on the same
+// thread reuses memory that is already mapped instead of faulting in
+// fresh pages.
 
 #include "mqsp/complexnum/complex.hpp"
 #include "mqsp/support/mixed_radix.hpp"
@@ -64,8 +74,10 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace mqsp {
@@ -99,11 +111,16 @@ struct DDEdge {
 /// dim(s) out-edges; an operator node (mdd/MatrixDD) has dim(s)^2, in
 /// row-major order. The unique terminal node is marked by
 /// site == kTerminalSite and has no edges.
+///
+/// The node does not own its edges: `edges` views a run of an edge block
+/// owned by the node's DdNodeStore, valid for the store's lifetime (until
+/// a session GC renumbers the node). Readers see the edges as const; only
+/// a private store hands out writable edges (DdNodeStore::mutableEdges).
 struct DDNode {
     static constexpr std::uint32_t kTerminalSite = std::numeric_limits<std::uint32_t>::max();
 
     std::uint32_t site = 0;
-    std::vector<DDEdge> edges;
+    std::span<const DDEdge> edges;
 
     [[nodiscard]] bool isTerminal() const noexcept { return site == kTerminalSite; }
 };
@@ -112,59 +129,89 @@ namespace dd {
 
 namespace detail {
 
-/// Non-owning reference to a `NodeRef()` callable — the allocation hook
-/// findOrInsert invokes (under the shard lock) when a key misses, so the
-/// probe and the pool append are one atomic step and no tentative node is
-/// ever created for a key that hits.
+/// Non-owning reference to a `NodeRef(std::size_t shard)` callable — the
+/// allocation hook findOrInsert invokes (under the lock of shard `shard`)
+/// when a key misses, so the probe and the pool append are one atomic step
+/// and no tentative node is ever created for a key that hits. The shard
+/// index lets an interning store write the node's edges into that shard's
+/// edge block without a lock of its own.
 class MakeNodeFnRef {
 public:
     template <typename Fn>
     MakeNodeFnRef(Fn& fn) // NOLINT(google-explicit-constructor): binder type
         : ctx_(const_cast<void*>(static_cast<const void*>(&fn))),
-          call_([](void* ctx) -> NodeRef { return (*static_cast<Fn*>(ctx))(); }) {}
+          call_([](void* ctx, std::size_t shard) -> NodeRef {
+              return (*static_cast<Fn*>(ctx))(shard);
+          }) {}
 
-    NodeRef operator()() const { return call_(ctx_); }
+    NodeRef operator()(std::size_t shard) const { return call_(ctx_, shard); }
 
 private:
     void* ctx_;
-    NodeRef (*call_)(void*);
+    NodeRef (*call_)(void*, std::size_t);
 };
+
+/// Bytes of retired blocks one thread keeps for reuse.
+inline constexpr std::size_t kSpareBlockCapBytes = std::size_t{16} << 20U;
+
+/// A block of `bytes` bytes of DD memory — a node-pool block, an edge
+/// block or a compute-cache array — from the calling thread's spare list
+/// when it holds one of exactly that size, else from `operator new`.
+/// Blocks are aligned for any DD record (16 bytes) and uninitialized.
+[[nodiscard]] void* takeBlock(std::size_t bytes);
+
+/// Hand a block back: onto the calling thread's spare list when this
+/// thread took it and the list stays within kSpareBlockCapBytes, else to
+/// `operator delete` — so no thread holds blocks that other threads took
+/// (a serve GC collecting what its batch workers interned). Under
+/// AddressSanitizer a spare block is poisoned, so a stale read of it faults.
+void retireBlock(void* block, std::size_t bytes) noexcept;
+
+/// The calling thread's spare-list counters: takes served from the list,
+/// takes that fell through to the allocator, and bytes held now.
+struct SpareBlockStats {
+    std::uint64_t reused = 0;
+    std::uint64_t allocated = 0;
+    std::size_t heldBytes = 0;
+};
+[[nodiscard]] SpareBlockStats spareBlockStats() noexcept;
 
 /// Chunked node pool with stable addresses: storage grows by appending
 /// geometrically sized blocks (block 0 holds 64 nodes, block b >= 1 holds
 /// 64·2^(b-1)), so a node's address never moves after allocation — the
 /// property that lets concurrent readers follow NodeRefs without a pool
 /// lock, and that makes holding a node reference across an allocating
-/// recursion safe. `append` may be called concurrently (the interning path
-/// calls it under a shard mutex; distinct shards race); `size()` is the
-/// number of reserved slots and, once the racing appends have been
-/// published, the number of constructed nodes. `clear`/`copyFrom` are
-/// single-threaded (session GC at quiescence, private-store copies).
+/// recursion safe. Blocks are taken on first use from the spare list and
+/// retired to it by `clear` and the destructor; a slot is constructed by
+/// the `append` that reserves it. `append` may be called concurrently (the
+/// interning path calls it under a shard mutex; distinct shards race);
+/// `size()` is the number of reserved slots and, once the racing appends
+/// have been published, the number of constructed nodes. `clear` is
+/// single-threaded (session GC at quiescence).
 template <typename NodeT>
 class ChunkedNodePool {
+    static_assert(std::is_trivially_copyable_v<NodeT> &&
+                      std::is_trivially_destructible_v<NodeT>,
+                  "pool blocks are raw memory, recycled without destructors");
+
 public:
     ChunkedNodePool() = default;
-    ~ChunkedNodePool() { destroyBlocks(); }
+    ~ChunkedNodePool() { retireBlocks(); }
     ChunkedNodePool(const ChunkedNodePool&) = delete;
     ChunkedNodePool& operator=(const ChunkedNodePool&) = delete;
 
-    std::uint32_t append(NodeT node) {
+    std::uint32_t append(const NodeT& node) {
         const std::uint32_t index = size_.fetch_add(1, std::memory_order_relaxed);
         const std::size_t block = blockIndexOf(index);
         NodeT* storage = blocks_[block].load(std::memory_order_acquire);
         if (storage == nullptr) {
             storage = ensureBlock(block);
         }
-        storage[index - blockBase(block)] = std::move(node);
+        new (storage + (index - blockBase(block))) NodeT(node);
         return index;
     }
 
     [[nodiscard]] const NodeT& at(std::uint32_t index) const noexcept {
-        const std::size_t block = blockIndexOf(index);
-        return blocks_[block].load(std::memory_order_acquire)[index - blockBase(block)];
-    }
-
-    [[nodiscard]] NodeT& at(std::uint32_t index) noexcept {
         const std::size_t block = blockIndexOf(index);
         return blocks_[block].load(std::memory_order_acquire)[index - blockBase(block)];
     }
@@ -174,16 +221,8 @@ public:
     }
 
     void clear() {
-        destroyBlocks();
+        retireBlocks();
         size_.store(0, std::memory_order_relaxed);
-    }
-
-    void copyFrom(const ChunkedNodePool& other) {
-        clear();
-        const std::size_t count = other.size();
-        for (std::size_t i = 0; i < count; ++i) {
-            append(other.at(static_cast<std::uint32_t>(i)));
-        }
     }
 
 private:
@@ -199,26 +238,28 @@ private:
     [[nodiscard]] static constexpr std::uint32_t blockBase(std::size_t block) noexcept {
         return block == 0 ? 0U : kFirstBlockSize << (block - 1);
     }
-    [[nodiscard]] static constexpr std::uint32_t blockSize(std::size_t block) noexcept {
-        return block == 0 ? kFirstBlockSize : kFirstBlockSize << (block - 1);
+    [[nodiscard]] static constexpr std::size_t blockBytes(std::size_t block) noexcept {
+        return std::size_t{block == 0 ? kFirstBlockSize : kFirstBlockSize << (block - 1)} *
+               sizeof(NodeT);
     }
 
     NodeT* ensureBlock(std::size_t block) {
         const std::lock_guard<std::mutex> lock(growMutex_);
         NodeT* storage = blocks_[block].load(std::memory_order_relaxed);
         if (storage == nullptr) {
-            storage = new NodeT[blockSize(block)];
-            // Release: the default-constructed elements are fully built
-            // before any appender (or reader) acquires the pointer.
+            storage = static_cast<NodeT*>(takeBlock(blockBytes(block)));
+            // Release: pairs with the appenders' and readers' acquire loads.
             blocks_[block].store(storage, std::memory_order_release);
         }
         return storage;
     }
 
-    void destroyBlocks() {
-        for (auto& block : blocks_) {
-            delete[] block.load(std::memory_order_relaxed);
-            block.store(nullptr, std::memory_order_relaxed);
+    void retireBlocks() {
+        for (std::size_t block = 0; block < kMaxBlocks; ++block) {
+            if (NodeT* storage = blocks_[block].load(std::memory_order_relaxed)) {
+                retireBlock(storage, blockBytes(block));
+                blocks_[block].store(nullptr, std::memory_order_relaxed);
+            }
         }
     }
 
@@ -279,17 +320,21 @@ struct ComputeCacheStats {
 /// concurrent use; a single-threaded caller's locks are uncontended.
 class UniqueTable {
 public:
+    /// Power-of-two shard count; the shard index is the hash's top nibble,
+    /// independent of the slot index (low bits).
+    static constexpr std::size_t kShardCount = 16;
+
     explicit UniqueTable(double tolerance);
 
     UniqueTable(const UniqueTable&) = delete;
     UniqueTable& operator=(const UniqueTable&) = delete;
 
     /// Canonical ref for (site, edges): the existing entry when one
-    /// matches, else `makeFresh()` — called under the shard lock on a miss —
-    /// recorded as the canonical node for this key. Exactly one call of
-    /// `makeFresh` happens per distinct key however many threads race on
-    /// it, and none for a key that hits. The one interning call: interning
-    /// stores and reduce()'s transient table both use it.
+    /// matches, else `makeFresh(shard)` — called under that shard's lock
+    /// on a miss — recorded as the canonical node for this key. Exactly one
+    /// call of `makeFresh` happens per distinct key however many threads
+    /// race on it, and none for a key that hits. The one interning call:
+    /// interning stores and reduce()'s transient table both use it.
     NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                          const detail::MakeNodeFnRef& makeFresh);
 
@@ -354,9 +399,6 @@ private:
         mutable std::mutex mutex;
     };
 
-    /// Power-of-two shard count; the shard index is the hash's top nibble,
-    /// independent of the slot index (low bits).
-    static constexpr std::size_t kShardCount = 16;
     /// Slots of a shard's first slot array (allocated on its first insert).
     static constexpr std::size_t kInitialShardCapacity = 16;
 
@@ -367,8 +409,8 @@ private:
     /// Bucket `edges` into the scratch key and hash them in the same pass.
     [[nodiscard]] std::uint64_t bucketKey(std::uint32_t site,
                                           std::span<const DDEdge> edges) const;
-    [[nodiscard]] Shard& shardOf(std::uint64_t hash) noexcept {
-        return shards_[(hash >> 60U) & (kShardCount - 1)];
+    [[nodiscard]] static std::size_t shardIndexOf(std::uint64_t hash) noexcept {
+        return (hash >> 60U) & (kShardCount - 1);
     }
     /// Record `key` as a new entry of `shard`, growing the shard first when
     /// the entry would cross the 0.7 load factor. Growth waits for an
@@ -400,9 +442,12 @@ private:
 /// ratios ~1 / sin(theta / 2)) has no bucket to name, so that addition is
 /// not cached: its lookup counts as a miss and its store is dropped.
 ///
-/// Memory: the entry array is allocated uninitialized on the first store
-/// and validity lives in a bitmap, so a fresh session writes 8 KB instead
-/// of every entry, and `compact` skips empty bitmap words.
+/// Memory: the entry array and its validity bitmap are one block, taken
+/// from the thread's spare list (detail::takeBlock) on the first store and
+/// retired to it with the cache. Entries are left uninitialized and only
+/// the bitmap is cleared, so a session writes 8 KB instead of every entry
+/// (and reuses the array of the session before it on the same thread), and
+/// `compact` skips empty bitmap words.
 ///
 /// Thread safety: entry slots are guarded by striped mutexes (stripe =
 /// slot's high bits, so every bitmap word belongs to exactly one stripe)
@@ -422,6 +467,7 @@ public:
     };
 
     explicit ComputeCache(double tolerance, std::size_t slots = std::size_t{1} << 16U);
+    ~ComputeCache();
 
     ComputeCache(const ComputeCache&) = delete;
     ComputeCache& operator=(const ComputeCache&) = delete;
@@ -446,8 +492,8 @@ public:
     void resetStats() noexcept;
 
 private:
-    /// Trivially default-constructible, so the array is allocated without
-    /// writing it; an entry is read only while its validity bit is set.
+    /// Trivially copyable, so the array is raw block memory; an entry is
+    /// read only while its validity bit is set.
     struct Entry {
         NodeRef x;
         NodeRef y;
@@ -475,18 +521,24 @@ private:
     }
     /// Set `slot`'s validity bit; returns whether it was already set.
     bool markValid(std::size_t slot) noexcept;
-    /// Allocate entries, bitmap and stripe mutexes on the first store
-    /// (double-checked on `allocated_`), so diagram-private stores that
-    /// never apply an operation pay nothing for the cache.
+    [[nodiscard]] std::size_t bitmapWords() const noexcept {
+        return (slotCount_ + kSlotsPerWord - 1) / kSlotsPerWord;
+    }
+    [[nodiscard]] std::size_t blockBytes() const noexcept {
+        return slotCount_ * sizeof(Entry) + bitmapWords() * sizeof(std::uint64_t);
+    }
+    /// Take the entry array and bitmap on the first store (double-checked
+    /// on `allocated_`), so a store that never applies an operation (the
+    /// operator store) pays nothing for the cache.
     void ensureAllocated();
 
     double tolerance_;
     std::size_t slotCount_;
     std::size_t stripeCount_;
     unsigned stripeShift_; ///< stripe = slot >> stripeShift_
-    std::unique_ptr<Entry[]> entries_;
-    std::unique_ptr<std::uint64_t[]> valid_; ///< one bit per slot
-    std::unique_ptr<std::mutex[]> stripes_;
+    Entry* entries_ = nullptr;       ///< slotCount_ entries, then the bitmap
+    std::uint64_t* valid_ = nullptr; ///< one bit per slot
+    mutable std::array<std::mutex, kMaxStripes> stripes_;
     std::atomic<bool> allocated_{false};
     std::mutex allocMutex_;
     std::atomic<std::uint64_t> lookups_{0};
@@ -496,12 +548,21 @@ private:
 };
 
 /// A decision-diagram node pool: the unique terminal at slot 0 plus every
-/// allocated internal node, state or operator. Private stores append;
-/// interning stores route every allocation through their uniquing table
-/// (see file header). An interning store is safe for concurrent allocation
-/// and reading: the probe-then-allocate step runs under the key's shard
-/// mutex, and the chunked pool keeps node addresses stable so readers never
-/// need a lock. Only an interning store has a table and a compute cache.
+/// allocated internal node, state or operator, and the edge blocks their
+/// edges live in. Private stores append; interning stores route every
+/// allocation through their uniquing table (see file header). An interning
+/// store is safe for concurrent allocation and reading: the
+/// probe-then-allocate step runs under the key's shard mutex, a fresh
+/// node's edges go into that shard's own edge block, and neither nodes nor
+/// edges ever move, so readers never need a lock. Only an interning store
+/// has a table and a compute cache.
+///
+/// Edge blocks hold kEdgeBlockEdges edges. Each shard of an interning
+/// store fills its own block; a private store, a copy and a session GC fill
+/// one block at a time with a plain bump. A node with more edges than a
+/// block (an operator node of dimension 23 or more) gets a block of its
+/// own. Every block comes from the thread's spare list and goes back to it
+/// when the store dies or collects.
 class DdNodeStore {
 public:
     enum class Mode {
@@ -509,28 +570,31 @@ public:
         Interning, ///< shared, hash-consed, nodes immutable
     };
 
+    /// Edges per edge block (16 KB).
+    static constexpr std::size_t kEdgeBlockEdges = 512;
+
     explicit DdNodeStore(Mode mode, double tolerance = Tolerance::kDefault);
-    /// Deep copy (DecisionDiagram value semantics). Private stores only:
-    /// diagrams on an interning store alias it instead of copying it.
+    /// Deep copy (DecisionDiagram value semantics), edges included. Private
+    /// stores only: diagrams on an interning store alias it instead.
     DdNodeStore(const DdNodeStore& other);
     DdNodeStore& operator=(const DdNodeStore&) = delete;
+    ~DdNodeStore();
 
     [[nodiscard]] bool interning() const noexcept { return hashing_ != nullptr; }
     [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
     [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
 
     [[nodiscard]] const DDNode& node(NodeRef ref) const;
-    /// In-place access — refused on an interning store, whose nodes other
-    /// diagrams may share.
-    [[nodiscard]] DDNode& mutableNode(NodeRef ref);
+    /// Writable edges of a node — refused on an interning store, whose
+    /// nodes other diagrams may share.
+    [[nodiscard]] std::span<DDEdge> mutableEdges(NodeRef ref);
 
-    /// Allocate (Private) or intern (Interning) a node. On an interning
-    /// store this is safe to call from concurrent batch items: exactly one
-    /// node is created per distinct structural key, and losers of an
-    /// insertion race receive the winner's canonical ref.
-    NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
-    /// The same from borrowed edges, copied only when a node is created:
-    /// an interning hit allocates nothing.
+    /// Allocate (Private) or intern (Interning) a node; `edges` are copied
+    /// into the store's edge blocks only when a node is created, so an
+    /// interning hit writes nothing. On an interning store this is safe to
+    /// call from concurrent batch items: exactly one node is created per
+    /// distinct structural key, and losers of an insertion race receive the
+    /// winner's canonical ref.
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
     /// Every internal node reachable from `roots` (kNoNode roots, zero
@@ -551,12 +615,13 @@ public:
     /// DecisionDiagram::garbageCollect): mark every node reachable from
     /// `roots` (the terminal is always live), compact the pool to the
     /// survivors in ascending-ref order — so the compacted pool is
-    /// deterministic whenever the pre-GC pool was — rebuild the uniquing
-    /// table over them, and remap/evict the compute cache.
-    /// `remapOut[oldRef]` is the survivor's new ref, kNoNode for a
-    /// collected node. Single-threaded: callers guarantee no concurrent
-    /// session use (DdSession::garbageCollect is the public entry point
-    /// and states the full contract).
+    /// deterministic whenever the pre-GC pool was — copying their edges
+    /// into fresh blocks in the same order and retiring the old blocks
+    /// whole, rebuild the uniquing table over them, and remap/evict the
+    /// compute cache. `remapOut[oldRef]` is the survivor's new ref, kNoNode
+    /// for a collected node. Single-threaded: callers guarantee no
+    /// concurrent session use (DdSession::garbageCollect is the public
+    /// entry point and states the full contract).
     CompactionStats compactLive(const std::vector<NodeRef>& roots,
                                 std::vector<NodeRef>& remapOut);
 
@@ -570,15 +635,39 @@ public:
     }
 
 private:
-    /// What interning adds to a pool.
+    /// Where the next edges of a block go: the unused rest of a block.
+    struct EdgeCursor {
+        DDEdge* next = nullptr;
+        DDEdge* end = nullptr;
+    };
+    /// One edge block, as taken from the spare list.
+    struct EdgeBlock {
+        DDEdge* edges;
+        std::size_t count;
+    };
+
+    /// What interning adds to a pool: the table, the cache, and each
+    /// shard's edge cursor (touched only under that shard's lock).
     struct Hashing {
         explicit Hashing(double tolerance) : table(tolerance), cache(tolerance) {}
         UniqueTable table;
         ComputeCache cache;
+        std::array<EdgeCursor, UniqueTable::kShardCount> cursors{};
     };
+
+    /// Copy `edges` to `cursor`, which moves to a fresh block when they do
+    /// not fit; a node larger than a block gets a block of its own.
+    std::span<DDEdge> copyEdges(EdgeCursor& cursor, std::span<const DDEdge> edges);
+    /// A fresh edge block of `count` edges, recorded under blockMutex_.
+    DDEdge* newEdgeBlock(std::size_t count);
+    /// Hand `blocks` back to the spare list.
+    static void retireEdgeBlocks(const std::vector<EdgeBlock>& blocks) noexcept;
 
     double tolerance_;
     detail::ChunkedNodePool<DDNode> pool_;
+    std::mutex blockMutex_; ///< guards edgeBlocks_ only
+    std::vector<EdgeBlock> edgeBlocks_;
+    EdgeCursor bump_; ///< the private store's, a copy's and a GC's cursor
     std::unique_ptr<Hashing> hashing_; ///< null on a private store
 };
 

@@ -53,7 +53,7 @@ NodeRef MatrixDD::makeNode(std::uint32_t site, std::vector<DDEdge> edges, Comple
         }
     }
     weightOut = norm;
-    return store_->allocate(site, std::move(edges));
+    return store_->allocate(site, edges);
 }
 
 DDEdge MatrixDD::buildIdentity(std::size_t site) {
@@ -245,11 +245,11 @@ MatrixDD MatrixDD::multiply(const MatrixDD& rhs, double tol) const {
         if (const auto it = memo.find(key); it != memo.end()) {
             return it->second;
         }
-        // Copy both operands' shapes up front (cheap, and keeps the inner
-        // loops independent of the allocating product/addEdges recursion).
+        // Both operands' edges stay put in their store's edge blocks
+        // while the product/addEdges recursion allocates.
         const std::uint32_t siteA = node(aRef).site;
-        const std::vector<DDEdge> aEdges = node(aRef).edges;
-        const std::vector<DDEdge> bEdges = rhs.node(bRef).edges;
+        const std::span<const DDEdge> aEdges = node(aRef).edges;
+        const std::span<const DDEdge> bEdges = rhs.node(bRef).edges;
         const Dimension dim = radix_.dimensionAt(siteA);
         std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
         for (Dimension r = 0; r < dim; ++r) {
@@ -296,10 +296,10 @@ DDEdge MatrixDD::importFrom(const MatrixDD& source, NodeRef ref,
     if (const auto it = memo.find(ref); it != memo.end()) {
         return it->second;
     }
-    // Copy the source shape up front (keeps the loop independent of the
-    // allocating recursion below).
+    // The source edges stay put in their store's edge blocks while the
+    // recursion below allocates.
     const std::uint32_t site = source.node(ref).site;
-    const std::vector<DDEdge> sourceEdges = source.node(ref).edges;
+    const std::span<const DDEdge> sourceEdges = source.node(ref).edges;
     const Dimension dim = radix_.dimensionAt(site);
     std::vector<DDEdge> edges(static_cast<std::size_t>(dim) * dim);
     for (Dimension r = 0; r < dim; ++r) {

@@ -3,9 +3,12 @@
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parse.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace mqsp {
 
@@ -96,15 +99,34 @@ bool MixedRadix::isUniform() const noexcept {
     return true;
 }
 
+namespace {
+
+/// Characters a dimension spec may carry anywhere and that parsing drops.
+[[nodiscard]] bool isIgnorable(char ch) noexcept {
+    return ch == '[' || ch == ']' || std::isspace(static_cast<unsigned char>(ch)) != 0;
+}
+
+/// "parseDimensionSpec: <what> in entry '<entry>'", for the failure paths.
+[[nodiscard]] std::string inEntry(std::string_view what, std::string_view entry) {
+    std::string message("parseDimensionSpec: ");
+    message += what;
+    message += " in entry '";
+    message += parse::clipForMessage(entry);
+    message += '\'';
+    return message;
+}
+
+} // namespace
+
 Dimensions parseDimensionSpec(const std::string& spec) {
-    Dimensions dims;
-    std::string cleaned;
-    cleaned.reserve(spec.size());
-    for (const char ch : spec) {
-        if (ch == '[' || ch == ']' || std::isspace(static_cast<unsigned char>(ch)) != 0) {
-            continue;
-        }
-        cleaned.push_back(ch);
+    // Parsed in place when the spec has nothing to drop; every message is
+    // built only on the path that throws it.
+    std::string stripped;
+    std::string_view cleaned = spec;
+    if (std::any_of(spec.begin(), spec.end(), isIgnorable)) {
+        std::copy_if(spec.begin(), spec.end(), std::back_inserter(stripped),
+                     [](char ch) { return !isIgnorable(ch); });
+        cleaned = stripped;
     }
     requireThat(!cleaned.empty(), "parseDimensionSpec: empty specification");
 
@@ -112,36 +134,49 @@ Dimensions parseDimensionSpec(const std::string& spec) {
     // wrapping) and bound-check before they size anything, so "2xq",
     // "-3x2", or "9999999999x2" all fail with an actionable message
     // instead of a bare stoull exception or a wrapped allocation.
+    // Entries are split at commas; a single trailing comma ends the list.
     constexpr std::uint64_t kMaxQudits = 1U << 20U;
-    std::stringstream stream(cleaned);
-    std::string entry;
-    while (std::getline(stream, entry, ',')) {
+    Dimensions dims;
+    for (std::size_t begin = 0; begin < cleaned.size();) {
+        const std::size_t comma = std::min(cleaned.find(',', begin), cleaned.size());
+        const std::string_view entry = cleaned.substr(begin, comma - begin);
+        begin = comma + 1;
         requireThat(!entry.empty(), "parseDimensionSpec: empty entry in specification");
         const auto cross = entry.find_first_of("xX*");
         std::uint64_t count = 1;
-        std::string dimText = entry;
-        if (cross != std::string::npos) {
-            const std::string countText = entry.substr(0, cross);
+        std::string_view dimText = entry;
+        if (cross != std::string_view::npos) {
+            const std::string_view countText = entry.substr(0, cross);
             dimText = entry.substr(cross + 1);
-            requireThat(!countText.empty() && !dimText.empty(),
-                        "parseDimensionSpec: malformed CountxDimension entry '" +
-                            parse::clipForMessage(entry) + "' (expected Count x Dimension)");
-            count = parse::uint64(countText, "parseDimensionSpec: count in entry '" +
-                                                 parse::clipForMessage(entry) + "'");
-            requireThat(count >= 1, "parseDimensionSpec: count must be >= 1 in entry '" +
-                                        parse::clipForMessage(entry) + "'");
+            if (countText.empty() || dimText.empty()) {
+                detail::throwInvalidArgument("parseDimensionSpec: malformed CountxDimension entry '" +
+                                             parse::clipForMessage(entry) +
+                                             "' (expected Count x Dimension)");
+            }
+            const auto parsedCount = parse::tryUint64(countText);
+            if (!parsedCount) {
+                parse::refuse(inEntry("count", entry), "a non-negative integer", countText);
+            }
+            count = *parsedCount;
+            if (count < 1) {
+                detail::throwInvalidArgument(inEntry("count must be >= 1", entry));
+            }
         }
-        const auto dim = parse::uint64(dimText, "parseDimensionSpec: dimension in entry '" +
-                                                    parse::clipForMessage(entry) + "'");
-        requireThat(dim >= 2, "parseDimensionSpec: dimension must be >= 2 in entry '" +
-                                  parse::clipForMessage(entry) + "'");
-        requireThat(dim <= std::numeric_limits<Dimension>::max(),
-                    "parseDimensionSpec: dimension overflows in entry '" +
-                        parse::clipForMessage(entry) + "'");
-        requireThat(count <= kMaxQudits && dims.size() + count <= kMaxQudits,
-                    "parseDimensionSpec: register exceeds " + std::to_string(kMaxQudits) +
-                        " qudits in entry '" + parse::clipForMessage(entry) + "'");
-        dims.insert(dims.end(), static_cast<std::size_t>(count), static_cast<Dimension>(dim));
+        const auto dim = parse::tryUint64(dimText);
+        if (!dim) {
+            parse::refuse(inEntry("dimension", entry), "a non-negative integer", dimText);
+        }
+        if (*dim < 2) {
+            detail::throwInvalidArgument(inEntry("dimension must be >= 2", entry));
+        }
+        if (*dim > std::numeric_limits<Dimension>::max()) {
+            detail::throwInvalidArgument(inEntry("dimension overflows", entry));
+        }
+        if (count > kMaxQudits || dims.size() + count > kMaxQudits) {
+            detail::throwInvalidArgument(inEntry(
+                "register exceeds " + std::to_string(kMaxQudits) + " qudits", entry));
+        }
+        dims.insert(dims.end(), static_cast<std::size_t>(count), static_cast<Dimension>(*dim));
     }
     requireThat(!dims.empty(), "parseDimensionSpec: no dimensions parsed");
     return dims;

@@ -1,5 +1,6 @@
 #include "mqsp/circuit/qasm.hpp"
 
+#include "common/counting_new.hpp"
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/error.hpp"
@@ -16,7 +17,9 @@
 #include <cstdlib>
 #include <limits>
 #include <numbers>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 namespace mqsp {
@@ -416,6 +419,24 @@ TEST(Qasm, OverflowingAndNanAnglesKeepTheirMessages) {
     expectParseError(header + "rz q[0] (0, 1, +inf);\n", refused);
     expectParseError(header + "rz q[0] (0, 1, +);\n", "line 3: expected a number");
     expectParseError(header + "rz q[0] (0, 1, 0x);\n", "line 3: expected ')'");
+}
+
+TEST(GateStream, AControlledGateCostsOneAllocation) {
+    // The control list is reserved once for all its entries, and the
+    // scanner reads characters without the locale.
+    const std::string statement =
+        "rxy q[5] (0, 1, 0.5, -0.25) ctl q[0]=1, q[1]=2, q[2]=0, q[3]=1, q[4]=2;\n";
+    std::istringstream in("MQSPQASM 1.0;\nqreg q[6] = [2, 3, 2, 2, 3, 2];\n" + statement +
+                          statement);
+    GateStream stream(in);
+    ASSERT_TRUE(stream.next().has_value()); // sizes the line buffer
+    const std::size_t before = counting_new::allocations;
+    const std::optional<Operation> op = stream.next();
+    EXPECT_EQ(counting_new::allocations - before, 1U);
+    ASSERT_TRUE(op.has_value());
+    ASSERT_EQ(op->controls.size(), 5U);
+    EXPECT_EQ(op->controls[4].qudit, 4U);
+    EXPECT_EQ(op->controls[4].level, 2U);
 }
 
 } // namespace

@@ -35,7 +35,7 @@ std::vector<DDEdge> edgeList(std::initializer_list<std::pair<NodeRef, double>> s
 /// findOrInsert whose miss records `fresh`, a ref the test makes up.
 NodeRef findOrRecord(dd::UniqueTable& table, std::uint32_t site,
                      const std::vector<DDEdge>& edges, NodeRef fresh) {
-    const auto record = [fresh] { return fresh; };
+    const auto record = [fresh](std::size_t /*shard*/) { return fresh; };
     return table.findOrInsert(site, edges, dd::detail::MakeNodeFnRef(record));
 }
 
@@ -186,7 +186,7 @@ TEST(DdNodeStore, InterningStoreDeduplicatesWithoutCreatingGarbage) {
 TEST(DdNodeStore, InterningStoreRefusesInPlaceMutation) {
     dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning, kTol);
     const NodeRef a = store.allocate(0, edgeList({{0, 1.0}}));
-    EXPECT_THROW((void)store.mutableNode(a), InvalidArgumentError);
+    EXPECT_THROW((void)store.mutableEdges(a), InvalidArgumentError);
 }
 
 // --- DdSession: builders, reuse, lifetime ---------------------------------

@@ -84,7 +84,7 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
     std::atomic<NodeRef> nextRef{1};
     std::vector<std::vector<NodeRef>> got(kThreads, std::vector<NodeRef>(kKeys, kNoNode));
     parallel::runOnThreads(kThreads, [&](unsigned thread) {
-        const auto makeFresh = [&]() -> NodeRef {
+        const auto makeFresh = [&](std::size_t /*shard*/) -> NodeRef {
             return nextRef.fetch_add(1, std::memory_order_relaxed);
         };
         for (NodeRef i = 0; i < kKeys; ++i) {
@@ -100,7 +100,7 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
     EXPECT_EQ(nextRef.load(), kKeys + 1);
     // Serial lookups agree with what every racing thread was handed (a key
     // lost by a grow would be recorded afresh as kNoNode).
-    const auto lost = [] { return kNoNode; };
+    const auto lost = [](std::size_t /*shard*/) { return kNoNode; };
     for (NodeRef k = 0; k < kKeys; ++k) {
         const NodeRef canonical =
             table.findOrInsert(0, keyEdges(k, 1.0), dd::detail::MakeNodeFnRef(lost));
@@ -109,6 +109,67 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
             ASSERT_EQ(got[thread][k], canonical) << "key " << k << " thread " << thread;
         }
     }
+}
+
+TEST(ConcurrentUniqueTable, EdgeBlocksSurviveConcurrentInterning) {
+    // A fresh node's edges go into the edge block of its key's shard, under
+    // that shard's lock. Four threads intern the same sequence of keys of
+    // arity 2 to 144 (about 280 blocks' worth, so every shard crosses many
+    // block boundaries while the others write), plus every 97th key one
+    // edge larger than a block, which gets a block of its own. Every node
+    // must read back its key, and since every thread interns in the same
+    // order, each key is created in that order whoever creates it: refs,
+    // size and misses equal a serial run's.
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kKeys = 2000;
+    const auto arityOf = [](std::size_t k) -> std::size_t {
+        return k % 97 == 96 ? dd::DdNodeStore::kEdgeBlockEdges + 1 : 2 + (k * 37) % 143;
+    };
+    const auto keyOf = [&arityOf](std::size_t k) {
+        std::vector<DDEdge> edges(arityOf(k));
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+            if ((k + e) % 5 != 0) { // every fifth slot a zero stub
+                const double weight = static_cast<double>(k + 1) + static_cast<double>(e) / 1024;
+                edges[e] = DDEdge{0, Complex{weight, -weight}};
+            }
+        }
+        return edges;
+    };
+    std::vector<std::vector<DDEdge>> keys;
+    keys.reserve(kKeys);
+    for (std::size_t k = 0; k < kKeys; ++k) {
+        keys.push_back(keyOf(k));
+    }
+    const auto internAll = [&keys](dd::DdNodeStore& store) {
+        std::vector<NodeRef> refs;
+        refs.reserve(keys.size());
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            refs.push_back(store.allocate(static_cast<std::uint32_t>(k % 7), keys[k]));
+        }
+        return refs;
+    };
+
+    dd::DdNodeStore serial(dd::DdNodeStore::Mode::Interning, kTol);
+    const std::vector<NodeRef> serialRefs = internAll(serial);
+    dd::DdNodeStore shared(dd::DdNodeStore::Mode::Interning, kTol);
+    std::vector<std::vector<NodeRef>> refs(kThreads);
+    parallel::runOnThreads(kThreads, [&](unsigned thread) { refs[thread] = internAll(shared); });
+
+    for (unsigned thread = 0; thread < kThreads; ++thread) {
+        ASSERT_EQ(refs[thread], serialRefs) << "thread " << thread;
+    }
+    for (std::size_t k = 0; k < kKeys; ++k) {
+        const DDNode& node = shared.node(serialRefs[k]);
+        ASSERT_EQ(node.site, k % 7);
+        ASSERT_EQ(node.edges.size(), keys[k].size()) << "key " << k;
+        for (std::size_t e = 0; e < keys[k].size(); ++e) {
+            ASSERT_EQ(node.edges[e].node, keys[k][e].node) << "key " << k << " edge " << e;
+            ASSERT_EQ(node.edges[e].weight, keys[k][e].weight) << "key " << k << " edge " << e;
+        }
+    }
+    EXPECT_EQ(shared.size(), serial.size());
+    EXPECT_EQ(shared.size(), kKeys + 1);
+    EXPECT_EQ(shared.uniqueTable()->stats().misses, serial.uniqueTable()->stats().misses);
 }
 
 TEST(ConcurrentUniqueTable, OperatorDiagramsInternOncePerKey) {

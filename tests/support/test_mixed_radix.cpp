@@ -1,9 +1,14 @@
+#include "common/counting_new.hpp"
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/mixed_radix.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace mqsp {
 namespace {
@@ -156,6 +161,32 @@ TEST(ParseDimensionSpec, AcceptsRegisterAtTheQuditCap) {
     const Dimensions dims = parseDimensionSpec("1048576x2");
     EXPECT_EQ(dims.size(), 1048576U);
     EXPECT_EQ(dims.front(), 2U);
+}
+
+/// `operator new` calls of parsing `spec`.
+std::size_t allocationsOfParsing(const std::string& spec) {
+    const std::size_t before = counting_new::allocations;
+    const Dimensions dims = parseDimensionSpec(spec);
+    return counting_new::allocations - before;
+}
+
+/// `operator new` calls of building the same register entry by entry, as
+/// the parser appends: (count, dimension) per entry.
+std::size_t allocationsOfAppending(const std::vector<std::pair<std::size_t, Dimension>>& entries) {
+    const std::size_t before = counting_new::allocations;
+    Dimensions dims;
+    for (const auto& [count, dim] : entries) {
+        dims.insert(dims.end(), count, dim);
+    }
+    return counting_new::allocations - before;
+}
+
+TEST(ParseDimensionSpec, PassingParsesAllocateOnlyTheResult) {
+    // Every message is built only on the path that throws it, so a spec
+    // that parses costs nothing beyond the growth of the returned vector.
+    EXPECT_EQ(allocationsOfParsing("3,6,2"), allocationsOfAppending({{1, 3}, {1, 6}, {1, 2}}));
+    EXPECT_EQ(allocationsOfParsing("8x2,4x3,2"),
+              allocationsOfAppending({{8, 2}, {4, 3}, {1, 2}}));
 }
 
 TEST(FormatDimensionSpec, RoundTripsGroupedRuns) {
