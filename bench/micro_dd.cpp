@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the library's kernels: decision
-// diagram construction, amplitude reconstruction, dense export, reduction,
-// pruning, synthesis and simulation. These underpin the "Time" columns of
+// diagram construction (which reduces as it splits), amplitude
+// reconstruction, dense export, pruning, synthesis and simulation. These underpin the "Time" columns of
 // Table 1 and the scaling bench. The session rows time one interning
 // probe, fresh and hitting.
 
@@ -60,16 +60,18 @@ void BM_DDToVector(benchmark::State& state) {
 }
 BENCHMARK(BM_DDToVector)->DenseRange(0, 3);
 
-void BM_DDReduce(benchmark::State& state) {
-    const StateVector target = states::uniform(registerForIndex(state.range(0)));
+/// The splitter with its interning: range(1) = 0 splits the uniform state
+/// (every level collapses to one node), 1 the random state (nothing merges).
+void BM_FromStateVector(benchmark::State& state) {
+    const StateVector target = state.range(1) == 0
+                                   ? states::uniform(registerForIndex(state.range(0)))
+                                   : benchState(state.range(0));
     for (auto _ : state) {
-        state.PauseTiming();
-        DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(dd.reduce());
+        const DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
+        benchmark::DoNotOptimize(dd.rootNode());
     }
 }
-BENCHMARK(BM_DDReduce)->DenseRange(0, 3);
+BENCHMARK(BM_FromStateVector)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_Approximate(benchmark::State& state) {
     const StateVector target = benchState(state.range(0));

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -147,14 +147,20 @@ void DecisionDiagram::applyOperation(const Operation& op) {
     if (root_ == kNoNode) {
         return; // the zero vector is fixed by every linear map
     }
+    if (!store_->interning()) {
+        // One move onto a fresh interning store, as DdBackend::apply moves
+        // a diagram onto its session: a private store is never written
+        // after the builder that filled it, and the kernel interns.
+        *this = rebuiltOn(std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning,
+                                                            store_->tolerance()));
+    }
 
     // Pruning runs at the store's tolerance, the one its cached results
-    // were computed under. Session compute cache: addition results keyed on
-    // the *canonical* call (x's weight factored out). Entries persist
-    // across gates and diagrams of the owning session — private diagrams
-    // carry no cache and always recompute.
+    // were computed under. The store's compute cache holds addition results
+    // keyed on the *canonical* call (x's weight factored out); entries
+    // persist across gates and diagrams of the store.
     const double tol = store_->tolerance();
-    dd::ComputeCache* cache = store_->computeCache();
+    dd::ComputeCache& cache = *store_->computeCache();
     // The gate's action on the target level: a two-level gate is the
     // identity outside its stack 2x2 block; Hadamard and Shift mix every
     // level through their dim x dim matrix, written into the thread's
@@ -181,7 +187,7 @@ void DecisionDiagram::applyOperation(const Operation& op) {
         const std::optional<TwoLevelBlock>& block;
         const DenseMatrix& dense;
         double tol;
-        dd::ComputeCache* cache;
+        dd::ComputeCache& cache;
         std::vector<DDEdge>& stack;
         VisitMemo& memo;
 
@@ -190,33 +196,14 @@ void DecisionDiagram::applyOperation(const Operation& op) {
         }
 
         /// Normalize the edges above `base` on the stack (zero stubs are
-        /// absent children), intern them as one node and pop them: sum
-        /// |w|^2 over the non-stub edges in index order, divide them by the
-        /// norm, then allocate. Returns the node with its norm as the (real)
-        /// weight, or the zero edge when no child survived.
+        /// absent children), intern them as one node and pop them
+        /// (DecisionDiagram::normalizedNode). Returns the node with its norm
+        /// as the (real) weight, or the zero edge when no child survived.
         WeightedEdge internTop(std::uint32_t site, std::size_t base) {
-            const std::span<DDEdge> edges(stack.data() + base, stack.size() - base);
-            double sumSquares = 0.0;
-            bool any = false;
-            for (const auto& edge : edges) {
-                if (!edge.isZeroStub()) {
-                    sumSquares += squaredMagnitude(edge.weight);
-                    any = true;
-                }
-            }
-            WeightedEdge node;
-            if (any) {
-                const double norm = std::sqrt(sumSquares);
-                for (auto& edge : edges) {
-                    if (!edge.isZeroStub()) {
-                        edge.weight /= norm;
-                    }
-                }
-                node = {diagram.allocate(site, std::span<const DDEdge>(edges)),
-                        Complex{norm, 0.0}};
-            }
+            const DDEdge node = diagram.normalizedNode(
+                site, std::span<DDEdge>(stack.data() + base, stack.size() - base));
             stack.resize(base);
-            return node;
+            return {node.node, node.weight};
         }
 
         /// Normalized addition of weighted sub-trees (the classic DD add).
@@ -256,14 +243,11 @@ void DecisionDiagram::applyOperation(const Operation& op) {
             // across thread counts. The cache simply keys (x, y) as called.
             const Complex scale = x.weight;
             const Complex ratio = y.weight / scale;
-            if (cache != nullptr) {
-                if (const auto hit =
-                        cache->lookup(dd::ComputeCache::Op::Add, x.node, y.node, ratio)) {
-                    if (hit->node == kNoNode) {
-                        return {};
-                    }
-                    return {hit->node, scale * hit->value};
+            if (const auto hit = cache.lookup(dd::ComputeCache::Op::Add, x.node, y.node, ratio)) {
+                if (hit->node == kNoNode) {
+                    return {};
                 }
+                return {hit->node, scale * hit->value};
             }
             const std::size_t base = stack.size();
             stack.resize(base + xNode.edges.size());
@@ -274,10 +258,8 @@ void DecisionDiagram::applyOperation(const Operation& op) {
                 stack[base + k] = edgeOf(sum);
             }
             const WeightedEdge sum = internTop(xNode.site, base);
-            if (cache != nullptr) {
-                cache->store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
-                             dd::ComputeCache::Result{sum.node, sum.weight});
-            }
+            cache.store(dd::ComputeCache::Op::Add, x.node, y.node, ratio,
+                        dd::ComputeCache::Result{sum.node, sum.weight});
             if (sum.node == kNoNode) {
                 return {};
             }

@@ -19,46 +19,32 @@ DecisionDiagram::DecisionDiagram(std::shared_ptr<dd::DdNodeStore> store,
     }
 }
 
-DecisionDiagram::DecisionDiagram(const DecisionDiagram& other)
-    : radix_(other.radix_), root_(other.root_), rootWeight_(other.rootWeight_) {
-    if (!other.store_) {
-        return;
-    }
-    if (other.store_->interning()) {
-        // Session-backed diagrams are immutable in place; copies alias the
-        // shared store (O(1)) instead of deep-copying the session pool.
-        store_ = other.store_;
-    } else {
-        store_ = std::make_shared<dd::DdNodeStore>(*other.store_);
-    }
-}
-
-DecisionDiagram& DecisionDiagram::operator=(const DecisionDiagram& other) {
-    if (this != &other) {
-        DecisionDiagram copy(other);
-        *this = std::move(copy);
-    }
-    return *this;
-}
-
-void DecisionDiagram::ensureStore(double tol) {
-    if (!store_) {
-        store_ = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Private, tol);
-    }
-}
-
-NodeRef DecisionDiagram::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
-    return store_->allocate(site, edges);
-}
-
 const DDNode& DecisionDiagram::node(NodeRef ref) const {
     requireThat(store_ != nullptr, "DecisionDiagram::node: empty diagram");
     return store_->node(ref);
 }
 
-std::span<DDEdge> DecisionDiagram::mutableEdges(NodeRef ref) {
-    requireThat(store_ != nullptr, "DecisionDiagram::node: empty diagram");
-    return store_->mutableEdges(ref);
+DDEdge DecisionDiagram::normalizedNode(std::uint32_t site, std::span<DDEdge> edges) {
+    double sumSquares = 0.0;
+    bool any = false;
+    for (const DDEdge& edge : edges) {
+        if (!edge.isZeroStub()) {
+            sumSquares += squaredMagnitude(edge.weight);
+            any = true;
+        }
+    }
+    if (!any) {
+        return DDEdge{};
+    }
+    const double norm = std::sqrt(sumSquares);
+    if (norm > 0.0) {
+        for (DDEdge& edge : edges) {
+            if (!edge.isZeroStub()) {
+                edge.weight /= norm;
+            }
+        }
+    }
+    return DDEdge{store_->allocate(site, edges), Complex{norm, 0.0}};
 }
 
 namespace {
@@ -110,97 +96,74 @@ DecisionDiagram DecisionDiagram::rebuiltOn(std::shared_ptr<dd::DdNodeStore> stor
     return result;
 }
 
-/// Recursive splitter for `fromStateVector`: builds the node for the
-/// `count`-long amplitude block at `site` and returns the edge (node +
-/// weight) the parent should store. The weight is the block's norm except at
-/// the terminal, where it is the amplitude itself; normalization pushes all
-/// phases into the lowest-level edges and keeps every upper weight real
-/// non-negative — the paper's fixed canonical scheme ("each weight is
-/// divided by the norm ... the norm is then multiplied to all weights on
-/// in-edges", §4.2).
-DDEdge DecisionDiagram::buildTree(std::size_t site, const Complex* amps, std::uint64_t count,
-                                  double tol) {
+/// The recursive splitter behind fromStateVector and fromStateVectorDense:
+/// builds the node for the `count`-long amplitude block at `site` and
+/// returns the edge (node + weight) its parent stores. The weight is the
+/// block's norm except at the terminal, where it is the amplitude itself;
+/// normalization pushes all phases into the lowest-level edges and keeps
+/// every upper weight real non-negative — the paper's fixed canonical scheme
+/// ("each weight is divided by the norm ... the norm is then multiplied to
+/// all weights on in-edges", §4.2). Each node's edges are staged on
+/// `staged`, one stack reused down the recursion, as in Rebuild.
+///
+/// `keepZeros` is the dense baseline: a zero amplitude stays a weight-0
+/// edge instead of a zero stub, so every node of the splitting tree is
+/// materialized, zero sub-vectors included.
+DDEdge DecisionDiagram::split(std::size_t site, const Complex* amps, std::uint64_t count,
+                              double tol, bool keepZeros, std::vector<DDEdge>& staged) {
     if (site == radix_.numQudits()) {
-        ensureThat(count == 1, "DecisionDiagram::buildTree: leaf block must hold one value");
-        if (approxZero(amps[0], tol)) {
+        ensureThat(count == 1, "DecisionDiagram::split: leaf block must hold one value");
+        if (!keepZeros && approxZero(amps[0], tol)) {
             return DDEdge{};
         }
         return DDEdge{/*terminal=*/0, amps[0]};
     }
     const Dimension dim = radix_.dimensionAt(site);
     const std::uint64_t part = count / dim;
-    ensureThat(part * dim == count, "DecisionDiagram::buildTree: block not divisible");
-
-    std::vector<DDEdge> edges(dim);
-    double sumSquares = 0.0;
-    bool any = false;
+    ensureThat(part * dim == count, "DecisionDiagram::split: block not divisible");
+    const std::size_t base = staged.size();
+    staged.resize(base + dim);
     for (Dimension k = 0; k < dim; ++k) {
-        edges[k] = buildTree(site + 1, amps + static_cast<std::uint64_t>(k) * part, part, tol);
-        if (!edges[k].isZeroStub()) {
-            any = true;
-            sumSquares += squaredMagnitude(edges[k].weight);
-        }
+        // Split before indexing: the recursion may grow `staged`.
+        const DDEdge edge = split(site + 1, amps + static_cast<std::uint64_t>(k) * part, part,
+                                  tol, keepZeros, staged);
+        staged[base + k] = edge;
     }
-    if (!any) {
-        return DDEdge{};
-    }
-    const double norm = std::sqrt(sumSquares);
-    for (auto& edge : edges) {
-        if (!edge.isZeroStub()) {
-            edge.weight /= norm;
-        }
-    }
-    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), edges);
-    return DDEdge{ref, Complex{norm, 0.0}};
+    const DDEdge edge =
+        normalizedNode(static_cast<std::uint32_t>(site), std::span<DDEdge>(staged).subspan(base));
+    staged.resize(base);
+    return edge;
 }
 
-DecisionDiagram DecisionDiagram::fromStateVector(const StateVector& state, double tol) {
-    DecisionDiagram dd;
-    dd.radix_ = state.radix();
-    dd.ensureStore(tol); // private store; slot 0 is the unique terminal
+DecisionDiagram DecisionDiagram::splitOnto(std::shared_ptr<dd::DdNodeStore> store,
+                                           const StateVector& state, double tol,
+                                           bool keepZeros) {
+    DecisionDiagram dd(std::move(store), state.radix().dimensions());
+    // At most one node per site is in progress, so the staging never
+    // outgrows the register's summed dimensions.
+    const Dimensions& dims = dd.radix_.dimensions();
+    std::vector<DDEdge> staged;
+    staged.reserve(std::accumulate(dims.begin(), dims.end(), std::size_t{0}));
     const DDEdge rootEdge =
-        dd.buildTree(0, state.amplitudes().data(), state.size(), tol);
+        dd.split(0, state.amplitudes().data(), state.size(), tol, keepZeros, staged);
     dd.root_ = rootEdge.node;
     dd.rootWeight_ = rootEdge.weight;
     return dd;
 }
 
-/// Dense-tree splitter for `fromStateVectorDense`: like buildTree but
-/// zero sub-vectors still become nodes (with zero in-edge weight), so the
-/// result is the full multiplexor tree of classical state preparation.
-DDEdge DecisionDiagram::buildDenseTree(std::size_t site, const Complex* amps,
-                                       std::uint64_t count) {
-    if (site == radix_.numQudits()) {
-        ensureThat(count == 1, "DecisionDiagram::buildDenseTree: bad leaf block");
-        return DDEdge{/*terminal=*/0, amps[0]};
+DecisionDiagram DecisionDiagram::fromStateVector(const StateVector& state, double tol,
+                                                 const dd::DdSession* session) {
+    if (session != nullptr) {
+        return splitOnto(session->store(), state, session->tolerance(), /*keepZeros=*/false);
     }
-    const Dimension dim = radix_.dimensionAt(site);
-    const std::uint64_t part = count / dim;
-    std::vector<DDEdge> edges(dim);
-    double sumSquares = 0.0;
-    for (Dimension k = 0; k < dim; ++k) {
-        edges[k] = buildDenseTree(site + 1, amps + static_cast<std::uint64_t>(k) * part,
-                                  part);
-        sumSquares += squaredMagnitude(edges[k].weight);
-    }
-    const double norm = std::sqrt(sumSquares);
-    if (norm > 0.0) {
-        for (auto& edge : edges) {
-            edge.weight /= norm;
-        }
-    }
-    const NodeRef ref = allocate(static_cast<std::uint32_t>(site), edges);
-    return DDEdge{ref, Complex{norm, 0.0}};
+    return splitOnto(std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol),
+                     state, tol, /*keepZeros=*/false);
 }
 
 DecisionDiagram DecisionDiagram::fromStateVectorDense(const StateVector& state) {
-    DecisionDiagram dd;
-    dd.radix_ = state.radix();
-    dd.ensureStore();
-    const DDEdge rootEdge = dd.buildDenseTree(0, state.amplitudes().data(), state.size());
-    dd.root_ = rootEdge.node;
-    dd.rootWeight_ = rootEdge.weight;
-    return dd;
+    // A private store: interning would merge the zero sub-trees the
+    // baseline exists to keep.
+    return splitOnto(nullptr, state, Tolerance::kDefault, /*keepZeros=*/true);
 }
 
 } // namespace mqsp

@@ -19,6 +19,9 @@
 
 namespace mqsp {
 
+struct ApproximationOptions;
+struct ApproximationReport;
+
 /// How reachable structure should be counted; see `nodeCount`.
 enum class NodeCountMode {
     /// Internal decision nodes reachable from the root (terminal excluded).
@@ -52,28 +55,27 @@ enum class NodeCountMode {
 ///    root weight and the edge weights along the path root -> terminal;
 ///  * zero-amplitude sub-spaces are represented by zero stubs, never nodes.
 ///
-/// `fromStateVector` builds the *tree*-shaped diagram the synthesis
-/// traversal expects (§4.2: "the decision diagram forms a weighted tree");
-/// `reduce()` (see transform.cpp) merges structurally identical sub-trees,
-/// turning it into a DAG (§4.3's reduction rule).
+/// `fromStateVector` splits a dense vector the way §4.2 describes ("the
+/// decision diagram forms a weighted tree") but interns every node as it
+/// splits, so it returns the reduced diagram (§4.3's reduction rule):
+/// structurally identical sub-trees are one node.
+///
+/// Node storage: a diagram holds a shared pointer to its store, and no
+/// node is written after the call that allocated it, so copies alias the
+/// store (O(1)) whatever its regime — a session's interning store, a
+/// fresh interning store, or a private store filled once by the builder
+/// that made it.
 class DecisionDiagram {
 public:
     DecisionDiagram() = default;
 
-    /// Node storage: diagrams built without a session own a private store
-    /// (deep-copied on diagram copy — the historical value semantics);
-    /// diagrams built on a dd::DdSession alias the session's shared
-    /// interning store (copied O(1), immutable in place).
-    DecisionDiagram(const DecisionDiagram& other);
-    DecisionDiagram& operator=(const DecisionDiagram& other);
-    DecisionDiagram(DecisionDiagram&&) noexcept = default;
-    DecisionDiagram& operator=(DecisionDiagram&&) noexcept = default;
-    ~DecisionDiagram() = default;
-
-    /// Decompose a dense state vector into a weighted tree. Amplitudes with
-    /// |a| <= tol (componentwise) are treated as exact zeros.
+    /// Split a dense state vector into a diagram, interning each node as it
+    /// is split: on `session`'s store when one is given (its tolerance then
+    /// governs), else on a fresh interning store at `tol`. Amplitudes with
+    /// |a| <= tolerance (componentwise) are treated as exact zeros.
     [[nodiscard]] static DecisionDiagram fromStateVector(const StateVector& state,
-                                                         double tol = Tolerance::kDefault);
+                                                         double tol = Tolerance::kDefault,
+                                                         const dd::DdSession* session = nullptr);
 
     /// Decompose WITHOUT zero-pruning: every node of the dense splitting
     /// tree is materialized, zero sub-vectors included (their edges carry
@@ -104,8 +106,9 @@ public:
         return store_ ? store_->size() : 0;
     }
 
-    /// True when this diagram lives on a session's shared interning store
-    /// (built canonical, immutable in place, O(1) to copy).
+    /// True when this diagram lives on an interning store — a session's, or
+    /// the fresh one `fromStateVector` or `approximate` made — so it is
+    /// canonical (reduced) by construction.
     [[nodiscard]] bool sessionBacked() const noexcept {
         return store_ != nullptr && store_->interning();
     }
@@ -171,7 +174,7 @@ public:
     [[nodiscard]] std::vector<double> nodeContributions() const;
 
     /// True when all nonzero out-edges of `ref` point to one shared child —
-    /// the tensor-product pattern of §4.3 (only meaningful after reduce()).
+    /// the tensor-product pattern of §4.3 (only found on a reduced diagram).
     [[nodiscard]] bool isTensorProductNode(NodeRef ref) const;
 
     /// Structural invariant check (normalization, edge counts, acyclicity by
@@ -180,31 +183,8 @@ public:
 
     /// --- transforms (transform.cpp) ------------------------------------
 
-    /// Zero out the sub-tree hanging off `parent`'s `edgeIndex` (used by the
-    /// approximation pass). Renormalization is the caller's responsibility.
-    void cutEdge(NodeRef parent, std::size_t edgeIndex);
-
     /// Zero out the root edge, making this the empty diagram.
     void cutRoot();
-
-    /// Re-establish per-node normalization after edges were cut; the lost
-    /// probability mass moves into the root weight (rootWeight < 1 after
-    /// pruning). Drops nodes whose out-edges all became zero stubs.
-    void renormalize(double tol = Tolerance::kDefault);
-
-    /// Rescale the root weight to 1 (after pruning, this makes the diagram
-    /// represent the renormalized approximate state).
-    void normalizeRoot();
-
-    /// Merge structurally identical sub-trees bottom-up (hash-consing); the
-    /// diagram becomes a DAG and shared sub-trees are stored once (§4.3's
-    /// reduction). Returns the number of nodes eliminated.
-    std::size_t reduce(double tol = Tolerance::kDefault);
-
-    /// Drop unreachable pool entries, compacting storage: the reachable
-    /// nodes are rebuilt onto a fresh private store at the same tolerance.
-    /// A no-op on a session store, whose node lifetime the session owns.
-    void garbageCollect();
 
     /// --- gate application (apply.cpp) -------------------------------------
 
@@ -216,10 +196,11 @@ public:
     /// target (always true for synthesized preparation circuits); an
     /// InvalidArgumentError is thrown otherwise. The diagram stays
     /// normalized (|rootWeight| is preserved up to rounding), and pruned at
-    /// the store's tolerance. Replay circuits on a session store
-    /// (DdBackend, or zeroState(dims, &session) plus this call): there every
-    /// rebuilt node is interned and the replay stays canonical, while a
-    /// private store only appends copy-on-write nodes.
+    /// the store's tolerance. Every rebuilt node is interned, so the replay
+    /// stays canonical: a diagram on a private store first moves onto a
+    /// fresh interning store (once), as DdBackend::apply moves it onto its
+    /// session. Replay circuits on a session store (DdBackend, or
+    /// zeroState(dims, &session) plus this call) to share its caches.
     void applyOperation(const Operation& op);
 
     /// The |0...0> diagram on a register, on `session`'s store when one is
@@ -232,15 +213,16 @@ public:
     /// DD-native builders for the paper's structured benchmark families (§5):
     /// the diagrams are assembled node-by-node in O(numQudits^2) time and
     /// space, without ever materializing the dense amplitude vector — the
-    /// entry point for registers past the dense O(∏dims) ceiling. The
-    /// builders reproduce exactly the tree `fromStateVector` would return on
-    /// the same state (same shape, same canonical weights), so synthesis
-    /// from either source emits the identical circuit.
+    /// entry point for registers past the dense O(∏dims) ceiling. Each
+    /// builder computes its weights in the splitter's order, from the dense
+    /// amplitude `states::` uses, so on a session it returns bit for bit
+    /// the diagram `fromStateVector` returns on the family's dense vector,
+    /// and synthesis from either source emits the identical circuit.
     ///
     /// Every builder takes an optional session: without one the diagram
-    /// gets a fresh private store; with one it is built on the session's
-    /// shared interning store, hash-consed into the reduced (DAG) form, and
-    /// a repeated build is all table hits.
+    /// gets a fresh private store (GHZ and W stay tree-shaped there); with
+    /// one it is built on the session's shared interning store, hash-consed
+    /// into the reduced (DAG) form, and a repeated build is all table hits.
 
     /// Mixed-dimensional GHZ state 1/sqrt(m) sum_k |k...k>, m = min(dims).
     [[nodiscard]] static DecisionDiagram ghzState(const Dimensions& dims,
@@ -319,31 +301,42 @@ public:
 
 private:
     friend class dd::DdSession;
+    /// Builds its result on a fresh interning store (approx/approximation.cpp).
+    friend ApproximationReport approximate(DecisionDiagram& dd,
+                                           const ApproximationOptions& options);
 
     /// Diagram on an explicit store (nullptr -> fresh private store); the
     /// hook every builder and rebuiltOn funnel through.
     DecisionDiagram(std::shared_ptr<dd::DdNodeStore> store, const Dimensions& dims);
 
-    /// Make sure a store exists (fresh private one when default-constructed).
-    void ensureStore(double tol = Tolerance::kDefault);
+    /// The splitter's normalization, shared by fromStateVector, every
+    /// structured builder and the gate kernel: sum |w|^2 over the non-stub
+    /// `edges` in index order, divide each by the square root of the sum
+    /// (in place; skipped when the sum is 0), and allocate them as a node at
+    /// `site`. Returns the edge a parent stores — the node, with its norm as
+    /// the (real) weight — or a zero stub when every edge is one.
+    DDEdge normalizedNode(std::uint32_t site, std::span<DDEdge> edges);
 
-    [[nodiscard]] std::span<DDEdge> mutableEdges(NodeRef ref);
-    NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
+    /// `state` split into a diagram on `store` (nullptr -> a fresh private
+    /// store), zeros pruned at `tol` unless `keepZeros`, by the recursive
+    /// `split` (construct.cpp).
+    [[nodiscard]] static DecisionDiagram splitOnto(std::shared_ptr<dd::DdNodeStore> store,
+                                                   const StateVector& state, double tol,
+                                                   bool keepZeros);
+    DDEdge split(std::size_t site, const Complex* amps, std::uint64_t count, double tol,
+                 bool keepZeros, std::vector<DDEdge>& staged);
 
     /// This diagram's reachable nodes rebuilt on `store` (nullptr -> a
     /// fresh private store): children first, in edge order, each source
     /// node once. The one way a diagram moves onto a store —
-    /// DdSession::intern, serializing a session diagram, and a private
-    /// garbageCollect all call it.
+    /// DdSession::intern, serializing an interned diagram, and gate
+    /// application on a private diagram all call it.
     [[nodiscard]] DecisionDiagram rebuiltOn(std::shared_ptr<dd::DdNodeStore> store) const;
 
     /// The W and embedded-W builder (structured.cpp): excitation levels
     /// 1..d-1 per qudit, or level 1 only when `embedded`.
     [[nodiscard]] static DecisionDiagram wFamilyState(const Dimensions& dims, bool embedded,
                                                       const dd::DdSession* session);
-
-    DDEdge buildTree(std::size_t site, const Complex* amps, std::uint64_t count, double tol);
-    DDEdge buildDenseTree(std::size_t site, const Complex* amps, std::uint64_t count);
 
     MixedRadix radix_;
     std::shared_ptr<dd::DdNodeStore> store_;

@@ -39,9 +39,9 @@ namespace {
 
 void DecisionDiagram::serialize(std::ostream& out) const {
     if (store_ != nullptr && store_->interning()) {
-        // A session-backed diagram shares its pool with every other diagram
-        // of the session; serialize a reachable-only private copy instead
-        // of dumping the whole session store.
+        // An interning store may hold nodes this diagram does not reach (a
+        // session's other diagrams); serialize a reachable-only private
+        // copy instead of dumping the whole store.
         rebuiltOn(nullptr).serialize(out);
         return;
     }
@@ -93,9 +93,7 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
     }
     requireThat(!dims.empty(), "DecisionDiagram::deserialize: empty register");
 
-    DecisionDiagram dd;
-    dd.radix_ = MixedRadix(dims);
-    dd.ensureStore();
+    DecisionDiagram dd(nullptr, dims); // a private store, filled by this parse only
 
     requireThat(static_cast<bool>(std::getline(in, line)) && line.rfind("root", 0) == 0,
                 "DecisionDiagram::deserialize: missing root line");
@@ -165,7 +163,7 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
                               Complex{re, im}, pruned != 0};
             }
         }
-        (void)dd.allocate(site, edges);
+        (void)dd.store_->allocate(site, edges);
     }
     detail::throwInvalidArgument("DecisionDiagram::deserialize: missing end line");
 }

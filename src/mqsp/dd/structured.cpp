@@ -7,24 +7,24 @@
 // DecisionDiagram::applyOperation, replayed on a session by the backend
 // layer in sim/backend.hpp).
 //
-// Each tree builder reproduces the tree `fromStateVector` returns on the
-// same state: the canonical normalization pushes every node's norm into its
-// in-edge and keeps upper weights real non-negative, so synthesis from
-// either source emits the same circuit (up to last-ulp rounding in rotation
-// angles, where the analytic weights sqrt(T'/T) and the summed norms may
-// differ) — pinned by the cross-validation suite and the dd-backend golden
-// CLI fixtures. uniformState, cyclicState and dickeState are the exceptions:
-// their tree forms are combinatorial (the full dense tree / one chain per
-// shift / one leaf per fixed-weight term), so they are returned in reduced
-// (DAG) form — which the path-wise synthesis traversal expands to exactly
-// the circuit the tree would have produced.
+// Each builder computes its weights in the splitter's order: its leaf edges
+// carry the dense amplitude exactly as `states::` computes it (1/sqrt of
+// the term count), and every node is normalized bottom-up by the splitter's
+// own DecisionDiagram::normalizedNode — squares summed in index order, then
+// the same divisions. On a session a builder therefore returns bit for bit
+// the diagram `fromStateVector` returns on the family's dense vector, root
+// weight included, and synthesis from either source emits the same circuit
+// (pinned by the cross-validation suite and the dd-backend golden CLI
+// fixtures). uniformState, cyclicState and dickeState build their reduced
+// (DAG) form directly, even on a private store: their tree forms are
+// combinatorial (the full dense tree / one chain per shift / one leaf per
+// fixed-weight term).
 //
 // Each family has one builder, and it takes an optional session. Without
-// one the diagram gets a fresh private store (tree shape, historical
-// semantics); with one it is built on the session's shared interning
-// store, so identical sub-trees are built once per session, whatever
-// diagram asked first (dd/unique_table.hpp). W and embedded W share one
-// body, wFamilyState.
+// one the diagram gets a fresh private store (GHZ and W tree-shaped); with
+// one it is built on the session's shared interning store, so identical
+// sub-trees are built once per session, whatever diagram asked first
+// (dd/unique_table.hpp). W and embedded W share one body, wFamilyState.
 
 #include "mqsp/dd/decision_diagram.hpp"
 
@@ -56,6 +56,12 @@ namespace {
     return embedded ? Dimension{1} : dim - 1;
 }
 
+/// The terminal edge of one term of an equal superposition of `terms`
+/// basis states: the amplitude `states::` gives it, 1/sqrt(terms).
+[[nodiscard]] DDEdge termLeaf(std::uint64_t terms) {
+    return DDEdge{/*terminal=*/0, Complex{1.0 / std::sqrt(static_cast<double>(terms)), 0.0}};
+}
+
 } // namespace
 
 DecisionDiagram DecisionDiagram::basisState(const Dimensions& dims, const Digits& digits,
@@ -65,17 +71,17 @@ DecisionDiagram DecisionDiagram::basisState(const Dimensions& dims, const Digits
                 "DecisionDiagram::basisState: digit count mismatch");
 
     // Weight-1 chain, built bottom-up: site n-1 points at the terminal.
-    NodeRef below = 0; // terminal
+    DDEdge below = termLeaf(1);
     for (std::size_t site = dd.radix_.numQudits(); site-- > 0;) {
         const Dimension dim = dd.radix_.dimensionAt(site);
         requireThat(digits[site] < dim,
                     "DecisionDiagram::basisState: digit exceeds dimension");
         std::vector<DDEdge> edges(dim);
-        edges[digits[site]] = DDEdge{below, Complex{1.0, 0.0}};
-        below = dd.allocate(static_cast<std::uint32_t>(site), edges);
+        edges[digits[site]] = below;
+        below = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
     }
-    dd.root_ = below;
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    dd.root_ = below.node;
+    dd.rootWeight_ = below.weight;
     return dd;
 }
 
@@ -84,30 +90,29 @@ DecisionDiagram DecisionDiagram::ghzState(const Dimensions& dims, const dd::DdSe
     const std::size_t n = dd.radix_.numQudits();
     const Dimension m = *std::min_element(dims.begin(), dims.end());
 
-    // One weight-1 chain |k k ... k> per branch k < m. The chains are not
-    // shared on a private store — tree shape, matching fromStateVector (an
-    // interning store dedupes nothing here either: the chains differ per k).
+    // One chain |k k ... k> per branch k < m. The chains are not shared on
+    // a private store — tree shape (an interning store dedupes nothing here
+    // either: the chains differ per k).
     std::vector<DDEdge> rootEdges(dd.radix_.dimensionAt(0));
-    const double branchWeight = 1.0 / std::sqrt(static_cast<double>(m));
     for (Dimension k = 0; k < m; ++k) {
-        NodeRef below = 0; // terminal
+        DDEdge below = termLeaf(m);
         for (std::size_t site = n; site-- > 1;) {
             std::vector<DDEdge> edges(dd.radix_.dimensionAt(site));
-            edges[k] = DDEdge{below, Complex{1.0, 0.0}};
-            below = dd.allocate(static_cast<std::uint32_t>(site), edges);
+            edges[k] = below;
+            below = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
         }
-        rootEdges[k] = DDEdge{below, Complex{branchWeight, 0.0}};
+        rootEdges[k] = below;
     }
-    dd.root_ = dd.allocate(0, rootEdges);
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    const DDEdge root = dd.normalizedNode(0, rootEdges);
+    dd.root_ = root.node;
+    dd.rootWeight_ = root.weight;
     return dd;
 }
 
 /// Shared W-family builder. With T_i the number of W terms contributed by
 /// sites i..n-1, the node at site i carries edge 0 -> (W sub-state on the
-/// suffix) with weight sqrt(T_{i+1}/T_i) and one edge per excitation level
-/// l with weight 1/sqrt(T_i) -> an all-|0> chain; per-node normalization
-/// holds by construction ((T_{i+1} + L_i)/T_i = 1).
+/// suffix, a zero stub when T_{i+1} = 0) and one edge per excitation level
+/// l -> an all-|0> chain ending in one term's amplitude.
 DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embedded,
                                               const dd::DdSession* session) {
     DecisionDiagram dd(storeOf(session), dims);
@@ -119,39 +124,33 @@ DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embed
         suffixTerms[site] =
             suffixTerms[site + 1] + excitationLevels(embedded, dd.radix_.dimensionAt(site));
     }
+    const DDEdge leaf = termLeaf(suffixTerms[0]);
 
     // Fresh all-|0> suffix chain below `site` (one copy per use on a
     // private store: tree shape; an interning store collapses them).
-    const auto zeroChain = [&dd, n](std::size_t site) -> NodeRef {
-        NodeRef below = 0; // terminal
+    const auto zeroChain = [&dd, n, leaf](std::size_t site) -> DDEdge {
+        DDEdge below = leaf;
         for (std::size_t s = n; s-- > site;) {
             std::vector<DDEdge> edges(dd.radix_.dimensionAt(s));
-            edges[0] = DDEdge{below, Complex{1.0, 0.0}};
-            below = dd.allocate(static_cast<std::uint32_t>(s), edges);
+            edges[0] = below;
+            below = dd.normalizedNode(static_cast<std::uint32_t>(s), edges);
         }
         return below;
     };
 
     // Build the W spine bottom-up.
-    NodeRef spine = kNoNode;
+    DDEdge spine{};
     for (std::size_t site = n; site-- > 0;) {
         const Dimension dim = dd.radix_.dimensionAt(site);
-        const Dimension levels = excitationLevels(embedded, dim);
-        const double total = static_cast<double>(suffixTerms[site]);
         std::vector<DDEdge> edges(dim);
-        if (suffixTerms[site + 1] > 0) {
-            edges[0] = DDEdge{
-                spine,
-                Complex{std::sqrt(static_cast<double>(suffixTerms[site + 1]) / total), 0.0}};
+        edges[0] = spine;
+        for (Dimension l = 1; l <= excitationLevels(embedded, dim); ++l) {
+            edges[l] = zeroChain(site + 1);
         }
-        const double excitationWeight = 1.0 / std::sqrt(total);
-        for (Dimension l = 1; l <= levels; ++l) {
-            edges[l] = DDEdge{zeroChain(site + 1), Complex{excitationWeight, 0.0}};
-        }
-        spine = dd.allocate(static_cast<std::uint32_t>(site), edges);
+        spine = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
     }
-    dd.root_ = spine;
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    dd.root_ = spine.node;
+    dd.rootWeight_ = spine.weight;
     return dd;
 }
 
@@ -168,20 +167,15 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims,
                                               const dd::DdSession* session) {
     DecisionDiagram dd(storeOf(session), dims);
 
-    // One shared chain: node at site s has d_s edges of weight 1/sqrt(d_s),
-    // all pointing at the same child — already the reduced (DAG) form.
-    NodeRef below = 0; // terminal
+    // One shared chain: the node at site s has d_s edges, all pointing at
+    // the same child — already the reduced (DAG) form.
+    DDEdge below = termLeaf(dd.radix_.totalDimension());
     for (std::size_t site = dd.radix_.numQudits(); site-- > 0;) {
-        const Dimension dim = dd.radix_.dimensionAt(site);
-        const double weight = 1.0 / std::sqrt(static_cast<double>(dim));
-        std::vector<DDEdge> edges(dim);
-        for (Dimension k = 0; k < dim; ++k) {
-            edges[k] = DDEdge{below, Complex{weight, 0.0}};
-        }
-        below = dd.allocate(static_cast<std::uint32_t>(site), edges);
+        std::vector<DDEdge> edges(dd.radix_.dimensionAt(site), below);
+        below = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
     }
-    dd.root_ = below;
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    dd.root_ = below.node;
+    dd.rootWeight_ = below.weight;
     return dd;
 }
 
@@ -189,10 +183,11 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims,
 /// d_i)_i; shifts congruent modulo lcm(dims) produce the same word, so the
 /// distinct shifts are 0..K-1 with K = min(count, lcm). The node deciding
 /// site s for a surviving shift set S partitions S by the digit the shifts
-/// put there; the edge to the part S_v carries weight sqrt(|S_v|/|S|) —
-/// exactly the block norms `fromStateVector` computes on the equal-amplitude
-/// dense vector, so the reduced tree and this DAG coincide. Each level holds
-/// one node per distinct surviving shift set.
+/// put there and points edge v at the node of the part S_v; each distinct
+/// word ends in one term's amplitude. Each level holds one node per
+/// distinct surviving shift set, so the reduced tree and this DAG coincide
+/// (an interning store also merges sets whose suffix words agree, as it
+/// does for the split dense vector).
 DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digits& start,
                                              std::uint32_t count, const dd::DdSession* session) {
     DecisionDiagram dd(storeOf(session), dims);
@@ -218,9 +213,8 @@ DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digit
     // order — so a session's allocation order, and with it every downstream
     // NodeRef-keyed metric, is a function of the state alone.
     std::vector<std::vector<std::uint32_t>> sets{std::move(allShifts)};
-    // plans[s][i][v]: (child set index at level s+1, edge weight);
-    // index kNoNode = structural zero.
-    std::vector<std::vector<std::vector<std::pair<std::uint32_t, double>>>> plans(n);
+    // plans[s][i][v]: child set index at level s+1; kNoNode = structural zero.
+    std::vector<std::vector<std::vector<std::uint32_t>>> plans(n);
     for (std::size_t site = 0; site < n; ++site) {
         const Dimension dim = dd.radix_.dimensionAt(site);
         std::map<std::vector<std::uint32_t>, std::uint32_t> index;
@@ -231,51 +225,49 @@ DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digit
             for (const std::uint32_t k : sets[i]) {
                 parts[(start[site] + k) % dim].push_back(k);
             }
-            plans[site][i].assign(dim, {kNoNode, 0.0});
+            plans[site][i].assign(dim, kNoNode);
             for (Dimension v = 0; v < dim; ++v) {
                 std::vector<std::uint32_t>& part = parts[v];
                 if (part.empty()) {
                     continue;
                 }
-                const double weight = std::sqrt(static_cast<double>(part.size()) /
-                                                static_cast<double>(sets[i].size()));
                 const auto [it, inserted] =
                     index.try_emplace(part, static_cast<std::uint32_t>(next.size()));
                 if (inserted) {
                     next.push_back(std::move(part));
                 }
-                plans[site][i][v] = {it->second, weight};
+                plans[site][i][v] = it->second;
             }
         }
         sets = std::move(next);
     }
-    // Bottom-up allocation: every surviving set at level n is the terminal.
-    std::vector<NodeRef> below(sets.size(), 0);
+    // Bottom-up allocation: every surviving set at level n is one word,
+    // ending in the terminal.
+    std::vector<DDEdge> below(sets.size(), termLeaf(numShifts));
     for (std::size_t site = n; site-- > 0;) {
         const Dimension dim = dd.radix_.dimensionAt(site);
-        std::vector<NodeRef> refs(plans[site].size());
+        std::vector<DDEdge> nodes(plans[site].size());
         for (std::size_t i = 0; i < plans[site].size(); ++i) {
             std::vector<DDEdge> edges(dim);
             for (Dimension v = 0; v < dim; ++v) {
-                const auto& [child, weight] = plans[site][i][v];
-                if (child == kNoNode) {
-                    continue;
+                if (const std::uint32_t child = plans[site][i][v]; child != kNoNode) {
+                    edges[v] = below[child];
                 }
-                edges[v] = DDEdge{below[child], Complex{weight, 0.0}};
             }
-            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), edges);
+            nodes[i] = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
         }
-        below = std::move(refs);
+        below = std::move(nodes);
     }
-    dd.root_ = below[0];
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    dd.root_ = below[0].node;
+    dd.rootWeight_ = below[0].weight;
     return dd;
 }
 
 /// Dicke state as the standard (site, remaining-weight) DAG: the node for
 /// (s, w) decides site s with w excitation weight still to place; edge l
-/// points at (s+1, w-l) with weight sqrt(N(s+1, w-l) / N(s, w)), where
-/// N(s, w) counts the suffix digit-strings of sum w. Every tree node of the
+/// points at (s+1, w-l) whenever N(s+1, w-l) > 0, where N(s, w) counts the
+/// suffix digit-strings of sum w, and each of the N(0, weight) terms ends in
+/// one term's amplitude. Every tree node of the
 /// dense construction whose prefix sums to the same value is structurally
 /// identical, so the reduced tree collapses to exactly this DAG — the
 /// family where cross-diagram sharing pays most, since replay intermediates
@@ -328,7 +320,8 @@ DecisionDiagram DecisionDiagram::dickeState(const Dimensions& dims, std::uint64_
             }
         }
     }
-    std::vector<NodeRef> below(reach[n].size(), 0); // level n: the terminal
+    // Level n: the terminal, reached by every term.
+    std::vector<DDEdge> below(reach[n].size(), termLeaf(counts[0][weight]));
     for (std::size_t site = n; site-- > 0;) {
         const Dimension dim = dd.radix_.dimensionAt(site);
         std::vector<std::uint32_t> childIndex(weight + 1,
@@ -336,25 +329,21 @@ DecisionDiagram DecisionDiagram::dickeState(const Dimensions& dims, std::uint64_
         for (std::size_t i = 0; i < reach[site + 1].size(); ++i) {
             childIndex[reach[site + 1][i]] = static_cast<std::uint32_t>(i);
         }
-        std::vector<NodeRef> refs(reach[site].size());
+        std::vector<DDEdge> nodes(reach[site].size());
         for (std::size_t i = 0; i < reach[site].size(); ++i) {
             const std::uint64_t w = reach[site][i];
-            const auto total = static_cast<double>(counts[site][w]);
             std::vector<DDEdge> edges(dim);
             for (Dimension level = 0; level < dim && level <= w; ++level) {
-                const std::uint64_t belowCount = counts[site + 1][w - level];
-                if (belowCount == 0) {
-                    continue;
+                if (counts[site + 1][w - level] > 0) {
+                    edges[level] = below[childIndex[w - level]];
                 }
-                const double edgeWeight = std::sqrt(static_cast<double>(belowCount) / total);
-                edges[level] = DDEdge{below[childIndex[w - level]], Complex{edgeWeight, 0.0}};
             }
-            refs[i] = dd.allocate(static_cast<std::uint32_t>(site), edges);
+            nodes[i] = dd.normalizedNode(static_cast<std::uint32_t>(site), edges);
         }
-        below = std::move(refs);
+        below = std::move(nodes);
     }
-    dd.root_ = below[0];
-    dd.rootWeight_ = Complex{1.0, 0.0};
+    dd.root_ = below[0].node;
+    dd.rootWeight_ = below[0].weight;
     return dd;
 }
 

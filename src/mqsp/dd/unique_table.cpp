@@ -520,20 +520,6 @@ DdNodeStore::DdNodeStore(Mode mode, double tolerance)
     pool_.append(DDNode{DDNode::kTerminalSite, {}});
 }
 
-DdNodeStore::DdNodeStore(const DdNodeStore& other) : tolerance_(other.tolerance_) {
-    // Only private stores are ever deep-copied (DecisionDiagram value
-    // semantics), and a private store is its nodes, its edges and its
-    // tolerance.
-    requireThat(!other.interning(),
-                "DdNodeStore: deep copy of a session-shared store (session diagrams alias "
-                "their store instead)");
-    const std::size_t count = other.size();
-    for (std::size_t ref = 0; ref < count; ++ref) {
-        const DDNode& node = other.pool_.at(static_cast<NodeRef>(ref));
-        pool_.append(DDNode{node.site, copyEdges(bump_, node.edges)});
-    }
-}
-
 DdNodeStore::~DdNodeStore() {
     retireEdgeBlocks(edgeBlocks_);
 }
@@ -541,17 +527,6 @@ DdNodeStore::~DdNodeStore() {
 const DDNode& DdNodeStore::node(NodeRef ref) const {
     requireThat(ref < pool_.size(), "DecisionDiagram::node: invalid reference");
     return pool_.at(ref);
-}
-
-std::span<DDEdge> DdNodeStore::mutableEdges(NodeRef ref) {
-    requireThat(!interning(),
-                "DdNodeStore: in-place node mutation is forbidden on a session-shared "
-                "(interning) store — detach the diagram first");
-    requireThat(ref < pool_.size(), "DecisionDiagram::node: invalid reference");
-    // The edges are this store's own (non-const) block memory; nodes view
-    // them as const only so that readers cannot write them.
-    const std::span<const DDEdge> edges = pool_.at(ref).edges;
-    return {const_cast<DDEdge*>(edges.data()), edges.size()};
 }
 
 NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
@@ -639,8 +614,7 @@ std::vector<NodeRef> DdNodeStore::reachable(std::span<const NodeRef> roots) cons
 DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>& roots,
                                                       std::vector<NodeRef>& remapOut) {
     requireThat(interning(),
-                "DdNodeStore::compactLive: session GC applies to interning stores "
-                "(private diagrams use DecisionDiagram::garbageCollect)");
+                "DdNodeStore::compactLive: session GC applies to interning stores");
     CompactionStats stats;
     const std::size_t before = pool_.size();
     stats.nodesBefore = before;

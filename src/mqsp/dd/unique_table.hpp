@@ -8,28 +8,29 @@
 //
 // One node store, `DdNodeStore`, in two allocation regimes:
 //
-//  * a *private* store backs one diagram, appends nodes without uniquing,
-//    and preserves the historical tree semantics exactly — `fromStateVector`
-//    trees, the approximation pass (which mutates nodes in place), and
-//    everything the existing test suite pins. It is its pool, its edge
+//  * a *private* store appends nodes without uniquing. It is filled once,
+//    by the call that makes it — a session-less structured builder,
+//    `fromStateVectorDense`, `deserialize`, or the reachable-only copy
+//    `serialize` prints — and never written again. It is its pool, its edge
 //    blocks and its tolerance: it carries no table and no cache;
 //  * an *interning* store is shared by every diagram that allocates on it —
-//    a `DdSession`'s targets, replayed states and per-gate intermediates, or
-//    the operators a `DdBackend` compiles. Allocation goes through the
-//    uniquing table, so a structurally identical sub-tree is built once per
-//    store no matter how many diagrams request it, and the diagrams come
-//    out canonical (reduced) by construction. Nodes in an interning store
-//    are immutable once allocated: in-place mutators (cutEdge/renormalize)
-//    refuse, copies of its diagrams share the store, and lifetime is owned
-//    by the store's holder, not by any one diagram.
+//    a `DdSession`'s targets, replayed states and per-gate intermediates,
+//    the operators a `DdBackend` compiles, or the fresh store one
+//    `fromStateVector` or `approximate` call builds its result on.
+//    Allocation goes through the uniquing table, so a structurally
+//    identical sub-tree is built once per store no matter how many diagrams
+//    request it, and the diagrams come out canonical (reduced) by
+//    construction. Lifetime is owned by the store's holder, not by any one
+//    diagram.
 //
-// There is one way onto each store: every structured builder takes an
-// optional session (its store, else a fresh private one), and one rebuild,
-// DecisionDiagram::rebuiltOn, moves an existing diagram — behind
-// DdSession::intern, serializing a session diagram, and a private
-// garbageCollect. Every interning allocation goes through the table's one
-// `findOrInsert`, and every walk over the nodes a set of roots reaches goes
-// through `DdNodeStore::reachable`.
+// In both regimes a node is immutable once allocated, so copies of a
+// diagram alias its store. There is one way onto each store: every builder
+// takes an optional session (its store, else a fresh one), and one
+// rebuild, DecisionDiagram::rebuiltOn, moves an existing diagram — behind
+// DdSession::intern, serializing an interned diagram, and gate application
+// on a private diagram. Every interning allocation goes through the
+// table's one `findOrInsert`, and every walk over the nodes a set of roots
+// reaches goes through `DdNodeStore::reachable`.
 //
 // Concurrency model (the multicore substrate behind verifyBatch):
 //
@@ -38,8 +39,7 @@
 //    distribution are independent). findOrInsert takes the owning shard's
 //    mutex, so concurrent batch items intern into one shared pool and a
 //    distinct structural key maps to exactly one NodeRef regardless of
-//    interleaving. Single-threaded users (reduce()'s transient table) take
-//    the same uncontended locks.
+//    interleaving. Single-threaded users take the same uncontended locks.
 //  * Nodes live in a chunked pool with geometrically growing blocks, and
 //    their edges in fixed-size edge blocks the store owns; neither a node
 //    nor its edges ever move once allocated, so readers follow NodeRefs out
@@ -114,8 +114,7 @@ struct DDEdge {
 ///
 /// The node does not own its edges: `edges` views a run of an edge block
 /// owned by the node's DdNodeStore, valid for the store's lifetime (until
-/// a session GC renumbers the node). Readers see the edges as const; only
-/// a private store hands out writable edges (DdNodeStore::mutableEdges).
+/// a session GC renumbers the node). Nobody writes them after allocation.
 struct DDNode {
     static constexpr std::uint32_t kTerminalSite = std::numeric_limits<std::uint32_t>::max();
 
@@ -301,9 +300,9 @@ struct ComputeCacheStats {
 /// Sharded open-addressed (linear-probing) uniquing table mapping a node's
 /// structural key — site, child refs, and edge weights bucketed to the
 /// merge tolerance — to the canonical NodeRef that first materialized it.
-/// The table does not own nodes; it maps keys to refs of the pool the
-/// caller allocates from (an interning DdNodeStore, whose state and
-/// operator nodes share one key layout, or reduce()'s in-place tree).
+/// The table does not own nodes; it maps keys to refs of the pool of the
+/// interning DdNodeStore it belongs to, whose state and operator nodes
+/// share one key layout.
 ///
 /// One probe touches one record: a slot names an `Entry` (cached hash,
 /// site, arity, value and the offset of its key edges), and the key edges
@@ -333,8 +332,7 @@ public:
     /// matches, else `makeFresh(shard)` — called under that shard's lock
     /// on a miss — recorded as the canonical node for this key. Exactly one
     /// call of `makeFresh` happens per distinct key however many threads
-    /// race on it, and none for a key that hits. The one interning call:
-    /// interning stores and reduce()'s transient table both use it.
+    /// race on it, and none for a key that hits. The one interning call.
     NodeRef findOrInsert(std::uint32_t site, std::span<const DDEdge> edges,
                          const detail::MakeNodeFnRef& makeFresh);
 
@@ -360,8 +358,8 @@ public:
     [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
     void resetStats();
 
-    /// Weight-bucketing shared with the historical reduce(): values within
-    /// one tolerance bucket are treated as the same canonical weight.
+    /// Weight bucketing: values within one tolerance bucket are treated as
+    /// the same canonical weight.
     [[nodiscard]] static std::int64_t bucketOf(double value, double tolerance);
 
 private:
@@ -558,25 +556,22 @@ private:
 /// has a table and a compute cache.
 ///
 /// Edge blocks hold kEdgeBlockEdges edges. Each shard of an interning
-/// store fills its own block; a private store, a copy and a session GC fill
-/// one block at a time with a plain bump. A node with more edges than a
+/// store fills its own block; a private store and a session GC fill one
+/// block at a time with a plain bump. A node with more edges than a
 /// block (an operator node of dimension 23 or more) gets a block of its
 /// own. Every block comes from the thread's spare list and goes back to it
 /// when the store dies or collects.
 class DdNodeStore {
 public:
     enum class Mode {
-        Private,   ///< one diagram, append-only, in-place mutation allowed
-        Interning, ///< shared, hash-consed, nodes immutable
+        Private,   ///< append-only, filled once by the call that makes it
+        Interning, ///< shared, hash-consed
     };
 
     /// Edges per edge block (16 KB).
     static constexpr std::size_t kEdgeBlockEdges = 512;
 
     explicit DdNodeStore(Mode mode, double tolerance = Tolerance::kDefault);
-    /// Deep copy (DecisionDiagram value semantics), edges included. Private
-    /// stores only: diagrams on an interning store alias it instead.
-    DdNodeStore(const DdNodeStore& other);
     DdNodeStore& operator=(const DdNodeStore&) = delete;
     ~DdNodeStore();
 
@@ -585,9 +580,6 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
 
     [[nodiscard]] const DDNode& node(NodeRef ref) const;
-    /// Writable edges of a node — refused on an interning store, whose
-    /// nodes other diagrams may share.
-    [[nodiscard]] std::span<DDEdge> mutableEdges(NodeRef ref);
 
     /// Allocate (Private) or intern (Interning) a node; `edges` are copied
     /// into the store's edge blocks only when a node is created, so an
@@ -611,8 +603,7 @@ public:
         std::uint64_t cacheEvicted = 0;
     };
 
-    /// Session GC (interning stores only — private diagrams use
-    /// DecisionDiagram::garbageCollect): mark every node reachable from
+    /// Session GC (interning stores only): mark every node reachable from
     /// `roots` (the terminal is always live), compact the pool to the
     /// survivors in ascending-ref order — so the compacted pool is
     /// deterministic whenever the pre-GC pool was — copying their edges
@@ -667,7 +658,7 @@ private:
     detail::ChunkedNodePool<DDNode> pool_;
     std::mutex blockMutex_; ///< guards edgeBlocks_ only
     std::vector<EdgeBlock> edgeBlocks_;
-    EdgeCursor bump_; ///< the private store's, a copy's and a GC's cursor
+    EdgeCursor bump_; ///< the private store's and a GC's cursor
     std::unique_ptr<Hashing> hashing_; ///< null on a private store
 };
 
@@ -709,8 +700,7 @@ struct DdSessionGcStats {
 ///
 /// Lifetime/ownership contract: diagrams built on a session hold a
 /// shared_ptr to the session's store, so they remain valid after the
-/// session object is gone — but they are immutable (the in-place mutators
-/// throw) and copying them is O(1) aliasing, not a deep copy. The session
+/// session object is gone; copying them is O(1) aliasing. The session
 /// is deliberately scoped, not process-global: a global table would make
 /// node lifetime unmanageable across unrelated workloads.
 class DdSession {

@@ -274,29 +274,21 @@ std::string VerificationService::handlePrep(const Request& request) {
     entry.approx = approxText != nullptr;
     entry.threshold = threshold;
 
-    PreparationResult result;
-    if (approxText != nullptr || family.family == states::Family::Random) {
-        // Dense path: random states have no diagram builder, and the
-        // approximation pass needs a tree-shaped private diagram (it
-        // prunes in place — impossible on immutable session nodes). The
-        // *verify target* is the exact state interned into the session
-        // either way, so GC and the compute cache govern it like any
-        // other resident target.
+    // One path for every family: the target is built once, on the session
+    // (random states split their dense vector there), then approximated
+    // when asked — on a store of its own, so the resident target stays the
+    // exact state — and synthesized.
+    if (family.family == states::Family::Random) {
         requireThat(radix.totalDimension() <= kDenseBackendCeiling,
-                    std::string(approxText != nullptr ? "--approx" : "PREP:RANDOM") +
-                        " builds a dense amplitude vector, and the register has " +
+                    "PREP:RANDOM builds a dense amplitude vector, and the register has " +
                         u64(radix.totalDimension()) + " amplitudes (dense ceiling " +
                         u64(kDenseBackendCeiling) + ")");
-        const StateVector state = states::makeDenseState(family, dims);
-        entry.target =
-            EvalState(session->intern(DecisionDiagram::fromStateVector(state, options.tolerance)));
-        result = approxText != nullptr ? prepareApproximated(state, threshold, options)
-                                       : prepareExact(state, options);
-    } else {
-        DecisionDiagram diagram = states::makeDiagram(family, dims, session.get());
-        entry.target = EvalState(diagram);
-        result = prepareExact(std::move(diagram), options);
     }
+    DecisionDiagram target = states::makeDiagram(family, dims, session.get());
+    entry.target = EvalState(target);
+    PreparationResult result = approxText != nullptr
+                                   ? prepareApproximated(std::move(target), threshold, options)
+                                   : prepareExact(std::move(target), options);
     entry.circuit = std::move(result.circuit);
 
     const PreparedTarget& stored = registry_.add(std::move(entry));

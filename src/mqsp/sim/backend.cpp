@@ -136,7 +136,8 @@ const EvalState& liftTarget(const std::shared_ptr<dd::DdSession>& session,
     } else if (target.isDiagram()) {
         holder = EvalState(session->intern(target.diagram()));
     } else {
-        holder = EvalState(session->intern(DecisionDiagram::fromStateVector(target.dense())));
+        holder = EvalState(
+            DecisionDiagram::fromStateVector(target.dense(), session->tolerance(), session.get()));
     }
     return holder;
 }

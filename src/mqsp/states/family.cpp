@@ -27,10 +27,6 @@ std::optional<Family> familyNamed(std::string_view name) noexcept {
     return std::nullopt;
 }
 
-bool FamilySpec::isDagOnly() const noexcept {
-    return family == Family::Uniform || family == Family::Dicke || family == Family::Cyclic;
-}
-
 FamilySpec defaultSpec(Family family, const Dimensions& dims) {
     FamilySpec spec;
     spec.family = family;
@@ -77,9 +73,10 @@ DecisionDiagram makeDiagram(const FamilySpec& spec, const Dimensions& dims,
     case Family::Cyclic:
         return DecisionDiagram::cyclicState(dims, Digits(dims.size(), 0), spec.count, session);
     case Family::Random:
-        break;
+        return DecisionDiagram::fromStateVector(makeDenseState(spec, dims),
+                                                Tolerance::kDefault, session);
     }
-    detail::throwInvalidArgument("no diagram builder for a random state");
+    detail::throwInternal("makeDiagram: unhandled family");
 }
 
 } // namespace mqsp::states

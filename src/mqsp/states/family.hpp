@@ -28,11 +28,6 @@ struct FamilySpec {
     std::uint64_t weight = 0;               ///< Dicke excitation weight
     std::uint32_t count = 0;                ///< cyclic shift count
     std::uint64_t seed = Rng::kDefaultSeed; ///< random amplitudes
-
-    /// The native diagram is a DAG, not a tree (uniform's shared chain,
-    /// Dicke's (site, weight) lattice, cyclic's shift-set sharing), so the
-    /// approximation pass, which needs a tree, cannot take it.
-    [[nodiscard]] bool isDagOnly() const noexcept;
 };
 
 /// `family` with its defaults on `dims`: Dicke weight min(2,
@@ -44,9 +39,11 @@ struct FamilySpec {
 /// The family's dense amplitude vector.
 [[nodiscard]] StateVector makeDenseState(const FamilySpec& spec, const Dimensions& dims);
 
-/// The family's diagram, built natively (never through a dense vector) on
-/// `session`'s store when one is given, else on a private store. Throws
-/// for Random, which has no diagram builder.
+/// The family's diagram on `session`'s store when one is given. Structured
+/// families are built natively (never through a dense vector; a private
+/// store without a session); Random splits its dense vector through
+/// DecisionDiagram::fromStateVector (a fresh interning store without a
+/// session), so it needs the dense vector to fit in memory.
 [[nodiscard]] DecisionDiagram makeDiagram(const FamilySpec& spec, const Dimensions& dims,
                                           const dd::DdSession* session = nullptr);
 

@@ -47,7 +47,9 @@ struct PreparationResult {
     ApproximationReport approx;     ///< meaningful for the approximated pipeline
 };
 
-/// The paper's "Exact" pipeline: state -> weighted tree -> circuit.
+/// The paper's "Exact" pipeline: state -> reduced diagram (split and
+/// interned by DecisionDiagram::fromStateVector) -> circuit. Reducing first
+/// is what lets §4.3's tensor-product control elision fire.
 [[nodiscard]] PreparationResult prepareExact(const StateVector& state,
                                              const SynthesisOptions& options = {});
 
@@ -56,13 +58,13 @@ struct PreparationResult {
 [[nodiscard]] PreparationResult prepareExact(DecisionDiagram diagram,
                                              const SynthesisOptions& options = {});
 
-/// The paper's "Approximated" pipeline: state -> weighted tree -> prune to
-/// the fidelity threshold -> reduce -> circuit.
+/// The paper's "Approximated" pipeline: state -> reduced diagram -> prune
+/// to the fidelity threshold and rebuild reduced (approximate) -> circuit.
 [[nodiscard]] PreparationResult prepareApproximated(const StateVector& state,
                                                     double fidelityThreshold = 0.98,
                                                     const SynthesisOptions& options = {});
 
-/// Approximated pipeline from an already-built (tree-shaped) diagram.
+/// Approximated pipeline from an already-built diagram, tree or reduced.
 [[nodiscard]] PreparationResult prepareApproximated(DecisionDiagram diagram,
                                                     double fidelityThreshold = 0.98,
                                                     const SynthesisOptions& options = {});

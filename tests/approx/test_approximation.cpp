@@ -19,12 +19,20 @@ TEST(Approximation, RejectsBadThreshold) {
 }
 
 TEST(Approximation, RejectsReducedDiagrams) {
-    // Pruning bookkeeping needs unique parents; a reduced diagram with
-    // multi-parent sharing must be rejected, not silently mis-pruned.
-    // (The W state's "all zeros below" sub-trees are shared across parents.)
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(states::wState({3, 3, 2}));
-    dd.reduce();
-    EXPECT_THROW((void)approximate(dd), InvalidArgumentError);
+    // A reduced diagram is pruned, not refused: the W state's "all zeros
+    // below" sub-trees are shared across parents, and cutting one edge into
+    // such a shared child removes exactly that edge's mass. Each of the five
+    // terms holds 0.2, so a 0.7 pass removes one term.
+    const StateVector state = states::wState({3, 3, 2});
+    DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
+    ASSERT_LT(dd.nodeCount(NodeCountMode::Internal), dd.nodeCount(NodeCountMode::TreeSlots));
+    ApproximationOptions options;
+    options.fidelityThreshold = 0.7;
+    const ApproximationReport report = approximate(dd, options);
+    EXPECT_EQ(report.removedLeafEdges + report.removedInternalNodes, 1U);
+    EXPECT_NEAR(report.removedMass, 0.2, 1e-12);
+    EXPECT_NEAR(dd.fidelityWith(state), report.fidelity, 1e-9);
+    EXPECT_EQ(dd.checkInvariants(), "");
 }
 
 TEST(Approximation, EmptyDiagramIsNoop) {
@@ -128,19 +136,22 @@ TEST(Approximation, SparseStateWholeSubtreePruning) {
 }
 
 TEST(Approximation, ReductionMergesAfterPruning) {
-    // After pruning, the two surviving identical branches merge (Example 6).
-    StateVector state({3, 2});
+    // After pruning, the two branches become identical and merge (Example
+    // 6): branch 0 differs from branch 1 only by a small |0 2> amplitude,
+    // and once that leaf is cut the root's two edges share one child.
+    StateVector state({2, 3});
     state[0] = Complex{0.0, 0.0};
-    const double shared = 0.5;
-    state.at({0, 0}) = Complex{std::sqrt(0.495) * shared * std::sqrt(2.0), 0.0};
-    state.at({0, 1}) = Complex{std::sqrt(0.495) * shared * std::sqrt(2.0), 0.0};
-    state.at({1, 0}) = Complex{std::sqrt(0.495) * shared * std::sqrt(2.0), 0.0};
-    state.at({1, 1}) = Complex{std::sqrt(0.495) * shared * std::sqrt(2.0), 0.0};
-    state.at({2, 0}) = Complex{std::sqrt(0.01), 0.0};
+    state.at({0, 0}) = Complex{0.5, 0.0};
+    state.at({0, 1}) = Complex{0.5, 0.0};
+    state.at({0, 2}) = Complex{0.05, 0.0};
+    state.at({1, 0}) = Complex{0.5, 0.0};
+    state.at({1, 1}) = Complex{0.5, 0.0};
     state.normalize();
     DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
+    ASSERT_FALSE(dd.isTensorProductNode(dd.rootNode()));
     const auto report = approximate(dd);
-    EXPECT_GT(report.mergedNodes, 0U);
+    EXPECT_EQ(report.removedLeafEdges, 1U);
+    EXPECT_EQ(report.mergedNodes, 1U);
     EXPECT_TRUE(dd.isTensorProductNode(dd.rootNode()));
 }
 

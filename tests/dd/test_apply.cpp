@@ -181,11 +181,11 @@ TEST(DDInnerProduct, RegisterMismatchRejected) {
 }
 
 TEST(DDInnerProduct, WorksOnReducedDiagrams) {
-    DecisionDiagram a = DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
-    a.reduce();
-    a.garbageCollect();
-    const DecisionDiagram b =
-        DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
+    // The split diagram is reduced (one node per level) and the dense
+    // baseline is the full tree: the overlap walks both shapes.
+    const DecisionDiagram a = DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
+    ASSERT_EQ(a.nodeCount(NodeCountMode::Internal), 3U);
+    const DecisionDiagram b = DecisionDiagram::fromStateVectorDense(states::uniform({3, 4, 2}));
     EXPECT_NEAR(std::abs(a.innerProductWith(b) - Complex{1.0, 0.0}), 0.0, 1e-10);
 }
 

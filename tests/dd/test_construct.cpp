@@ -1,6 +1,7 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/sim/simulator.hpp"
+#include "mqsp/states/family.hpp"
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/rng.hpp"
 #include "mqsp/synth/synthesizer.hpp"
@@ -8,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace mqsp {
 namespace {
@@ -169,6 +173,46 @@ INSTANTIATE_TEST_SUITE_P(Registers, DDRoundTrip,
                          ::testing::Values(Dimensions{2, 2}, Dimensions{3, 6, 2},
                                            Dimensions{9, 5, 6, 3}, Dimensions{2, 3, 4},
                                            Dimensions{5, 2, 3, 2}));
+
+std::string serialized(const DecisionDiagram& diagram) {
+    std::ostringstream text;
+    diagram.serialize(text);
+    return text.str();
+}
+
+TEST(DDConstruct, NativeBuildersEqualTheSplitterBitForBit) {
+    // Each native builder computes its weights in the splitter's order from
+    // the dense amplitude states:: uses, so on a session it returns the
+    // diagram fromStateVector returns on the family's dense vector — every
+    // weight, root weight and pruned flag, byte for byte.
+    for (const Dimensions& dims :
+         {Dimensions{3, 6, 2}, Dimensions{9, 5, 6, 3}, Dimensions{4, 7, 4, 4, 3, 5},
+          Dimensions{2, 3, 4, 6}, Dimensions{2, 2, 2, 2, 2}}) {
+        std::vector<states::FamilySpec> specs;
+        for (const states::Family family :
+             {states::Family::Ghz, states::Family::W, states::Family::EmbW,
+              states::Family::Uniform, states::Family::Dicke, states::Family::Cyclic,
+              states::Family::Random}) {
+            specs.push_back(states::defaultSpec(family, dims));
+        }
+        states::FamilySpec heavy = states::defaultSpec(states::Family::Dicke, dims);
+        heavy.weight = states::maxDickeWeight(dims) / 2;
+        specs.push_back(heavy);
+        states::FamilySpec fewShifts = states::defaultSpec(states::Family::Cyclic, dims);
+        fewShifts.count = 5;
+        specs.push_back(fewShifts);
+        for (const states::FamilySpec& spec : specs) {
+            const dd::DdSession native;
+            const dd::DdSession split;
+            const DecisionDiagram built = states::makeDiagram(spec, dims, &native);
+            const DecisionDiagram fromDense = DecisionDiagram::fromStateVector(
+                states::makeDenseState(spec, dims), Tolerance::kDefault, &split);
+            EXPECT_EQ(serialized(built), serialized(fromDense))
+                << formatDimensionSpec(dims) << " family " << static_cast<int>(spec.family)
+                << " weight " << spec.weight << " count " << spec.count;
+        }
+    }
+}
 
 } // namespace
 } // namespace mqsp

@@ -84,26 +84,27 @@ TEST(DDMetrics, ContributionEqualsSubtreeMass) {
     const auto contributions = dd.nodeContributions();
     const DDNode& root = dd.node(dd.rootNode());
     // W(3,3) has 4 terms: |01>,|02>,|10>,|20| each 1/4. Root edge 0 leads to
-    // the child holding |01>,|02> -> mass 1/2.
+    // the child holding |01>,|02> -> mass 1/2. Root edges 1 and 2 share the
+    // reduced |0> child, which carries |10> and |20> -> mass 1/2.
     ASSERT_FALSE(root.edges[0].isZeroStub());
     EXPECT_NEAR(contributions[root.edges[0].node], 0.5, 1e-10);
     ASSERT_FALSE(root.edges[1].isZeroStub());
-    EXPECT_NEAR(contributions[root.edges[1].node], 0.25, 1e-10);
+    ASSERT_EQ(root.edges[1].node, root.edges[2].node);
+    EXPECT_NEAR(contributions[root.edges[1].node], 0.5, 1e-10);
 }
 
 TEST(DDMetrics, TensorProductDetectionAfterReduce) {
     // |psi> = (uniform qutrit) x (uniform qubit): after reduction the root's
     // three edges share one child -> tensor-product node.
     const StateVector state = states::uniform({3, 2});
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
-    EXPECT_FALSE(dd.isTensorProductNode(dd.rootNode())); // tree: 3 children
-    dd.reduce();
+    const DecisionDiagram tree = DecisionDiagram::fromStateVectorDense(state);
+    EXPECT_FALSE(tree.isTensorProductNode(tree.rootNode())); // tree: 3 children
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
     EXPECT_TRUE(dd.isTensorProductNode(dd.rootNode()));
 }
 
 TEST(DDMetrics, TensorProductFalseForEntangledStates) {
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(states::ghz({3, 3}));
-    dd.reduce();
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(states::ghz({3, 3}));
     EXPECT_FALSE(dd.isTensorProductNode(dd.rootNode()));
 }
 

@@ -2,6 +2,7 @@
 // decision diagram of Figure 3), pinned as tests so the implementation
 // provably matches the publication's semantics.
 
+#include "mqsp/approx/approximation.hpp"
 #include "mqsp/circuit/gate.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/sim/simulator.hpp"
@@ -131,11 +132,13 @@ TEST(PaperExamples, Example6TensorReductionAfterPruning) {
 
     DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
     EXPECT_FALSE(dd.isTensorProductNode(dd.rootNode()));
-    // Prune the smallest-contribution child (the |2 x> branch, mass 0.1).
-    dd.cutEdge(dd.rootNode(), 2);
-    dd.renormalize();
-    dd.normalizeRoot();
-    dd.reduce();
+    // Prune the smallest-contribution child (the |2 x> branch, mass 0.1):
+    // the other two edges carry 0.5 and 0.4, past the 0.15 budget.
+    ApproximationOptions options;
+    options.fidelityThreshold = 0.85;
+    const ApproximationReport report = approximate(dd, options);
+    EXPECT_NEAR(report.removedMass, 0.1, 1e-10);
+    EXPECT_TRUE(dd.node(dd.rootNode()).edges[2].isZeroStub());
     EXPECT_TRUE(dd.isTensorProductNode(dd.rootNode()));
     EXPECT_NEAR(dd.normSquared(), 1.0, 1e-10);
 }

@@ -1,3 +1,4 @@
+#include "mqsp/approx/approximation.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/states/states.hpp"
@@ -65,8 +66,8 @@ TEST(DDSample, HistogramMatchesBornRule) {
 }
 
 TEST(DDSample, WorksOnReducedDiagrams) {
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
-    dd.reduce();
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
+    ASSERT_EQ(dd.nodeCount(NodeCountMode::Internal), 3U); // one node per level
     Rng rng(11);
     const auto histogram = dd.sampleHistogram(rng, 2400);
     // All 24 outcomes should appear for a uniform state with 2400 shots.
@@ -98,15 +99,9 @@ TEST(DDSerialize, RoundTripsReducedAndPrunedDiagrams) {
     Rng rng(17);
     const StateVector state = states::random({3, 4, 2}, rng);
     DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
-    // Prune one leaf so the pruned flag participates in the round trip.
-    const DDNode& root = dd.node(dd.rootNode());
-    const NodeRef child = root.edges[0].node;
-    const NodeRef grandchild = dd.node(child).edges[0].node;
-    dd.cutEdge(grandchild, 0);
-    dd.renormalize();
-    dd.normalizeRoot();
-    dd.reduce();
-    dd.garbageCollect();
+    // Prune so the pruned flag participates in the round trip.
+    const ApproximationReport report = approximate(dd);
+    ASSERT_GT(report.removedLeafEdges + report.removedInternalNodes, 0U);
 
     std::stringstream stream;
     dd.serialize(stream);

@@ -5,6 +5,7 @@
 // diagrams — targets, replays, and repeat verification sharing one pool.
 
 #include "common/random_circuit.hpp"
+#include "mqsp/approx/approximation.hpp"
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/dd/unique_table.hpp"
 #include "mqsp/mdd/matrix_dd.hpp"
@@ -184,9 +185,28 @@ TEST(DdNodeStore, InterningStoreDeduplicatesWithoutCreatingGarbage) {
 }
 
 TEST(DdNodeStore, InterningStoreRefusesInPlaceMutation) {
-    dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning, kTol);
-    const NodeRef a = store.allocate(0, edgeList({{0, 1.0}}));
-    EXPECT_THROW((void)store.mutableEdges(a), InvalidArgumentError);
+    // Nothing writes a node after the call that made it: pruning a session
+    // diagram rebuilds the result on a store of its own and leaves the
+    // session's pool, and every byte of the pruned diagram's source, as it
+    // was.
+    const dd::DdSession session;
+    Rng rng(0x5E55'10ULL);
+    const DecisionDiagram target =
+        DecisionDiagram::fromStateVector(states::random({3, 4, 2}, rng), kTol, &session);
+    std::ostringstream before;
+    target.serialize(before);
+    const std::uint64_t pool = session.stats().poolNodes;
+
+    DecisionDiagram pruned = target;
+    ASSERT_TRUE(pruned.sharesStoreWith(target)); // copies alias the store
+    const ApproximationReport report = approximate(pruned);
+    ASSERT_GT(report.removedLeafEdges + report.removedInternalNodes, 0U);
+    EXPECT_FALSE(pruned.sharesStoreWith(target));
+    EXPECT_FALSE(session.owns(pruned));
+    EXPECT_EQ(session.stats().poolNodes, pool);
+    std::ostringstream after;
+    target.serialize(after);
+    EXPECT_EQ(after.str(), before.str());
 }
 
 // --- DdSession: builders, reuse, lifetime ---------------------------------
@@ -289,16 +309,20 @@ TEST(DdSession, InternImportsForeignDiagramsAndAliasesOwnOnes) {
 }
 
 TEST(DdSession, SessionDiagramsRefuseMutatorsAndSkipReduce) {
+    // Already canonical, and never written in place: a pruning pass that
+    // cuts nothing (each GHZ branch holds a third of the mass) hands the
+    // session diagram back as it was, on the session's pool.
     const Dimensions dims{3, 3};
     dd::DdSession session;
     DecisionDiagram diagram = DecisionDiagram::ghzState(dims, &session);
-
-    EXPECT_THROW(diagram.cutEdge(diagram.rootNode(), 0), InvalidArgumentError);
-    EXPECT_THROW(diagram.renormalize(), InvalidArgumentError);
-    // Already canonical: reduce is a structural no-op, GC never remaps.
+    const NodeRef root = diagram.rootNode();
     const std::size_t pool = diagram.poolSize();
-    EXPECT_EQ(diagram.reduce(), 0U);
-    diagram.garbageCollect();
+
+    const ApproximationReport report = approximate(diagram);
+    EXPECT_DOUBLE_EQ(report.removedMass, 0.0);
+    EXPECT_EQ(report.mergedNodes, 0U);
+    EXPECT_TRUE(session.owns(diagram));
+    EXPECT_EQ(diagram.rootNode(), root);
     EXPECT_EQ(diagram.poolSize(), pool);
 }
 

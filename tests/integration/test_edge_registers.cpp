@@ -75,9 +75,7 @@ TEST(EdgeRegisters, SynthesisFromReducedStructuredDiagrams) {
             const StateVector target = which == 0   ? states::ghz(dims)
                                        : which == 1 ? states::wState(dims)
                                                     : states::embeddedWState(dims);
-            DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
-            dd.reduce();
-            dd.garbageCollect();
+            const DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
             for (const bool elide : {true, false}) {
                 SynthesisOptions options;
                 options.elideTensorProductControls = elide;

@@ -107,12 +107,11 @@ TEST(Pipeline, FullStackDownToTwoQuditGates) {
 }
 
 TEST(Pipeline, UniformStateCollapsesToControlFreeCircuit) {
-    // The uniform state is a full tensor product; after reduction, synthesis
-    // emits zero controls on every qudit (§4.3's best case).
+    // The uniform state is a full tensor product; the pipeline synthesizes
+    // from the reduced diagram, so it emits zero controls on every qudit
+    // (§4.3's best case).
     const StateVector target = states::uniform({3, 4, 2});
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
-    dd.reduce();
-    const Circuit circuit = synthesize(dd);
+    const Circuit circuit = prepareExact(target).circuit;
     EXPECT_EQ(circuit.stats().maxControls, 0U);
     EXPECT_NEAR(Simulator::preparationFidelity(circuit, target), 1.0, 1e-9);
 }

@@ -3,13 +3,13 @@
 // all-kind circuits on one single-threaded backend, verifies synthesized
 // circuits singly and as a batch, collects the session, replays again after
 // the collection, and runs a DD equivalence check. The second builds every
-// structured family privately and on a session, interns random-state trees,
-// approximates, reduces and collects, and serializes the results. How the
-// uniquing table and the compute cache are laid out in memory, and which
-// code path puts a node on a store, are free to change; which keys hit,
-// which miss, which nodes exist at which ref, and every bit and byte the
-// workloads produce are not, so these constants only move when a change
-// means to move them.
+// structured family privately and on a session, interns random-state
+// trees, collects, approximates, reduces a private tree through the
+// rebuild, and serializes the results. How the uniquing table and the
+// compute cache are laid out in memory, and which code path puts a node on
+// a store, are free to change; which keys hit, which miss, which nodes
+// exist at which ref, and every bit and byte the workloads produce are not,
+// so these constants only move when a change means to move them.
 
 #include "common/fnv1a.hpp"
 #include "common/random_circuit.hpp"
@@ -153,6 +153,7 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
     const std::array<Dimensions, 4> registers{
         Dimensions{3, 4, 2}, Dimensions{2, 3, 2, 3, 2}, Dimensions{4, 2, 5}, Dimensions{3, 6, 2}};
     Fnv1a digest;
+    Fnv1a approxDigest;
     Rng rng(1618);
     std::uint64_t sessionLookups = 0;
     std::uint64_t sessionHits = 0;
@@ -193,17 +194,26 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
         addDiagram(digest, families[6]);
         addDiagram(digest, session.intern(tree));
 
-        // approximate with reduce (the private collection), then reduce plus
-        // garbageCollect on a private tree by hand.
+        // The pruning pass on a random tree, pinned apart from the rest: a
+        // tree's cuts, masses, refs and bits do not depend on the store
+        // the pass reads or builds on.
         DecisionDiagram approximated = tree;
         const ApproximationReport report =
             approximate(approximated, ApproximationOptions{0.9, Tolerance::kDefault});
-        digest.add(static_cast<std::uint64_t>(report.mergedNodes));
-        addDiagram(digest, approximated);
-        DecisionDiagram reduced = DecisionDiagram::wState(dims);
-        digest.add(static_cast<std::uint64_t>(reduced.reduce()));
-        addDiagram(digest, reduced);
-        reduced.garbageCollect();
+        approxDigest.add(static_cast<std::uint64_t>(report.removedLeafEdges));
+        approxDigest.add(static_cast<std::uint64_t>(report.removedInternalNodes));
+        approxDigest.add(static_cast<std::uint64_t>(report.mergedNodes));
+        approxDigest.add(report.removedMass);
+        approxDigest.add(report.fidelity);
+        addDiagram(approxDigest, approximated);
+
+        // A private W tree reduced by the rebuild: interned onto a session
+        // of its own.
+        const dd::DdSession reducing;
+        const DecisionDiagram privateW = DecisionDiagram::wState(dims);
+        const DecisionDiagram reduced = reducing.intern(privateW);
+        digest.add(privateW.nodeCount(NodeCountMode::Internal) -
+                   reduced.nodeCount(NodeCountMode::Internal));
         addDiagram(digest, reduced);
 
         // An operator DD compiled twice on one shared store.
@@ -223,7 +233,8 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
     EXPECT_EQ(sessionLookups, 943U);
     EXPECT_EQ(sessionHits, 620U);
     EXPECT_EQ(sessionMisses, 323U);
-    EXPECT_EQ(digest.value(), 0x97cb6cac5ec88d55ULL);
+    EXPECT_EQ(digest.value(), 0xafc0e319783d2b79ULL);
+    EXPECT_EQ(approxDigest.value(), 0x196a8b48b0e99b09ULL);
 }
 
 } // namespace

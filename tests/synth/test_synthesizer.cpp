@@ -90,11 +90,11 @@ TEST(Synthesizer, ControlLevelsEncodeTheEdgeIndex) {
 }
 
 TEST(Synthesizer, TensorProductElisionDropsControls) {
-    // Product state: (uniform qutrit) x (uniform qubit). After reduction the
-    // root is a tensor node, so the qubit ops lose their control.
+    // Product state: (uniform qutrit) x (uniform qubit). The split diagram
+    // is reduced, so the root is a tensor node and the qubit ops lose their
+    // control.
     const StateVector target = states::uniform({3, 2});
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
-    dd.reduce();
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
 
     SynthesisOptions withElision;
     withElision.elideTensorProductControls = true;

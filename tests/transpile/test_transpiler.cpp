@@ -197,8 +197,7 @@ TEST(Transpiler, FewerControlsMeansFewerTwoQuditOps) {
     // The §4.3 claim: control elision (tensor reduction) translates into
     // cheaper transpiled circuits.
     const StateVector target = states::uniform({3, 3, 2});
-    DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
-    dd.reduce();
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
     SynthesisOptions with;
     with.elideTensorProductControls = true;
     SynthesisOptions without;

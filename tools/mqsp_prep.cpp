@@ -13,10 +13,12 @@
 //
 // `--backend` selects the evaluation substrate (sim/backend.hpp): `dense`
 // replays on the state-vector simulator, `dd` stays on decision diagrams
-// end-to-end — structured targets (ghz/w/embw/uniform) are built natively
-// as diagrams, so preparation AND verification work on registers far past
-// the dense O(∏dims) ceiling. `auto` (the default) picks dense on small
-// registers and dd beyond kAutoBackendThreshold amplitudes.
+// end-to-end — structured targets (ghz/w/embw/uniform/cyclic/dicke) are
+// built natively as diagrams, so preparation AND verification work on
+// registers far past the dense O(∏dims) ceiling. `auto` (the default) picks
+// dense on small registers and dd beyond kAutoBackendThreshold amplitudes.
+// Every path synthesizes from the reduced diagram, so the circuit does not
+// depend on the backend, and `--approx` works on every family.
 
 #include "cli_args.hpp"
 
@@ -153,16 +155,13 @@ int main(int argc, char** argv) {
         const auto approx = argValue(argc, argv, "--approx");
         const double threshold = cli::argDouble(argc, argv, "--approx", 1.0);
 
-        // Does the dd pipeline have a native diagram builder for this
-        // target? (The DAG-form builders — uniform, dicke, cyclic — are not
-        // usable under --approx: the approximation pass needs a tree.)
         const std::optional<states::FamilySpec> stateSpec =
             amplitudePath
                 ? std::nullopt
                 : std::optional<states::FamilySpec>(parseStateSpec(*stateName, dims, seed));
-        const bool hasNativeDiagram = stateSpec &&
-                                      stateSpec->family != states::Family::Random &&
-                                      !(approx && stateSpec->isDagOnly());
+        // Random states and amplitude files are split from a dense vector;
+        // every other family has a native diagram builder.
+        const bool needsDenseVector = !stateSpec || stateSpec->family == states::Family::Random;
 
         const std::string backendSpec =
             argValue(argc, argv, "--backend").value_or("auto");
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
         // vector anyway, so while the register still fits the dense
         // ceiling, the dense pipeline is the strictly better tool for it.
         const BackendKind backendKind =
-            (backendSpec == "auto" && !hasNativeDiagram &&
+            (backendSpec == "auto" && needsDenseVector &&
              radix.totalDimension() <= kDenseBackendCeiling)
                 ? BackendKind::Dense
                 : resolveBackendKind(backendSpec, radix.totalDimension());
@@ -199,39 +198,23 @@ int main(int argc, char** argv) {
                             : prepareExact(state, options);
             target = EvalState(state);
         } else {
-            // DD pipeline: structured targets are built natively as
-            // diagrams — exact ones on the backend's DD session, so the
-            // verification replay later allocates into (and hits) the same
-            // uniquing table the target was built through; everything else
-            // goes dense -> diagram under the dense ceiling guard. (The
-            // DAG-form builders + --approx land on the dense path too: the
-            // approximation pass needs a tree-shaped diagram, which also
-            // rules out the session store — pruning mutates nodes in
-            // place.)
+            // DD pipeline: the target is built on the backend's DD session,
+            // so the verification replay later allocates into (and hits)
+            // the same uniquing table the target was built through.
+            // Structured families are built natively; a dense vector is
+            // split under the dense ceiling guard.
+            requireThat(!needsDenseVector || radix.totalDimension() <= kDenseBackendCeiling,
+                        "state '" + stateName.value_or("from_file") +
+                            "' needs a dense amplitude vector to construct, and the register "
+                            "is past the dense ceiling — use ghz, w, embw, uniform, cyclic, "
+                            "or dicke with --backend dd on registers this large");
             const auto session = backend->ddSession();
-            DecisionDiagram diagram;
-            if (hasNativeDiagram) {
-                diagram = states::makeDiagram(*stateSpec, dims, approx ? nullptr : session.get());
-            }
-            if (diagram.rootNode() == kNoNode) {
-                requireThat(radix.totalDimension() <= kDenseBackendCeiling,
-                            approx && stateSpec && stateSpec->isDagOnly()
-                                ? std::string(
-                                      "--approx needs a tree-shaped diagram, and the " +
-                                      *stateName +
-                                      " state's native diagram is a DAG — drop "
-                                      "--approx or stay within the dense ceiling")
-                                : "state '" + stateName.value_or("from_file") +
-                                      "' needs a dense amplitude vector to construct, "
-                                      "and the register is past the dense ceiling — "
-                                      "use ghz, w, embw, uniform, cyclic, or dicke "
-                                      "with --backend dd on registers this large");
-                const StateVector state = amplitudePath
-                                              ? loadAmplitudes(dims, *amplitudePath)
-                                              : states::makeDenseState(*stateSpec, dims);
-                diagram = DecisionDiagram::fromStateVector(state, options.tolerance);
-            }
-            target = EvalState(diagram); // pre-approximation copy: the verify target
+            DecisionDiagram diagram =
+                amplitudePath ? DecisionDiagram::fromStateVector(
+                                    loadAmplitudes(dims, *amplitudePath), options.tolerance,
+                                    session.get())
+                              : states::makeDiagram(*stateSpec, dims, session.get());
+            target = EvalState(diagram);
             result = approx ? prepareApproximated(std::move(diagram), threshold, options)
                             : prepareExact(std::move(diagram), options);
         }

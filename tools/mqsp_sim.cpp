@@ -15,12 +15,15 @@
 // default) picks dense below kAutoBackendThreshold amplitudes, dd beyond.
 //
 // `--qasm -` reads stdin, so preparation pipes without a temp file:
-//   mqsp_prep --target ghz --dims 3,6,2 --qasm | mqsp_sim --qasm - --shots 100
+//   mqsp_prep --state ghz --dims 3,6,2 --qasm | mqsp_sim --qasm - --shots 100
 //
 // --stream replays the QASM text gate-by-gate as it is parsed (the
-// GateStream reader) instead of materializing the whole circuit first —
-// memory stays O(state), never O(circuit text), so circuit files far larger
-// than memory replay straight off a file or pipe. --checkpoint k prints a
+// GateStream reader) instead of materializing the whole circuit first — the
+// circuit text is never held whole, so circuit files far larger than memory
+// replay straight off a file or pipe. On the dense backend memory stays
+// O(state). On the dd backend it does not yet: the session is never
+// collected during a replay, so it keeps every intermediate node of every
+// gate and grows with the number of gates. --checkpoint k prints a
 // norm²/dd_nodes probe line every k gates. (Whole-circuit-only features —
 // --noise, --circuit-json — do not combine with it.)
 
