@@ -167,7 +167,7 @@ void internAll(const dd::DdNodeStore& recorded, dd::DdNodeStore& store) {
 void BM_SessionIntern(benchmark::State& state) {
     const auto recorded = sessionReplay(state.range(0));
     for (auto _ : state) {
-        dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning);
+        dd::DdNodeStore store(Tolerance::kDefault);
         internAll(*recorded, store);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -178,7 +178,7 @@ BENCHMARK(BM_SessionIntern)->Arg(2)->Arg(6)->Arg(9);
 /// Probe hits: every key is already interned.
 void BM_SessionProbeHit(benchmark::State& state) {
     const auto recorded = sessionReplay(state.range(0));
-    dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning);
+    dd::DdNodeStore store(Tolerance::kDefault);
     internAll(*recorded, store);
     for (auto _ : state) {
         internAll(*recorded, store);

@@ -182,7 +182,7 @@ ApproximationReport approximate(DecisionDiagram& dd, const ApproximationOptions&
     }
 
     // The result: one memoized post-order walk over the surviving edges onto
-    // `target`, a fresh interning store. A cut edge, a dead child, or a
+    // `target`, a fresh store. A cut edge, a dead child, or a
     // child whose scaled weight is approxZero becomes a pruned stub; each
     // surviving weight is scaled by its child's factor (the child's norm, 1
     // for the terminal); then DecisionDiagram::normalizedNode divides the
@@ -239,9 +239,7 @@ ApproximationReport approximate(DecisionDiagram& dd, const ApproximationOptions&
     // A fresh store, never the input's: a node normalized again one ulp away
     // from its original would land in the original's bucket and take the
     // original's bits.
-    DecisionDiagram result(
-        std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, options.tolerance),
-        dd.dimensions());
+    DecisionDiagram result(std::make_shared<dd::DdNodeStore>(options.tolerance), dd.dimensions());
     const std::size_t count = view.nodes.size();
     PrunedRebuild rebuild{dd, view, cut, options.tolerance, result,
                           std::vector<DDEdge>(count), std::vector<char>(count, 0), {}};

@@ -46,7 +46,7 @@ struct ApproximationReport {
 /// and their edges are cut greedily smallest-first. Nothing below a shared
 /// (multi-path) node is cut, so shared sub-diagrams survive whole, and each
 /// cut removes exactly its own edge's mass. `dd` is then replaced by one
-/// rebuild on a fresh interning store at `options.tolerance`: normalized,
+/// rebuild on a fresh store at `options.tolerance`: normalized,
 /// and reduced by merging identical sub-trees (the paper's reduction rule,
 /// which also enables control elision during synthesis). Diagrams that
 /// alias the input keep it. A pass that cuts nothing leaves `dd` unchanged.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -147,20 +146,12 @@ void DecisionDiagram::applyOperation(const Operation& op) {
     if (root_ == kNoNode) {
         return; // the zero vector is fixed by every linear map
     }
-    if (!store_->interning()) {
-        // One move onto a fresh interning store, as DdBackend::apply moves
-        // a diagram onto its session: a private store is never written
-        // after the builder that filled it, and the kernel interns.
-        *this = rebuiltOn(std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning,
-                                                            store_->tolerance()));
-    }
-
     // Pruning runs at the store's tolerance, the one its cached results
     // were computed under. The store's compute cache holds addition results
     // keyed on the *canonical* call (x's weight factored out); entries
     // persist across gates and diagrams of the store.
     const double tol = store_->tolerance();
-    dd::ComputeCache& cache = *store_->computeCache();
+    dd::ComputeCache& cache = store_->computeCache();
     // The gate's action on the target level: a two-level gate is the
     // identity outside its stack 2x2 block; Hadamard and Shift mix every
     // level through their dim x dim matrix, written into the thread's

@@ -13,11 +13,7 @@ namespace mqsp {
 
 DecisionDiagram::DecisionDiagram(std::shared_ptr<dd::DdNodeStore> store,
                                  const Dimensions& dims)
-    : radix_(dims), store_(std::move(store)) {
-    if (!store_) {
-        store_ = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Private);
-    }
-}
+    : radix_(dims), store_(std::move(store)) {}
 
 const DDNode& DecisionDiagram::node(NodeRef ref) const {
     requireThat(store_ != nullptr, "DecisionDiagram::node: empty diagram");
@@ -107,8 +103,8 @@ DecisionDiagram DecisionDiagram::rebuiltOn(std::shared_ptr<dd::DdNodeStore> stor
 /// `staged`, one stack reused down the recursion, as in Rebuild.
 ///
 /// `keepZeros` is the dense baseline: a zero amplitude stays a weight-0
-/// edge instead of a zero stub, so every node of the splitting tree is
-/// materialized, zero sub-vectors included.
+/// edge instead of a zero stub, so every path of the splitting tree is
+/// kept, zero sub-vectors included.
 DDEdge DecisionDiagram::split(std::size_t site, const Complex* amps, std::uint64_t count,
                               double tol, bool keepZeros, std::vector<DDEdge>& staged) {
     if (site == radix_.numQudits()) {
@@ -156,14 +152,12 @@ DecisionDiagram DecisionDiagram::fromStateVector(const StateVector& state, doubl
     if (session != nullptr) {
         return splitOnto(session->store(), state, session->tolerance(), /*keepZeros=*/false);
     }
-    return splitOnto(std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol),
-                     state, tol, /*keepZeros=*/false);
+    return splitOnto(std::make_shared<dd::DdNodeStore>(tol), state, tol, /*keepZeros=*/false);
 }
 
 DecisionDiagram DecisionDiagram::fromStateVectorDense(const StateVector& state) {
-    // A private store: interning would merge the zero sub-trees the
-    // baseline exists to keep.
-    return splitOnto(nullptr, state, Tolerance::kDefault, /*keepZeros=*/true);
+    return splitOnto(std::make_shared<dd::DdNodeStore>(Tolerance::kDefault), state,
+                     Tolerance::kDefault, /*keepZeros=*/true);
 }
 
 } // namespace mqsp

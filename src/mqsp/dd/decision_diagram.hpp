@@ -60,32 +60,33 @@ enum class NodeCountMode {
 /// splits, so it returns the reduced diagram (§4.3's reduction rule):
 /// structurally identical sub-trees are one node.
 ///
-/// Node storage: a diagram holds a shared pointer to its store, and no
-/// node is written after the call that allocated it, so copies alias the
-/// store (O(1)) whatever its regime — a session's interning store, a
-/// fresh interning store, or a private store filled once by the builder
-/// that made it.
+/// Node storage: a diagram holds a shared pointer to its store — a
+/// session's, or the fresh one the call that built it made — and every
+/// store interns, so every diagram is canonical (reduced) by construction.
+/// No node is written after the call that allocated it, so copies alias
+/// the store (O(1)).
 class DecisionDiagram {
 public:
     DecisionDiagram() = default;
 
     /// Split a dense state vector into a diagram, interning each node as it
     /// is split: on `session`'s store when one is given (its tolerance then
-    /// governs), else on a fresh interning store at `tol`. Amplitudes with
+    /// governs), else on a fresh store at `tol`. Amplitudes with
     /// |a| <= tolerance (componentwise) are treated as exact zeros.
     [[nodiscard]] static DecisionDiagram fromStateVector(const StateVector& state,
                                                          double tol = Tolerance::kDefault,
                                                          const dd::DdSession* session = nullptr);
 
-    /// Decompose WITHOUT zero-pruning: every node of the dense splitting
-    /// tree is materialized, zero sub-vectors included (their edges carry
-    /// weight 0 and their nodes are unnormalized). Synthesizing from this
-    /// diagram yields the dense multiplexed-rotation baseline — the
-    /// exhaustive uniformly-controlled cascade classical qubit state
-    /// preparation uses — against which the DD-aware synthesis of the paper
-    /// is compared (the abstract's "performance directly linked to the size
-    /// of the decision diagram"). Baseline diagrams are not canonical:
-    /// checkInvariants() flags their all-zero nodes by design.
+    /// Decompose WITHOUT zero-pruning, on a fresh store at the default
+    /// tolerance: every path of the dense splitting tree is kept, zero
+    /// sub-vectors included (their edges carry weight 0 and their nodes are
+    /// unnormalized); identical and all-zero sub-trees share one node, as
+    /// on every store. Synthesis walks the diagram per path, so this yields
+    /// the dense multiplexed-rotation baseline — the exhaustive
+    /// uniformly-controlled cascade classical qubit state preparation uses —
+    /// against which the DD-aware synthesis of the paper is compared (the
+    /// abstract's "performance directly linked to the size of the decision
+    /// diagram"). checkInvariants() flags the all-zero nodes by design.
     [[nodiscard]] static DecisionDiagram fromStateVectorDense(const StateVector& state);
 
     /// Register geometry.
@@ -104,13 +105,6 @@ public:
     [[nodiscard]] const DDNode& node(NodeRef ref) const;
     [[nodiscard]] std::size_t poolSize() const noexcept {
         return store_ ? store_->size() : 0;
-    }
-
-    /// True when this diagram lives on an interning store — a session's, or
-    /// the fresh one `fromStateVector` or `approximate` made — so it is
-    /// canonical (reduced) by construction.
-    [[nodiscard]] bool sessionBacked() const noexcept {
-        return store_ != nullptr && store_->interning();
     }
 
     /// True when both diagrams allocate from the same store — the
@@ -196,11 +190,10 @@ public:
     /// target (always true for synthesized preparation circuits); an
     /// InvalidArgumentError is thrown otherwise. The diagram stays
     /// normalized (|rootWeight| is preserved up to rounding), and pruned at
-    /// the store's tolerance. Every rebuilt node is interned, so the replay
-    /// stays canonical: a diagram on a private store first moves onto a
-    /// fresh interning store (once), as DdBackend::apply moves it onto its
-    /// session. Replay circuits on a session store (DdBackend, or
-    /// zeroState(dims, &session) plus this call) to share its caches.
+    /// the store's tolerance. Every rebuilt node is interned on the
+    /// diagram's own store, so the replay stays canonical. Replay circuits
+    /// on a session store (DdBackend, or zeroState(dims, &session) plus this
+    /// call) to share its caches.
     void applyOperation(const Operation& op);
 
     /// The |0...0> diagram on a register, on `session`'s store when one is
@@ -219,10 +212,11 @@ public:
     /// the diagram `fromStateVector` returns on the family's dense vector,
     /// and synthesis from either source emits the identical circuit.
     ///
-    /// Every builder takes an optional session: without one the diagram
-    /// gets a fresh private store (GHZ and W stay tree-shaped there); with
-    /// one it is built on the session's shared interning store, hash-consed
-    /// into the reduced (DAG) form, and a repeated build is all table hits.
+    /// Every builder takes an optional session: with one the diagram is
+    /// built on the session's shared store, and a repeated build is all
+    /// table hits; without one it gets a fresh store at the default
+    /// tolerance, so it equals its build on a fresh session. Either way it
+    /// comes out hash-consed into the reduced (DAG) form.
 
     /// Mixed-dimensional GHZ state 1/sqrt(m) sum_k |k...k>, m = min(dims).
     [[nodiscard]] static DecisionDiagram ghzState(const Dimensions& dims,
@@ -286,12 +280,19 @@ public:
     /// --- serialization (serialize.cpp) -----------------------------------
 
     /// Line-oriented text serialization of the diagram (register, root edge,
-    /// one line per node). Round-trips through `deserialize` exactly.
+    /// one line per node): the canonical reachable copy, rebuilt on a fresh
+    /// store at the diagram's tolerance, written in that store's pool order
+    /// (children before parents). At the default tolerance it round-trips
+    /// through `deserialize` exactly: a parsed diagram serializes to the
+    /// same bytes. The text carries no tolerance, so the parse of a diagram
+    /// at a finer one may merge nodes within the default of each other.
     void serialize(std::ostream& out) const;
 
-    /// Parse the format emitted by serialize(). Throws InvalidArgumentError
-    /// on malformed input; the result passes checkInvariants() whenever the
-    /// serialized diagram did.
+    /// Parse the format emitted by serialize() onto a fresh store at the
+    /// default tolerance, interning each node line as it is read; an edge
+    /// must name an earlier line. Throws InvalidArgumentError on malformed
+    /// input, before allocating for any size the input declares; the result
+    /// passes checkInvariants() whenever the serialized diagram did.
     [[nodiscard]] static DecisionDiagram deserialize(std::istream& in);
 
     /// --- export (dot.cpp) ----------------------------------------------
@@ -301,12 +302,12 @@ public:
 
 private:
     friend class dd::DdSession;
-    /// Builds its result on a fresh interning store (approx/approximation.cpp).
+    /// Builds its result on a fresh store (approx/approximation.cpp).
     friend ApproximationReport approximate(DecisionDiagram& dd,
                                            const ApproximationOptions& options);
 
-    /// Diagram on an explicit store (nullptr -> fresh private store); the
-    /// hook every builder and rebuiltOn funnel through.
+    /// Empty diagram on `store`; the hook every builder and rebuiltOn
+    /// funnel through.
     DecisionDiagram(std::shared_ptr<dd::DdNodeStore> store, const Dimensions& dims);
 
     /// The splitter's normalization, shared by fromStateVector, every
@@ -317,20 +318,17 @@ private:
     /// the (real) weight — or a zero stub when every edge is one.
     DDEdge normalizedNode(std::uint32_t site, std::span<DDEdge> edges);
 
-    /// `state` split into a diagram on `store` (nullptr -> a fresh private
-    /// store), zeros pruned at `tol` unless `keepZeros`, by the recursive
-    /// `split` (construct.cpp).
+    /// `state` split into a diagram on `store`, zeros pruned at `tol` unless
+    /// `keepZeros`, by the recursive `split` (construct.cpp).
     [[nodiscard]] static DecisionDiagram splitOnto(std::shared_ptr<dd::DdNodeStore> store,
                                                    const StateVector& state, double tol,
                                                    bool keepZeros);
     DDEdge split(std::size_t site, const Complex* amps, std::uint64_t count, double tol,
                  bool keepZeros, std::vector<DDEdge>& staged);
 
-    /// This diagram's reachable nodes rebuilt on `store` (nullptr -> a
-    /// fresh private store): children first, in edge order, each source
-    /// node once. The one way a diagram moves onto a store —
-    /// DdSession::intern, serializing an interned diagram, and gate
-    /// application on a private diagram all call it.
+    /// This diagram's reachable nodes rebuilt on `store`: children first, in
+    /// edge order, each source node once. The one way a diagram moves onto
+    /// a store — DdSession::intern and serialize call it.
     [[nodiscard]] DecisionDiagram rebuiltOn(std::shared_ptr<dd::DdNodeStore> store) const;
 
     /// The W and embedded-W builder (structured.cpp): excitation levels

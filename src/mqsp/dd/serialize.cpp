@@ -3,8 +3,12 @@
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parse.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -19,32 +23,42 @@ namespace mqsp {
 //   root <nodeRef> <re> <im>
 //   node <ref> <site> <numEdges> { <childRef|-> <re> <im> <pruned01> } ...
 //   end
-// Node references are pool indices; the terminal is always pool slot 0 and
-// is not listed. An absent root is encoded as "root - 0 0". A parsed
-// diagram must be levelled: its root decides site 0, and every edge of a
-// site-s node leads to a site-(s+1) node (the terminal below the last
-// site), so no cycle can parse.
+// Node references are line numbers of the node table, from 1; the terminal
+// is always 0 and is not listed. An absent root is encoded as "root - 0 0".
+// Every field is one whitespace-separated token, and a line holds exactly
+// its fields. A parsed diagram must be levelled: its root decides site 0,
+// and every edge of a site-s node leads to a site-(s+1) node (the terminal
+// below the last site). An edge names an earlier line, so the table lists
+// children before parents — the order serialize writes — and no cycle can
+// parse.
 
 namespace {
 
-/// A node reference field, refused before narrowing when no pool could hold
-/// it (the exact pool bound is checked once the pool is complete).
-[[nodiscard]] NodeRef parseRef(const std::string& text, std::string_view context) {
-    const std::uint64_t ref = parse::uint64(text, context);
-    requireThat(ref < kNoNode, "DecisionDiagram::deserialize: node reference out of range");
-    return static_cast<NodeRef>(ref);
+/// The next whitespace-separated field of `line`; empty once it is
+/// exhausted.
+[[nodiscard]] std::string next(std::istringstream& line) {
+    std::string field;
+    line >> field;
+    return field;
+}
+
+/// The next two fields of `line` as a complex weight with finite parts.
+[[nodiscard]] Complex weight(std::istringstream& line, std::string_view context) {
+    const double re = parse::real(next(line), context);
+    const double im = parse::real(next(line), context);
+    requireThat(std::isfinite(re) && std::isfinite(im),
+                "DecisionDiagram::deserialize: weights must be finite");
+    return Complex{re, im};
 }
 
 } // namespace
 
 void DecisionDiagram::serialize(std::ostream& out) const {
-    if (store_ != nullptr && store_->interning()) {
-        // An interning store may hold nodes this diagram does not reach (a
-        // session's other diagrams); serialize a reachable-only private
-        // copy instead of dumping the whole store.
-        rebuiltOn(nullptr).serialize(out);
-        return;
-    }
+    // The canonical reachable copy: a session's store holds nodes this
+    // diagram does not reach, and a rebuild lists the ones it does in one
+    // fixed order whatever store they came from.
+    const double tolerance = store_ != nullptr ? store_->tolerance() : Tolerance::kDefault;
+    const DecisionDiagram copy = rebuiltOn(std::make_shared<dd::DdNodeStore>(tolerance));
     out << "mqsp-dd v1\n";
     out << "dims";
     for (const auto dim : radix_.dimensions()) {
@@ -52,14 +66,14 @@ void DecisionDiagram::serialize(std::ostream& out) const {
     }
     out << '\n';
     out << std::setprecision(17);
-    if (root_ == kNoNode) {
+    if (copy.root_ == kNoNode) {
         out << "root - 0 0\n";
     } else {
-        out << "root " << root_ << ' ' << rootWeight_.real() << ' ' << rootWeight_.imag()
+        out << "root " << copy.root_ << ' ' << rootWeight_.real() << ' ' << rootWeight_.imag()
             << '\n';
     }
-    for (std::size_t ref = 1; ref < poolSize(); ++ref) {
-        const DDNode& n = node(static_cast<NodeRef>(ref));
+    for (std::size_t ref = 1; ref < copy.poolSize(); ++ref) {
+        const DDNode& n = copy.node(static_cast<NodeRef>(ref));
         out << "node " << ref << ' ' << n.site << ' ' << n.edges.size();
         for (const auto& edge : n.edges) {
             out << ' ';
@@ -81,89 +95,91 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
     requireThat(static_cast<bool>(std::getline(in, line)) && line == "mqsp-dd v1",
                 "DecisionDiagram::deserialize: bad magic line");
 
-    requireThat(static_cast<bool>(std::getline(in, line)) && line.rfind("dims", 0) == 0,
+    requireThat(static_cast<bool>(std::getline(in, line)),
                 "DecisionDiagram::deserialize: missing dims line");
     Dimensions dims;
     {
-        std::istringstream stream(line.substr(4));
-        Dimension dim = 0;
-        while (stream >> dim) {
-            dims.push_back(dim);
+        std::istringstream fields(line);
+        requireThat(next(fields) == "dims", "DecisionDiagram::deserialize: missing dims line");
+        for (std::string field = next(fields); !field.empty(); field = next(fields)) {
+            const std::uint64_t dim = parse::uint64(field, "DecisionDiagram::deserialize: dims");
+            requireThat(dim <= std::numeric_limits<Dimension>::max(),
+                        "DecisionDiagram::deserialize: dimension out of range");
+            dims.push_back(static_cast<Dimension>(dim));
         }
     }
     requireThat(!dims.empty(), "DecisionDiagram::deserialize: empty register");
+    DecisionDiagram dd(std::make_shared<dd::DdNodeStore>(Tolerance::kDefault), dims);
 
-    DecisionDiagram dd(nullptr, dims); // a private store, filled by this parse only
-
-    requireThat(static_cast<bool>(std::getline(in, line)) && line.rfind("root", 0) == 0,
+    requireThat(static_cast<bool>(std::getline(in, line)),
                 "DecisionDiagram::deserialize: missing root line");
+    std::optional<std::uint64_t> rootRef; // none for an absent root
     {
-        std::istringstream stream(line.substr(4));
-        std::string refText;
-        double re = 0.0;
-        double im = 0.0;
-        requireThat(static_cast<bool>(stream >> refText >> re >> im),
-                    "DecisionDiagram::deserialize: malformed root line");
-        dd.root_ = refText == "-"
-                       ? kNoNode
-                       : parseRef(refText, "DecisionDiagram::deserialize: root reference");
-        dd.rootWeight_ = Complex{re, im};
+        std::istringstream fields(line);
+        requireThat(next(fields) == "root", "DecisionDiagram::deserialize: missing root line");
+        if (const std::string refText = next(fields); refText != "-") {
+            rootRef = parse::uint64(refText, "DecisionDiagram::deserialize: root reference");
+        }
+        dd.rootWeight_ = weight(fields, "DecisionDiagram::deserialize: root weight");
+        requireThat(next(fields).empty(),
+                    "DecisionDiagram::deserialize: trailing fields on the root line");
     }
 
+    // File ref -> store ref: interning merges two equal lines into one node.
+    std::vector<NodeRef> refs{0}; // the terminal
+    std::vector<DDEdge> edges;
     while (std::getline(in, line)) {
         if (line == "end") {
-            // Validate all references now that the pool is complete.
-            requireThat(dd.root_ == kNoNode || dd.root_ < dd.poolSize(),
-                        "DecisionDiagram::deserialize: dangling root reference");
-            requireThat(dd.root_ == kNoNode || dd.node(dd.root_).site == 0,
-                        "DecisionDiagram::deserialize: the root must decide site 0");
-            const std::uint32_t lastSite = static_cast<std::uint32_t>(dims.size() - 1);
-            for (std::size_t ref = 1; ref < dd.poolSize(); ++ref) {
-                const DDNode& n = dd.node(static_cast<NodeRef>(ref));
-                const std::uint32_t below =
-                    n.site == lastSite ? DDNode::kTerminalSite : n.site + 1;
-                for (const auto& edge : n.edges) {
-                    if (edge.isZeroStub()) {
-                        continue;
-                    }
-                    requireThat(edge.node < dd.poolSize(),
-                                "DecisionDiagram::deserialize: dangling node reference");
-                    requireThat(dd.node(edge.node).site == below,
-                                "DecisionDiagram::deserialize: an edge must lead exactly one "
-                                "site down");
-                }
+            if (rootRef) {
+                requireThat(*rootRef < refs.size(),
+                            "DecisionDiagram::deserialize: dangling root reference");
+                dd.root_ = refs[*rootRef];
+                requireThat(dd.node(dd.root_).site == 0,
+                            "DecisionDiagram::deserialize: the root must decide site 0");
             }
             return dd;
         }
-        requireThat(line.rfind("node", 0) == 0,
-                    "DecisionDiagram::deserialize: unexpected line: " + line);
-        std::istringstream stream(line.substr(4));
-        std::size_t ref = 0;
-        std::uint32_t site = 0;
-        std::size_t numEdges = 0;
-        requireThat(static_cast<bool>(stream >> ref >> site >> numEdges),
-                    "DecisionDiagram::deserialize: malformed node line");
-        requireThat(ref == dd.poolSize(),
+        std::istringstream fields(line);
+        requireThat(next(fields) == "node",
+                    "DecisionDiagram::deserialize: expected a node line or the end line");
+        const std::uint64_t ref =
+            parse::uint64(next(fields), "DecisionDiagram::deserialize: node reference");
+        requireThat(ref == refs.size(),
                     "DecisionDiagram::deserialize: nodes must be listed in pool order");
+        const std::uint64_t site =
+            parse::uint64(next(fields), "DecisionDiagram::deserialize: node site");
         requireThat(site < dims.size(), "DecisionDiagram::deserialize: site out of range");
+        const std::uint64_t numEdges =
+            parse::uint64(next(fields), "DecisionDiagram::deserialize: edge count");
         requireThat(numEdges == dims[site],
                     "DecisionDiagram::deserialize: edge count does not match dimension");
-        std::vector<DDEdge> edges(numEdges);
-        for (auto& edge : edges) {
-            std::string refText;
-            double re = 0.0;
-            double im = 0.0;
-            int pruned = 0;
-            requireThat(static_cast<bool>(stream >> refText >> re >> im >> pruned),
-                        "DecisionDiagram::deserialize: malformed edge");
-            if (refText == "-") {
-                edge = DDEdge{kNoNode, Complex{0.0, 0.0}, pruned != 0};
-            } else {
-                edge = DDEdge{parseRef(refText, "DecisionDiagram::deserialize: edge reference"),
-                              Complex{re, im}, pruned != 0};
+        const std::uint64_t below = site + 1 == dims.size() ? DDNode::kTerminalSite : site + 1;
+        // One edge at a time: a declared count allocates nothing until the
+        // line holds that many edges.
+        edges.clear();
+        for (std::uint64_t k = 0; k < numEdges; ++k) {
+            DDEdge edge;
+            if (const std::string childText = next(fields); childText != "-") {
+                const std::uint64_t child =
+                    parse::uint64(childText, "DecisionDiagram::deserialize: edge reference");
+                requireThat(child < ref,
+                            "DecisionDiagram::deserialize: an edge must name an earlier node");
+                edge.node = refs[child];
+                requireThat(dd.node(edge.node).site == below,
+                            "DecisionDiagram::deserialize: an edge must lead exactly one "
+                            "site down");
             }
+            const Complex w = weight(fields, "DecisionDiagram::deserialize: edge weight");
+            edge.weight = edge.isZeroStub() ? Complex{0.0, 0.0} : w;
+            const std::string pruned = next(fields);
+            requireThat(pruned == "0" || pruned == "1",
+                        "DecisionDiagram::deserialize: the pruned flag must be 0 or 1");
+            edge.pruned = pruned == "1";
+            edges.push_back(edge);
         }
-        (void)dd.store_->allocate(site, edges);
+        requireThat(next(fields).empty(),
+                    "DecisionDiagram::deserialize: trailing fields on a node line");
+        refs.push_back(dd.store_->allocate(static_cast<std::uint32_t>(site), edges));
     }
     detail::throwInvalidArgument("DecisionDiagram::deserialize: missing end line");
 }

@@ -15,16 +15,17 @@
 // the diagram `fromStateVector` returns on the family's dense vector, root
 // weight included, and synthesis from either source emits the same circuit
 // (pinned by the cross-validation suite and the dd-backend golden CLI
-// fixtures). uniformState, cyclicState and dickeState build their reduced
-// (DAG) form directly, even on a private store: their tree forms are
-// combinatorial (the full dense tree / one chain per shift / one leaf per
-// fixed-weight term).
+// fixtures). uniformState, cyclicState and dickeState plan their reduced
+// (DAG) form directly: their tree forms are combinatorial (the full dense
+// tree / one chain per shift / one leaf per fixed-weight term), so they
+// never ask the store to merge them.
 //
-// Each family has one builder, and it takes an optional session. Without
-// one the diagram gets a fresh private store (GHZ and W tree-shaped); with
-// one it is built on the session's shared interning store, so identical
+// Each family has one builder, and it takes an optional session. With one
+// the diagram is built on the session's shared store, so identical
 // sub-trees are built once per session, whatever diagram asked first
-// (dd/unique_table.hpp). W and embedded W share one body, wFamilyState.
+// (dd/unique_table.hpp); without one it gets a fresh store at the default
+// tolerance and comes out exactly as on a fresh session. W and embedded W
+// share one body, wFamilyState.
 
 #include "mqsp/dd/decision_diagram.hpp"
 
@@ -44,10 +45,11 @@ namespace mqsp {
 
 namespace {
 
-/// The store a builder allocates on: the session's, or a fresh private one
-/// (nullptr) without a session.
+/// The store a builder allocates on: the session's, or a fresh one at the
+/// default tolerance (a fresh session's) without a session.
 [[nodiscard]] std::shared_ptr<dd::DdNodeStore> storeOf(const dd::DdSession* session) {
-    return session != nullptr ? session->store() : nullptr;
+    return session != nullptr ? session->store()
+                              : std::make_shared<dd::DdNodeStore>(Tolerance::kDefault);
 }
 
 /// Number of excitation levels each qudit contributes to a W-family state:
@@ -90,9 +92,8 @@ DecisionDiagram DecisionDiagram::ghzState(const Dimensions& dims, const dd::DdSe
     const std::size_t n = dd.radix_.numQudits();
     const Dimension m = *std::min_element(dims.begin(), dims.end());
 
-    // One chain |k k ... k> per branch k < m. The chains are not shared on
-    // a private store — tree shape (an interning store dedupes nothing here
-    // either: the chains differ per k).
+    // One chain |k k ... k> per branch k < m; the chains differ per k, so
+    // the store merges nothing here.
     std::vector<DDEdge> rootEdges(dd.radix_.dimensionAt(0));
     for (Dimension k = 0; k < m; ++k) {
         DDEdge below = termLeaf(m);
@@ -126,8 +127,8 @@ DecisionDiagram DecisionDiagram::wFamilyState(const Dimensions& dims, bool embed
     }
     const DDEdge leaf = termLeaf(suffixTerms[0]);
 
-    // Fresh all-|0> suffix chain below `site` (one copy per use on a
-    // private store: tree shape; an interning store collapses them).
+    // All-|0> suffix chain below `site`; the store interns every later
+    // request for the same suffix into the first one's nodes.
     const auto zeroChain = [&dd, n, leaf](std::size_t site) -> DDEdge {
         DDEdge below = leaf;
         for (std::size_t s = n; s-- > site;) {
@@ -186,8 +187,8 @@ DecisionDiagram DecisionDiagram::uniformState(const Dimensions& dims,
 /// put there and points edge v at the node of the part S_v; each distinct
 /// word ends in one term's amplitude. Each level holds one node per
 /// distinct surviving shift set, so the reduced tree and this DAG coincide
-/// (an interning store also merges sets whose suffix words agree, as it
-/// does for the split dense vector).
+/// (the store also merges sets whose suffix words agree, as it does for the
+/// split dense vector).
 DecisionDiagram DecisionDiagram::cyclicState(const Dimensions& dims, const Digits& start,
                                              std::uint32_t count, const dd::DdSession* session) {
     DecisionDiagram dd(storeOf(session), dims);

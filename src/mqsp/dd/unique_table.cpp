@@ -513,9 +513,7 @@ void ComputeCache::resetStats() noexcept {
 
 // --- DdNodeStore -----------------------------------------------------------
 
-DdNodeStore::DdNodeStore(Mode mode, double tolerance)
-    : tolerance_(tolerance),
-      hashing_(mode == Mode::Interning ? std::make_unique<Hashing>(tolerance) : nullptr) {
+DdNodeStore::DdNodeStore(double tolerance) : table_(tolerance), cache_(tolerance) {
     // Pool slot 0 is the unique terminal node.
     pool_.append(DDNode{DDNode::kTerminalSite, {}});
 }
@@ -531,18 +529,15 @@ const DDNode& DdNodeStore::node(NodeRef ref) const {
 
 NodeRef DdNodeStore::allocate(std::uint32_t site, std::span<const DDEdge> edges) {
     ensureThat(pool_.size() < kNoNode, "DecisionDiagram: node pool exhausted");
-    if (!interning()) {
-        return pool_.append(DDNode{site, copyEdges(bump_, edges)});
-    }
-    // Interning: the probe and the append are one step under the key's
-    // shard lock — `makeFresh` runs only on a genuine miss, so exactly one
-    // node is ever created per distinct structural key, however many batch
-    // items race on it, and a hit writes nothing at all. The edges go to
-    // the shard's own cursor, which only this shard's lock guards.
+    // The probe and the append are one step under the key's shard lock —
+    // `makeFresh` runs only on a genuine miss, so exactly one node is ever
+    // created per distinct structural key, however many batch items race on
+    // it, and a hit writes nothing at all. The edges go to the shard's own
+    // cursor, which only this shard's lock guards.
     const auto makeFresh = [&](std::size_t shard) -> NodeRef {
-        return pool_.append(DDNode{site, copyEdges(hashing_->cursors[shard], edges)});
+        return pool_.append(DDNode{site, copyEdges(cursors_[shard], edges)});
     };
-    return hashing_->table.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
+    return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
 }
 
 std::span<DDEdge> DdNodeStore::copyEdges(EdgeCursor& cursor, std::span<const DDEdge> edges) {
@@ -613,8 +608,6 @@ std::vector<NodeRef> DdNodeStore::reachable(std::span<const NodeRef> roots) cons
 
 DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>& roots,
                                                       std::vector<NodeRef>& remapOut) {
-    requireThat(interning(),
-                "DdNodeStore::compactLive: session GC applies to interning stores");
     CompactionStats stats;
     const std::size_t before = pool_.size();
     stats.nodesBefore = before;
@@ -643,8 +636,8 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
     // table over the survivors. Interning made refs canonical, so the remap
     // is injective on survivors and no two keys collapse.
     const std::vector<EdgeBlock> oldBlocks = std::exchange(edgeBlocks_, {});
-    hashing_->cursors.fill(EdgeCursor{});
-    bump_ = EdgeCursor{};
+    cursors_.fill(EdgeCursor{});
+    EdgeCursor bump;
     std::vector<DDNode> kept;
     kept.reserve(next);
     for (std::size_t ref = 0; ref < before; ++ref) {
@@ -652,7 +645,7 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
             continue;
         }
         const DDNode& node = pool_.at(static_cast<NodeRef>(ref));
-        const std::span<DDEdge> edges = copyEdges(bump_, node.edges);
+        const std::span<DDEdge> edges = copyEdges(bump, node.edges);
         for (DDEdge& edge : edges) {
             if (!edge.isZeroStub()) {
                 edge.node = remapOut[edge.node];
@@ -662,24 +655,22 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
     }
     retireEdgeBlocks(oldBlocks);
     pool_.clear();
-    hashing_->table.clear();
+    table_.clear();
     for (std::size_t newRef = 0; newRef < kept.size(); ++newRef) {
         const DDNode& node = kept[newRef];
         if (newRef != 0) { // the terminal is not a table key
-            hashing_->table.restoreCanonical(node.site, node.edges,
-                                             static_cast<NodeRef>(newRef));
+            table_.restoreCanonical(node.site, node.edges, static_cast<NodeRef>(newRef));
         }
         pool_.append(node);
     }
     stats.nodesAfter = pool_.size();
-    stats.cacheEvicted = hashing_->cache.compact(remapOut);
+    stats.cacheEvicted = cache_.compact(remapOut);
     return stats;
 }
 
 // --- DdSession -------------------------------------------------------------
 
-DdSession::DdSession(double tolerance)
-    : store_(std::make_shared<DdNodeStore>(DdNodeStore::Mode::Interning, tolerance)) {}
+DdSession::DdSession(double tolerance) : store_(std::make_shared<DdNodeStore>(tolerance)) {}
 
 bool DdSession::owns(const DecisionDiagram& diagram) const noexcept {
     return diagram.store_ == store_;
@@ -728,14 +719,14 @@ DdSessionGcStats DdSession::garbageCollect(const std::vector<DecisionDiagram*>& 
 DdSessionStats DdSession::stats() const {
     DdSessionStats stats;
     stats.poolNodes = store_->size();
-    stats.unique = store_->uniqueTable()->stats();
-    stats.cache = store_->computeCache()->stats();
+    stats.unique = store_->uniqueTable().stats();
+    stats.cache = store_->computeCache().stats();
     return stats;
 }
 
 void DdSession::resetStats() {
-    store_->uniqueTable()->resetStats();
-    store_->computeCache()->resetStats();
+    store_->uniqueTable().resetStats();
+    store_->computeCache().resetStats();
 }
 
 } // namespace mqsp::dd

@@ -6,29 +6,23 @@
 // a striped direct-mapped compute cache for the recursive DD addition, and
 // the `DdSession` that owns a store for the lifetime of a backend.
 //
-// One node store, `DdNodeStore`, in two allocation regimes:
+// One node store, `DdNodeStore`, in one allocation regime: every store
+// interns. A store is shared by every diagram that allocates on it — a
+// `DdSession`'s targets, replayed states and per-gate intermediates, the
+// operators a `DdBackend` compiles, or the fresh store one builder call
+// (`fromStateVector`, `fromStateVectorDense`, a session-less structured
+// builder, `approximate`, `deserialize`, the copy `serialize` writes)
+// builds its result on. Allocation goes through the uniquing
+// table, so a structurally identical sub-tree is built once per store no
+// matter how many diagrams request it, and every diagram comes out
+// canonical (reduced) by construction. Lifetime is owned by the store's
+// holders, not by any one diagram.
 //
-//  * a *private* store appends nodes without uniquing. It is filled once,
-//    by the call that makes it — a session-less structured builder,
-//    `fromStateVectorDense`, `deserialize`, or the reachable-only copy
-//    `serialize` prints — and never written again. It is its pool, its edge
-//    blocks and its tolerance: it carries no table and no cache;
-//  * an *interning* store is shared by every diagram that allocates on it —
-//    a `DdSession`'s targets, replayed states and per-gate intermediates,
-//    the operators a `DdBackend` compiles, or the fresh store one
-//    `fromStateVector` or `approximate` call builds its result on.
-//    Allocation goes through the uniquing table, so a structurally
-//    identical sub-tree is built once per store no matter how many diagrams
-//    request it, and the diagrams come out canonical (reduced) by
-//    construction. Lifetime is owned by the store's holder, not by any one
-//    diagram.
-//
-// In both regimes a node is immutable once allocated, so copies of a
-// diagram alias its store. There is one way onto each store: every builder
-// takes an optional session (its store, else a fresh one), and one
-// rebuild, DecisionDiagram::rebuiltOn, moves an existing diagram — behind
-// DdSession::intern, serializing an interned diagram, and gate application
-// on a private diagram. Every interning allocation goes through the
+// A node is immutable once allocated, so copies of a diagram alias its
+// store. There is one way onto each store: every builder takes an optional
+// session (its store, else a fresh one), and one rebuild,
+// DecisionDiagram::rebuiltOn, moves an existing diagram — behind
+// DdSession::intern and serialize. Every allocation goes through the
 // table's one `findOrInsert`, and every walk over the nodes a set of roots
 // reaches goes through `DdNodeStore::reachable`.
 //
@@ -132,8 +126,8 @@ namespace detail {
 /// allocation hook findOrInsert invokes (under the lock of shard `shard`)
 /// when a key misses, so the probe and the pool append are one atomic step
 /// and no tentative node is ever created for a key that hits. The shard
-/// index lets an interning store write the node's edges into that shard's
-/// edge block without a lock of its own.
+/// index lets the store write the node's edges into that shard's edge
+/// block without a lock of its own.
 class MakeNodeFnRef {
 public:
     template <typename Fn>
@@ -183,7 +177,7 @@ struct SpareBlockStats {
 /// recursion safe. Blocks are taken on first use from the spare list and
 /// retired to it by `clear` and the destructor; a slot is constructed by
 /// the `append` that reserves it. `append` may be called concurrently (the
-/// interning path calls it under a shard mutex; distinct shards race);
+/// store calls it under a shard mutex; distinct shards race);
 /// `size()` is the number of reserved slots and, once the racing appends
 /// have been published, the number of constructed nodes. `clear` is
 /// single-threaded (session GC at quiescence).
@@ -301,8 +295,8 @@ struct ComputeCacheStats {
 /// structural key — site, child refs, and edge weights bucketed to the
 /// merge tolerance — to the canonical NodeRef that first materialized it.
 /// The table does not own nodes; it maps keys to refs of the pool of the
-/// interning DdNodeStore it belongs to, whose state and operator nodes
-/// share one key layout.
+/// DdNodeStore it belongs to, whose state and operator nodes share one key
+/// layout.
 ///
 /// One probe touches one record: a slot names an `Entry` (cached hash,
 /// site, arity, value and the offset of its key edges), and the key edges
@@ -546,47 +540,40 @@ private:
 };
 
 /// A decision-diagram node pool: the unique terminal at slot 0 plus every
-/// allocated internal node, state or operator, and the edge blocks their
-/// edges live in. Private stores append; interning stores route every
-/// allocation through their uniquing table (see file header). An interning
-/// store is safe for concurrent allocation and reading: the
-/// probe-then-allocate step runs under the key's shard mutex, a fresh
-/// node's edges go into that shard's own edge block, and neither nodes nor
-/// edges ever move, so readers never need a lock. Only an interning store
-/// has a table and a compute cache.
+/// allocated internal node, state or operator, the edge blocks their edges
+/// live in, and the uniquing table and compute cache over them. Every
+/// allocation goes through the table (see file header). A store is safe for
+/// concurrent allocation and reading: the probe-then-allocate step runs
+/// under the key's shard mutex, a fresh node's edges go into that shard's
+/// own edge block, and neither nodes nor edges ever move, so readers never
+/// need a lock.
 ///
-/// Edge blocks hold kEdgeBlockEdges edges. Each shard of an interning
-/// store fills its own block; a private store and a session GC fill one
-/// block at a time with a plain bump. A node with more edges than a
-/// block (an operator node of dimension 23 or more) gets a block of its
-/// own. Every block comes from the thread's spare list and goes back to it
-/// when the store dies or collects.
+/// Edge blocks hold kEdgeBlockEdges edges. Each table shard fills its own
+/// block, and a session GC fills one block at a time with a plain bump. A
+/// node with more edges than a block (an operator node of dimension 23 or
+/// more) gets a block of its own. Every block comes from the thread's spare
+/// list and goes back to it when the store dies or collects.
 class DdNodeStore {
 public:
-    enum class Mode {
-        Private,   ///< append-only, filled once by the call that makes it
-        Interning, ///< shared, hash-consed
-    };
-
     /// Edges per edge block (16 KB).
     static constexpr std::size_t kEdgeBlockEdges = 512;
 
-    explicit DdNodeStore(Mode mode, double tolerance = Tolerance::kDefault);
+    /// `tolerance` buckets the table's key weights and the cache's ratios.
+    explicit DdNodeStore(double tolerance);
     DdNodeStore& operator=(const DdNodeStore&) = delete;
     ~DdNodeStore();
 
-    [[nodiscard]] bool interning() const noexcept { return hashing_ != nullptr; }
-    [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
+    [[nodiscard]] double tolerance() const noexcept { return table_.tolerance(); }
     [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
 
     [[nodiscard]] const DDNode& node(NodeRef ref) const;
 
-    /// Allocate (Private) or intern (Interning) a node; `edges` are copied
-    /// into the store's edge blocks only when a node is created, so an
-    /// interning hit writes nothing. On an interning store this is safe to
-    /// call from concurrent batch items: exactly one node is created per
-    /// distinct structural key, and losers of an insertion race receive the
-    /// winner's canonical ref.
+    /// Intern a node: the canonical ref of (site, edges), created when the
+    /// key is new. `edges` are copied into the store's edge blocks only when
+    /// a node is created, so a hit writes nothing. Safe to call from
+    /// concurrent batch items: exactly one node is created per distinct
+    /// structural key, and losers of an insertion race receive the winner's
+    /// canonical ref.
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
 
     /// Every internal node reachable from `roots` (kNoNode roots, zero
@@ -603,27 +590,20 @@ public:
         std::uint64_t cacheEvicted = 0;
     };
 
-    /// Session GC (interning stores only): mark every node reachable from
-    /// `roots` (the terminal is always live), compact the pool to the
-    /// survivors in ascending-ref order — so the compacted pool is
-    /// deterministic whenever the pre-GC pool was — copying their edges
-    /// into fresh blocks in the same order and retiring the old blocks
-    /// whole, rebuild the uniquing table over them, and remap/evict the
-    /// compute cache. `remapOut[oldRef]` is the survivor's new ref, kNoNode
-    /// for a collected node. Single-threaded: callers guarantee no
-    /// concurrent session use (DdSession::garbageCollect is the public
-    /// entry point and states the full contract).
+    /// Session GC: mark every node reachable from `roots` (the terminal is
+    /// always live), compact the pool to the survivors in ascending-ref
+    /// order — so the compacted pool is deterministic whenever the pre-GC
+    /// pool was — copying their edges into fresh blocks in the same order
+    /// and retiring the old blocks whole, rebuild the uniquing table over
+    /// them, and remap/evict the compute cache. `remapOut[oldRef]` is the
+    /// survivor's new ref, kNoNode for a collected node. Single-threaded:
+    /// callers guarantee no concurrent session use (DdSession::garbageCollect
+    /// is the public entry point and states the full contract).
     CompactionStats compactLive(const std::vector<NodeRef>& roots,
                                 std::vector<NodeRef>& remapOut);
 
-    /// The uniquing table and the compute cache of an interning store;
-    /// null on a private store.
-    [[nodiscard]] UniqueTable* uniqueTable() noexcept {
-        return hashing_ ? &hashing_->table : nullptr;
-    }
-    [[nodiscard]] ComputeCache* computeCache() noexcept {
-        return hashing_ ? &hashing_->cache : nullptr;
-    }
+    [[nodiscard]] UniqueTable& uniqueTable() noexcept { return table_; }
+    [[nodiscard]] ComputeCache& computeCache() noexcept { return cache_; }
 
 private:
     /// Where the next edges of a block go: the unused rest of a block.
@@ -637,15 +617,6 @@ private:
         std::size_t count;
     };
 
-    /// What interning adds to a pool: the table, the cache, and each
-    /// shard's edge cursor (touched only under that shard's lock).
-    struct Hashing {
-        explicit Hashing(double tolerance) : table(tolerance), cache(tolerance) {}
-        UniqueTable table;
-        ComputeCache cache;
-        std::array<EdgeCursor, UniqueTable::kShardCount> cursors{};
-    };
-
     /// Copy `edges` to `cursor`, which moves to a fresh block when they do
     /// not fit; a node larger than a block gets a block of its own.
     std::span<DDEdge> copyEdges(EdgeCursor& cursor, std::span<const DDEdge> edges);
@@ -654,12 +625,13 @@ private:
     /// Hand `blocks` back to the spare list.
     static void retireEdgeBlocks(const std::vector<EdgeBlock>& blocks) noexcept;
 
-    double tolerance_;
     detail::ChunkedNodePool<DDNode> pool_;
     std::mutex blockMutex_; ///< guards edgeBlocks_ only
     std::vector<EdgeBlock> edgeBlocks_;
-    EdgeCursor bump_; ///< the private store's and a GC's cursor
-    std::unique_ptr<Hashing> hashing_; ///< null on a private store
+    UniqueTable table_;
+    ComputeCache cache_;
+    /// Each table shard's edge cursor, touched only under that shard's lock.
+    std::array<EdgeCursor, UniqueTable::kShardCount> cursors_{};
 };
 
 /// Aggregate statistics of one session: live pool size plus the uniquing
@@ -687,7 +659,7 @@ struct DdSessionGcStats {
     std::uint64_t liveRoots = 0;
 };
 
-/// A DD evaluation session: one shared interning store for every diagram
+/// A DD evaluation session: one shared store for every diagram
 /// the owner touches. `DdBackend` holds one for its whole lifetime, so the
 /// target, the replayed state, and every per-gate intermediate of a
 /// verification run allocate from (and hit into) the same table — including

@@ -12,9 +12,8 @@ namespace mqsp {
 MatrixDD::MatrixDD(std::shared_ptr<dd::DdNodeStore> store, double tol)
     : store_(std::move(store)) {
     if (!store_) {
-        store_ = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol);
+        store_ = std::make_shared<dd::DdNodeStore>(tol);
     }
-    requireThat(store_->interning(), "MatrixDD: operator diagrams need an interning store");
 }
 
 const DDNode& MatrixDD::node(NodeRef ref) const {
@@ -210,7 +209,7 @@ MatrixDD MatrixDD::fromCircuit(const Circuit& circuit, double tol,
     // scaffolding and repeated gate structure are built exactly once —
     // whether the store is this call's own or a session-lived one.
     if (!store) {
-        store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tol);
+        store = std::make_shared<dd::DdNodeStore>(tol);
     }
     MatrixDD result = identity(circuit.dimensions(), store);
     for (const auto& op : circuit.operations()) {

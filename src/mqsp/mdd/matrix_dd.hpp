@@ -22,7 +22,7 @@ namespace mqsp {
 /// out-edges in row-major order (kNoNode for a zero edge), and the operator
 /// it represents is M = sum_{r,c} w_{rc} |r><c| (x) M_{rc}. Nodes are
 /// normalized by their largest-magnitude weight (pushed into the in-edge)
-/// and allocated on an interning dd::DdNodeStore, so structurally equal
+/// and allocated on a dd::DdNodeStore, which interns, so structurally equal
 /// operators share sub-graphs and the zero operator is a null edge. With
 /// one shared store (pass it to the factories, as DdBackend does for its
 /// whole lifetime) the sharing crosses diagram boundaries: per-gate
@@ -51,7 +51,7 @@ public:
 
     /// The whole circuit as an operator (ops composed in application order).
     /// Every intermediate (per-gate operators and running products) lives
-    /// on one interning store — the given one, or a fresh one of this
+    /// on one store — the given one, or a fresh one of this
     /// call's own.
     [[nodiscard]] static MatrixDD fromCircuit(const Circuit& circuit,
                                               double tol = Tolerance::kDefault,
@@ -91,7 +91,7 @@ public:
     [[nodiscard]] const std::shared_ptr<dd::DdNodeStore>& store() const noexcept { return store_; }
 
 private:
-    /// A diagram on `store` (nullptr -> a fresh interning store at `tol`).
+    /// A diagram on `store` (nullptr -> a fresh store at `tol`).
     explicit MatrixDD(std::shared_ptr<dd::DdNodeStore> store, double tol = Tolerance::kDefault);
 
     [[nodiscard]] const DDNode& node(NodeRef ref) const;

@@ -274,21 +274,30 @@ std::string VerificationService::handlePrep(const Request& request) {
     entry.approx = approxText != nullptr;
     entry.threshold = threshold;
 
-    // One path for every family: the target is built once, on the session
-    // (random states split their dense vector there), then approximated
-    // when asked — on a store of its own, so the resident target stays the
-    // exact state — and synthesized.
+    // One path for every family: the target is built once (random states
+    // split their dense vector), then approximated when asked — on a store
+    // of its own, so the resident target stays the exact state — and
+    // synthesized. An --approx target is built on a fresh session and
+    // interned as the resident one: on the session its nodes would carry
+    // the bits of whichever earlier target first interned a bucket-equal
+    // key, so a cut on the budget boundary would depend on history.
     if (family.family == states::Family::Random) {
         requireThat(radix.totalDimension() <= kDenseBackendCeiling,
                     "PREP:RANDOM builds a dense amplitude vector, and the register has " +
                         u64(radix.totalDimension()) + " amplitudes (dense ceiling " +
                         u64(kDenseBackendCeiling) + ")");
     }
-    DecisionDiagram target = states::makeDiagram(family, dims, session.get());
-    entry.target = EvalState(target);
-    PreparationResult result = approxText != nullptr
-                                   ? prepareApproximated(std::move(target), threshold, options)
-                                   : prepareExact(std::move(target), options);
+    PreparationResult result;
+    if (approxText != nullptr) {
+        const dd::DdSession fresh(session->tolerance());
+        DecisionDiagram target = states::makeDiagram(family, dims, &fresh);
+        entry.target = EvalState(session->intern(target));
+        result = prepareApproximated(std::move(target), threshold, options);
+    } else {
+        DecisionDiagram target = states::makeDiagram(family, dims, session.get());
+        entry.target = EvalState(target);
+        result = prepareExact(std::move(target), options);
+    }
     entry.circuit = std::move(result.circuit);
 
     const PreparedTarget& stored = registry_.add(std::move(entry));

@@ -374,8 +374,7 @@ DdBackend::DdBackend(double tolerance)
 DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
     : EvaluationBackend(config),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      operatorStore_(
-          std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, tolerance)) {}
+      operatorStore_(std::make_shared<dd::DdNodeStore>(tolerance)) {}
 
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(DecisionDiagram::zeroState(dims, session_.get()));
@@ -391,8 +390,8 @@ void DdBackend::apply(EvalState& state, const Operation& op) const {
 
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {
     requireThat(a.radix() == b.radix(), "DdBackend::circuitsEquivalent: registers differ");
-    // Both sides compile onto the backend's shared operator store (an
-    // interning store, so concurrent batch items intern safely):
+    // Both sides compile onto the backend's shared operator store (its
+    // table is sharded, so concurrent batch items intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
     // short-circuit on root identity.

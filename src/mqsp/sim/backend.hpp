@@ -300,7 +300,7 @@ private:
 /// (mdd/MatrixDD) — memory and time scale with diagram size, not with
 /// ∏dims, so structured states verify on registers of 10^8+ amplitudes.
 ///
-/// Memory model: the backend owns two interning dd::DdNodeStores for its
+/// Memory model: the backend owns two dd::DdNodeStores for its
 /// whole lifetime — its dd::DdSession's, for states, and one for the
 /// operator diagrams of the equivalence path. Every target, replayed state,
 /// and per-gate intermediate evaluated on this backend allocates through
@@ -323,9 +323,10 @@ public:
 
     [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::Dd; }
     [[nodiscard]] EvalState zeroState(const Dimensions& dims) const override;
-    /// A diagram from another store (a private one, or another session's)
-    /// is interned into this backend's session once, then the gate applies
-    /// there: the replay stays canonical whatever the input.
+    /// A diagram from another store (a builder's fresh one, or another
+    /// session's) is interned into this backend's session once, then the
+    /// gate applies there, so the replay shares the session's table and
+    /// caches.
     void apply(EvalState& state, const Operation& op) const override;
     [[nodiscard]] bool circuitsEquivalent(const Circuit& a, const Circuit& b,
                                           double tol = 1e-9) const override;

@@ -39,11 +39,11 @@ struct FamilySpec {
 /// The family's dense amplitude vector.
 [[nodiscard]] StateVector makeDenseState(const FamilySpec& spec, const Dimensions& dims);
 
-/// The family's diagram on `session`'s store when one is given. Structured
-/// families are built natively (never through a dense vector; a private
-/// store without a session); Random splits its dense vector through
-/// DecisionDiagram::fromStateVector (a fresh interning store without a
-/// session), so it needs the dense vector to fit in memory.
+/// The family's diagram on `session`'s store when one is given, else on a
+/// fresh store at the default tolerance. Structured families are built
+/// natively (never through a dense vector); Random splits its dense vector
+/// through DecisionDiagram::fromStateVector, so it needs the dense vector
+/// to fit in memory.
 [[nodiscard]] DecisionDiagram makeDiagram(const FamilySpec& spec, const Dimensions& dims,
                                           const dd::DdSession* session = nullptr);
 

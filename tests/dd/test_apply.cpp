@@ -21,32 +21,24 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
-/// DD-native replay of `circuit` gate by gate, starting from `state`.
-DecisionDiagram replayFrom(DecisionDiagram state, const Circuit& circuit) {
+/// DD-native replay of `circuit` gate by gate from |0...0> on a fresh
+/// session store, the evaluation regime.
+DecisionDiagram replay(const Circuit& circuit) {
+    const dd::DdSession session;
+    DecisionDiagram state = DecisionDiagram::zeroState(circuit.dimensions(), &session);
     for (const Operation& op : circuit.operations()) {
         state.applyOperation(op);
     }
     return state;
 }
 
-/// Replay from |0...0> on a fresh session store, the evaluation regime.
-DecisionDiagram replay(const Circuit& circuit) {
-    const dd::DdSession session;
-    return replayFrom(DecisionDiagram::zeroState(circuit.dimensions(), &session), circuit);
-}
-
 void expectMatchesDense(const Circuit& circuit, double tol = 1e-9) {
     const StateVector dense = Simulator::runFromZero(circuit);
-    // Both store regimes: interning on a session, and copy-on-write
-    // appends on a private store.
-    for (const DecisionDiagram& dd :
-         {replay(circuit), replayFrom(DecisionDiagram::zeroState(circuit.dimensions()), circuit)}) {
-        EXPECT_EQ(dd.checkInvariants(), "");
-        const StateVector fromDD = dd.toStateVector();
-        for (std::uint64_t i = 0; i < dense.size(); ++i) {
-            EXPECT_NEAR(std::abs(fromDD[i] - dense[i]), 0.0, tol)
-                << "amplitude " << i << (dd.sessionBacked() ? " (session)" : " (private)");
-        }
+    const DecisionDiagram dd = replay(circuit);
+    EXPECT_EQ(dd.checkInvariants(), "");
+    const StateVector fromDD = dd.toStateVector();
+    for (std::uint64_t i = 0; i < dense.size(); ++i) {
+        EXPECT_NEAR(std::abs(fromDD[i] - dense[i]), 0.0, tol) << "amplitude " << i;
     }
 }
 

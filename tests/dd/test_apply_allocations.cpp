@@ -182,7 +182,7 @@ TEST(ApplyAllocationsDeathTest, AStaleSpanIntoARetiredBlockFaults) {
     const auto readStale = [] {
         const DDEdge* stale = nullptr;
         {
-            dd::DdNodeStore store(dd::DdNodeStore::Mode::Private);
+            dd::DdNodeStore store(Tolerance::kDefault);
             const std::vector<DDEdge> edges(3, DDEdge{0, Complex{0.5, 0.0}});
             stale = store.node(store.allocate(0, edges)).edges.data();
         }

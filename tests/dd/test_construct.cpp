@@ -97,9 +97,11 @@ TEST(DDConstruct, ZeroSubtreesBecomeStubs) {
 TEST(DDConstructDense, MaterializesTheFullTree) {
     const StateVector state = states::ghz({3, 6, 2});
     const DecisionDiagram dense = DecisionDiagram::fromStateVectorDense(state);
-    // Internal nodes of the dense tree over (3,6,2): 1 + 3 + 18 = 22,
-    // regardless of the state's sparsity.
-    EXPECT_EQ(dense.nodeCount(NodeCountMode::Internal), 22U);
+    // Every path of the dense tree over (3,6,2) is kept, zero sub-trees
+    // included: 1 + 3 + 18 + 36 = 58 tree slots, regardless of the state's
+    // sparsity (identical sub-trees share nodes, as on every store).
+    EXPECT_EQ(dense.nodeCount(NodeCountMode::TreeSlots),
+              DecisionDiagram::denseTreeNodeCount({3, 6, 2}));
     // The represented state is still exact.
     EXPECT_NEAR(dense.fidelityWith(state), 1.0, 1e-10);
     for (const auto& digits :
@@ -184,7 +186,9 @@ TEST(DDConstruct, NativeBuildersEqualTheSplitterBitForBit) {
     // Each native builder computes its weights in the splitter's order from
     // the dense amplitude states:: uses, so on a session it returns the
     // diagram fromStateVector returns on the family's dense vector — every
-    // weight, root weight and pruned flag, byte for byte.
+    // weight, root weight and pruned flag, byte for byte. Without a session
+    // it returns the same diagram on a fresh store, and the text parses back
+    // to the very same bytes.
     for (const Dimensions& dims :
          {Dimensions{3, 6, 2}, Dimensions{9, 5, 6, 3}, Dimensions{4, 7, 4, 4, 3, 5},
           Dimensions{2, 3, 4, 6}, Dimensions{2, 2, 2, 2, 2}}) {
@@ -207,9 +211,18 @@ TEST(DDConstruct, NativeBuildersEqualTheSplitterBitForBit) {
             const DecisionDiagram built = states::makeDiagram(spec, dims, &native);
             const DecisionDiagram fromDense = DecisionDiagram::fromStateVector(
                 states::makeDenseState(spec, dims), Tolerance::kDefault, &split);
-            EXPECT_EQ(serialized(built), serialized(fromDense))
+            const DecisionDiagram sessionless = states::makeDiagram(spec, dims, nullptr);
+            const std::string expected = serialized(fromDense);
+            EXPECT_EQ(serialized(built), expected)
                 << formatDimensionSpec(dims) << " family " << static_cast<int>(spec.family)
                 << " weight " << spec.weight << " count " << spec.count;
+            EXPECT_EQ(serialized(sessionless), expected)
+                << formatDimensionSpec(dims) << " family " << static_cast<int>(spec.family)
+                << " weight " << spec.weight << " count " << spec.count << " (no session)";
+            std::istringstream text(expected);
+            EXPECT_EQ(serialized(DecisionDiagram::deserialize(text)), expected)
+                << formatDimensionSpec(dims) << " family " << static_cast<int>(spec.family)
+                << " weight " << spec.weight << " count " << spec.count << " (parsed)";
         }
     }
 }

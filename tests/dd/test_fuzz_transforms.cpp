@@ -2,8 +2,9 @@
 // pruning transform is the approximation pass. Each seed draws registers
 // from the divisors of 24 (so radices mix while the cyclic lcm stays at
 // most 24), builds random, W, uniform, cyclic, Dicke and Dicke+cyclic
-// states on a private store, a fresh interning store and a session, and
-// prunes each at a threshold drawn from [0.7, 1]. The pass must keep its
+// states on the fresh store deserialize parses onto, the one
+// fromStateVector makes and a session, and prunes each at a threshold
+// drawn from [0.7, 1]. The pass must keep its
 // fidelity guarantee and report it exactly, leave its input untouched,
 // build on a store of its own, keep every shared sub-diagram whole, and
 // hand the input back unchanged at threshold 1.
@@ -30,7 +31,7 @@ namespace {
 constexpr std::array<Dimension, 6> kRadices{2, 3, 4, 6, 8, 12};
 
 enum class Kind { Random, W, Uniform, Cyclic, Dicke, DickeCyclic };
-enum class Store { Private, Fresh, Session };
+enum class Store { Parsed, Fresh, Session };
 
 /// Two to four qudits, at most 576 amplitudes (small under sanitizers).
 Dimensions drawRegister(Rng& rng) {
@@ -71,11 +72,11 @@ StateVector denseState(Kind kind, const Dimensions& dims, Rng& rng) {
     return StateVector(dims);
 }
 
-/// The state's diagram on the requested store: a private store filled once
-/// by deserialize, a fresh interning store, or the session's.
+/// The state's diagram on the requested store: the fresh one deserialize
+/// parses onto, the fresh one fromStateVector splits onto, or the session's.
 DecisionDiagram build(Store store, const StateVector& state, const dd::DdSession& session) {
     switch (store) {
-    case Store::Private: {
+    case Store::Parsed: {
         std::stringstream text;
         DecisionDiagram::fromStateVector(state).serialize(text);
         return DecisionDiagram::deserialize(text);
@@ -154,7 +155,7 @@ TEST_P(DDTransformFuzz, RandomTransformSequencesKeepInvariants) {
     Rng rng(GetParam());
     for (const Kind kind : {Kind::Random, Kind::W, Kind::Uniform, Kind::Cyclic, Kind::Dicke,
                             Kind::DickeCyclic}) {
-        for (const Store store : {Store::Private, Store::Fresh, Store::Session}) {
+        for (const Store store : {Store::Parsed, Store::Fresh, Store::Session}) {
             const Dimensions dims = drawRegister(rng);
             const StateVector state = denseState(kind, dims, rng);
             const double threshold = rng.uniform(0.7, 1.0);

@@ -95,12 +95,13 @@ TEST(DDMetrics, ContributionEqualsSubtreeMass) {
 
 TEST(DDMetrics, TensorProductDetectionAfterReduce) {
     // |psi> = (uniform qutrit) x (uniform qubit): after reduction the root's
-    // three edges share one child -> tensor-product node.
+    // three edges share one child -> tensor-product node. Every store
+    // reduces, so the zero-keeping dense baseline shares that child too.
     const StateVector state = states::uniform({3, 2});
-    const DecisionDiagram tree = DecisionDiagram::fromStateVectorDense(state);
-    EXPECT_FALSE(tree.isTensorProductNode(tree.rootNode())); // tree: 3 children
     const DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
     EXPECT_TRUE(dd.isTensorProductNode(dd.rootNode()));
+    const DecisionDiagram dense = DecisionDiagram::fromStateVectorDense(state);
+    EXPECT_TRUE(dense.isTensorProductNode(dense.rootNode()));
 }
 
 TEST(DDMetrics, TensorProductFalseForEntangledStates) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 namespace mqsp {
 namespace {
@@ -105,12 +106,18 @@ TEST(DDSerialize, RoundTripsReducedAndPrunedDiagrams) {
 
     std::stringstream stream;
     dd.serialize(stream);
+    const std::string text = stream.str();
     const DecisionDiagram parsed = DecisionDiagram::deserialize(stream);
     EXPECT_EQ(parsed.nodeCount(NodeCountMode::Internal),
               dd.nodeCount(NodeCountMode::Internal));
     EXPECT_EQ(parsed.nodeCount(NodeCountMode::TreeSlots),
               dd.nodeCount(NodeCountMode::TreeSlots));
     EXPECT_NEAR(parsed.fidelityWith(dd.toStateVector()), 1.0, 1e-12);
+    // Pruned flags and the rebuilt store's bits survive the trip byte for
+    // byte.
+    std::ostringstream again;
+    parsed.serialize(again);
+    EXPECT_EQ(again.str(), text);
 }
 
 TEST(DDSerialize, RoundTripsTheEmptyDiagram) {
@@ -167,6 +174,23 @@ TEST(DDSerialize, RejectsMalformedInput) {
         std::stringstream stream("mqsp-dd v1\ndims 2 2\nroot 1 1 0\n"
                                  "node 1 0 2 4294967296 1 0 0 - 0 0 0\nend\n");
         EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError);
+    }
+    // Hostile headers and sizes, each refused before anything is sized by
+    // them: a signed or junk-suffixed dimension (which operator>> wrapped
+    // to 4294967293 or cut to 3), node lines declaring 50,000,000 and
+    // 4,000,000,000 edges they do not hold, a pruned flag other than 0/1,
+    // and an edge naming a later node line.
+    for (const char* text : {
+             "mqsp-dd v1\ndims 2 -3\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2 3x\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 50000000\nroot 1 1 0\nnode 1 0 50000000\nend\n",
+             "mqsp-dd v1\ndims 4000000000\nroot 1 1 0\nnode 1 0 4000000000\nend\n",
+             "mqsp-dd v1\ndims 2\nroot 1 1 0\nnode 1 0 2 0 1 0 2 - 0 0 0\nend\n",
+             "mqsp-dd v1\ndims 2 2\nroot 1 1 0\nnode 1 0 2 2 1 0 0 - 0 0 0\n"
+             "node 2 1 2 0 1 0 0 - 0 0 0\nend\n",
+         }) {
+        std::stringstream stream(text);
+        EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError) << text;
     }
 }
 

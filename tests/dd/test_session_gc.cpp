@@ -171,7 +171,7 @@ TEST(SessionGc, RejectsNullAndForeignDiagrams) {
     DecisionDiagram keep = DecisionDiagram::ghzState(kDims, &session);
     EXPECT_THROW((void)session.garbageCollect({nullptr}), InvalidArgumentError);
 
-    DecisionDiagram foreign = DecisionDiagram::ghzState(kDims); // private store
+    DecisionDiagram foreign = DecisionDiagram::ghzState(kDims); // a fresh store
     EXPECT_THROW((void)session.garbageCollect({&keep, &foreign}), InvalidArgumentError);
 
     const dd::DdSession other;

@@ -103,12 +103,16 @@ TEST(DDTransform, CuttingEverythingYieldsEmptyDiagram) {
 
 TEST(DDTransform, ReduceMergesIdenticalSubtrees) {
     // Uniform product state: every node at one level is identical, so the
-    // splitter interns one node per level where the dense tree has 16.
+    // splitter interns one node per level where the dense tree has
+    // 1 + 3 + 12 — the zero-keeping dense baseline too. Tree slots still
+    // count every path of the tree.
     const StateVector state = states::uniform({3, 4, 2});
-    const DecisionDiagram tree = DecisionDiagram::fromStateVectorDense(state);
-    EXPECT_EQ(tree.nodeCount(NodeCountMode::Internal), 1U + 3U + 12U);
+    const DecisionDiagram dense = DecisionDiagram::fromStateVectorDense(state);
+    EXPECT_EQ(dense.nodeCount(NodeCountMode::Internal), 3U);
     const DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
     EXPECT_EQ(dd.nodeCount(NodeCountMode::Internal), 3U);
+    EXPECT_EQ(dd.nodeCount(NodeCountMode::TreeSlots),
+              DecisionDiagram::denseTreeNodeCount({3, 4, 2}));
     // Reduction must preserve semantics exactly.
     EXPECT_NEAR(dd.fidelityWith(state), 1.0, 1e-10);
     EXPECT_EQ(dd.checkInvariants(), "");

@@ -166,22 +166,13 @@ TEST(ComputeCache, SaturatedRatiosNeverShareAKey) {
 
 // --- DdNodeStore -----------------------------------------------------------
 
-TEST(DdNodeStore, PrivateStoreAppendsWithoutUniquing) {
-    dd::DdNodeStore store(dd::DdNodeStore::Mode::Private);
-    EXPECT_EQ(store.size(), 1U); // the terminal
-    const NodeRef a = store.allocate(0, edgeList({{0, 1.0}}));
-    const NodeRef b = store.allocate(0, edgeList({{0, 1.0}}));
-    EXPECT_NE(a, b); // structural twins stay distinct (historical tree semantics)
-    EXPECT_EQ(store.size(), 3U);
-}
-
 TEST(DdNodeStore, InterningStoreDeduplicatesWithoutCreatingGarbage) {
-    dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning, kTol);
+    dd::DdNodeStore store(kTol);
     const NodeRef a = store.allocate(0, edgeList({{0, 1.0}}));
     const NodeRef b = store.allocate(0, edgeList({{0, 1.0}}));
     EXPECT_EQ(a, b);
     EXPECT_EQ(store.size(), 2U); // terminal + one canonical node, no garbage
-    EXPECT_EQ(store.uniqueTable()->stats().hits, 1U);
+    EXPECT_EQ(store.uniqueTable().stats().hits, 1U);
 }
 
 TEST(DdNodeStore, InterningStoreRefusesInPlaceMutation) {
@@ -260,7 +251,7 @@ TEST(DdSession, SessionBuildersMatchPrivateBuildersAmplitudeForAmplitude) {
         return list;
     }();
     for (const auto& [diagram, state] : pairs) {
-        EXPECT_TRUE(diagram.sessionBacked());
+        EXPECT_TRUE(session.owns(diagram));
         EXPECT_TRUE(diagram.checkInvariants().empty()) << diagram.checkInvariants();
         for (std::uint64_t i = 0; i < state.size(); ++i) {
             const Digits digits = state.radix().digitsOf(i);
@@ -298,7 +289,7 @@ TEST(DdSession, InternImportsForeignDiagramsAndAliasesOwnOnes) {
 
     dd::DdSession session;
     const DecisionDiagram imported = session.intern(DecisionDiagram::fromStateVector(state));
-    EXPECT_TRUE(imported.sessionBacked());
+    EXPECT_TRUE(session.owns(imported));
     EXPECT_NEAR(imported.fidelityWith(state), 1.0, kTol);
 
     // Interning a session-backed diagram is an O(1) alias, not a copy.
@@ -344,7 +335,7 @@ TEST(DdSession, SerializationDetachesFromTheSessionPool) {
     std::stringstream stream;
     ghz.serialize(stream);
     const DecisionDiagram parsed = DecisionDiagram::deserialize(stream);
-    EXPECT_FALSE(parsed.sessionBacked());
+    EXPECT_FALSE(session.owns(parsed));
     // Only GHZ-reachable nodes round-trip, not the session's W nodes.
     EXPECT_LT(parsed.poolSize(), ghz.poolSize());
     EXPECT_NEAR(squaredMagnitude(parsed.innerProductWith(ghz)), 1.0, kTol);
@@ -455,14 +446,14 @@ TEST(DdNodeStore, SharedOperatorStoreCrossesDiagramBoundaries) {
     lean.emitIdentityOperations = false;
     const auto prep = prepareExact(target, lean);
 
-    const auto store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning);
+    const auto store = std::make_shared<dd::DdNodeStore>(Tolerance::kDefault);
     const MatrixDD a = MatrixDD::fromCircuit(prep.circuit, Tolerance::kDefault, store);
     const std::size_t afterFirst = store->size();
     const MatrixDD b = MatrixDD::fromCircuit(prep.circuit, Tolerance::kDefault, store);
 
     // The identical circuit recompiles without allocating a single node...
     EXPECT_EQ(store->size(), afterFirst);
-    EXPECT_GT(store->uniqueTable()->stats().hits, 0U);
+    EXPECT_GT(store->uniqueTable().stats().hits, 0U);
     // ...lands on the same canonical root, and the equivalence check
     // short-circuits on root identity.
     EXPECT_EQ(a.root().node, b.root().node);

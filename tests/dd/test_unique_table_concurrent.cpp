@@ -40,7 +40,7 @@ TEST(ConcurrentUniqueTable, OverlappingKeySetsYieldOneRefPerDistinctKey) {
     constexpr unsigned kThreads = 7;
     constexpr NodeRef kKeys = 600;
 
-    dd::DdNodeStore store(dd::DdNodeStore::Mode::Interning, kTol);
+    dd::DdNodeStore store(kTol);
     std::vector<std::vector<NodeRef>> got(kThreads, std::vector<NodeRef>(kKeys, kNoNode));
     parallel::runOnThreads(kThreads, [&](unsigned thread) {
         for (NodeRef i = 0; i < kKeys; ++i) {
@@ -54,7 +54,7 @@ TEST(ConcurrentUniqueTable, OverlappingKeySetsYieldOneRefPerDistinctKey) {
     // Post-hoc scan: the pool holds the terminal plus exactly one node per
     // distinct key, the table one entry per key.
     EXPECT_EQ(store.size(), static_cast<std::size_t>(kKeys) + 1);
-    EXPECT_EQ(store.uniqueTable()->size(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(store.uniqueTable().size(), static_cast<std::size_t>(kKeys));
     for (NodeRef k = 0; k < kKeys; ++k) {
         for (unsigned thread = 1; thread < kThreads; ++thread) {
             ASSERT_EQ(got[thread][k], got[0][k]) << "key " << k << " thread " << thread;
@@ -67,7 +67,7 @@ TEST(ConcurrentUniqueTable, OverlappingKeySetsYieldOneRefPerDistinctKey) {
     // Per-shard key sets are thread-count invariant, so so are the summed
     // counters: every thread's every call was one lookup, and each key
     // missed exactly once.
-    const dd::UniqueTableStats stats = store.uniqueTable()->stats();
+    const dd::UniqueTableStats stats = store.uniqueTable().stats();
     EXPECT_EQ(stats.lookups, static_cast<std::uint64_t>(kThreads) * kKeys);
     EXPECT_EQ(stats.misses, kKeys);
     EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1) * kKeys);
@@ -149,9 +149,9 @@ TEST(ConcurrentUniqueTable, EdgeBlocksSurviveConcurrentInterning) {
         return refs;
     };
 
-    dd::DdNodeStore serial(dd::DdNodeStore::Mode::Interning, kTol);
+    dd::DdNodeStore serial(kTol);
     const std::vector<NodeRef> serialRefs = internAll(serial);
-    dd::DdNodeStore shared(dd::DdNodeStore::Mode::Interning, kTol);
+    dd::DdNodeStore shared(kTol);
     std::vector<std::vector<NodeRef>> refs(kThreads);
     parallel::runOnThreads(kThreads, [&](unsigned thread) { refs[thread] = internAll(shared); });
 
@@ -169,7 +169,7 @@ TEST(ConcurrentUniqueTable, EdgeBlocksSurviveConcurrentInterning) {
     }
     EXPECT_EQ(shared.size(), serial.size());
     EXPECT_EQ(shared.size(), kKeys + 1);
-    EXPECT_EQ(shared.uniqueTable()->stats().misses, serial.uniqueTable()->stats().misses);
+    EXPECT_EQ(shared.uniqueTable().stats().misses, serial.uniqueTable().stats().misses);
 }
 
 TEST(ConcurrentUniqueTable, OperatorDiagramsInternOncePerKey) {
@@ -193,9 +193,9 @@ TEST(ConcurrentUniqueTable, OperatorDiagramsInternOncePerKey) {
         return roots;
     };
 
-    const auto serial = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, kTol);
+    const auto serial = std::make_shared<dd::DdNodeStore>(kTol);
     (void)compileAll(serial);
-    const auto shared = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning, kTol);
+    const auto shared = std::make_shared<dd::DdNodeStore>(kTol);
     std::vector<std::vector<NodeRef>> roots(kThreads);
     parallel::runOnThreads(kThreads,
                            [&](unsigned thread) { roots[thread] = compileAll(shared); });
@@ -204,8 +204,8 @@ TEST(ConcurrentUniqueTable, OperatorDiagramsInternOncePerKey) {
         EXPECT_EQ(roots[thread], roots[0]) << "thread " << thread;
     }
     EXPECT_EQ(shared->size(), serial->size());
-    EXPECT_EQ(shared->uniqueTable()->stats().misses, serial->uniqueTable()->stats().misses);
-    EXPECT_EQ(shared->uniqueTable()->size(), serial->size() - 1); // the terminal is no key
+    EXPECT_EQ(shared->uniqueTable().stats().misses, serial->uniqueTable().stats().misses);
+    EXPECT_EQ(shared->uniqueTable().size(), serial->size() - 1); // the terminal is no key
 }
 
 // --- chunked pool ----------------------------------------------------------

@@ -3,9 +3,9 @@
 // all-kind circuits on one single-threaded backend, verifies synthesized
 // circuits singly and as a batch, collects the session, replays again after
 // the collection, and runs a DD equivalence check. The second builds every
-// structured family privately and on a session, interns random-state
-// trees, collects, approximates, reduces a private tree through the
-// rebuild, and serializes the results. How the uniquing table and the
+// structured family on fresh stores and on a session, interns random
+// states, collects, approximates, interns a session-less W onto a session
+// of its own, and serializes the results. How the uniquing table and the
 // compute cache are laid out in memory, and which code path puts a node on
 // a store, are free to change; which keys hit, which miss, which nodes
 // exist at which ref, and every bit and byte the workloads produce are not,
@@ -126,7 +126,7 @@ void addDiagram(Fnv1a& digest, const DecisionDiagram& diagram) {
 }
 
 /// One diagram of each structured family on `dims`, built on `session`, or
-/// each on a private store when `session` is null.
+/// each on a fresh store of its own when `session` is null.
 std::vector<DecisionDiagram> everyFamily(const Dimensions& dims, const dd::DdSession* session) {
     Digits digits(dims.size());
     for (std::size_t site = 0; site < dims.size(); ++site) {
@@ -159,7 +159,7 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
     std::uint64_t sessionHits = 0;
     std::uint64_t sessionMisses = 0;
     for (const Dimensions& dims : registers) {
-        // Every family on private stores.
+        // Every family on fresh stores.
         for (const DecisionDiagram& diagram : everyFamily(dims, nullptr)) {
             addDiagram(digest, diagram);
         }
@@ -175,7 +175,7 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
         }
         addUnique(digest, session.stats().unique);
 
-        // Random-state trees interned twice, and a private W tree.
+        // Random states interned twice, and a session-less W.
         const DecisionDiagram tree = DecisionDiagram::fromStateVector(states::random(dims, rng));
         DecisionDiagram interned = session.intern(tree);
         addDiagram(digest, interned);
@@ -207,33 +207,33 @@ TEST(SessionCountersIdentity, BuildersInternAndCollectionKeepEveryRefAndByte) {
         approxDigest.add(report.fidelity);
         addDiagram(approxDigest, approximated);
 
-        // A private W tree reduced by the rebuild: interned onto a session
-        // of its own.
+        // A session-less W interned onto a session of its own: already
+        // reduced, so the rebuild merges nothing.
         const dd::DdSession reducing;
-        const DecisionDiagram privateW = DecisionDiagram::wState(dims);
-        const DecisionDiagram reduced = reducing.intern(privateW);
-        digest.add(privateW.nodeCount(NodeCountMode::Internal) -
+        const DecisionDiagram sessionlessW = DecisionDiagram::wState(dims);
+        const DecisionDiagram reduced = reducing.intern(sessionlessW);
+        digest.add(sessionlessW.nodeCount(NodeCountMode::Internal) -
                    reduced.nodeCount(NodeCountMode::Internal));
         addDiagram(digest, reduced);
 
         // An operator DD compiled twice on one shared store.
-        const auto store = std::make_shared<dd::DdNodeStore>(dd::DdNodeStore::Mode::Interning);
+        const auto store = std::make_shared<dd::DdNodeStore>(Tolerance::kDefault);
         const Circuit circuit = prepareExact(states::random(dims, rng)).circuit;
         const MatrixDD first = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
         const MatrixDD second = MatrixDD::fromCircuit(circuit, Tolerance::kDefault, store);
         digest.add(static_cast<std::uint64_t>(second.root().node == first.root().node));
         digest.add(static_cast<std::uint64_t>(store->size()));
-        addUnique(digest, store->uniqueTable()->stats());
+        addUnique(digest, store->uniqueTable().stats());
 
         const dd::DdSessionStats stats = session.stats();
         sessionLookups += stats.unique.lookups;
         sessionHits += stats.unique.hits;
         sessionMisses += stats.unique.misses;
     }
-    EXPECT_EQ(sessionLookups, 943U);
-    EXPECT_EQ(sessionHits, 620U);
+    EXPECT_EQ(sessionLookups, 916U);
+    EXPECT_EQ(sessionHits, 593U);
     EXPECT_EQ(sessionMisses, 323U);
-    EXPECT_EQ(digest.value(), 0xafc0e319783d2b79ULL);
+    EXPECT_EQ(digest.value(), 0x475b5af067e93ab4ULL);
     EXPECT_EQ(approxDigest.value(), 0x196a8b48b0e99b09ULL);
 }
 

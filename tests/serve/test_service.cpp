@@ -144,6 +144,26 @@ TEST(ServeService, RepeatVerificationsHitTheComputeCacheAcrossGc) {
     EXPECT_GT(service.session()->stats().cache.hits, hitsBefore);
 }
 
+TEST(ServeService, ApproxPrepDoesNotDependOnSessionHistory) {
+    // On the session, the Dicke target's nodes took the bits an earlier
+    // embedded-W target interned under bucket-equal keys, and its root-edge
+    // mass landed one ulp inside the 0.1 budget: 13 ops at fidelity 0.9
+    // after the embedded W, 14 ops at 1.0 in a fresh session.
+    const std::string line = "PREP:DICKE --dims 9,5,6,3 --approx 0.9";
+    VerificationService fresh;
+    const std::string alone = ok(fresh, line);
+    EXPECT_EQ(field(alone, "ops"), "14");
+    EXPECT_EQ(field(alone, "approx_fidelity"), "1.000000000");
+
+    VerificationService service;
+    ok(service, "PREP:EMBW --dims 9,5,6,3");
+    const std::string after = ok(service, line);
+    EXPECT_EQ(field(after, "ops"), field(alone, "ops"));
+    EXPECT_EQ(field(after, "approx_fidelity"), field(alone, "approx_fidelity"));
+    // The resident target is still the exact state, on the session.
+    EXPECT_EQ(field(ok(service, "VERIFY"), "fidelity"), "1.000000000");
+}
+
 TEST(ServeService, HundredCyclesKeepThePoolBounded) {
     VerificationService service;
     std::uint64_t steadyPool = 0;

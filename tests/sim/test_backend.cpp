@@ -225,16 +225,16 @@ TEST(BackendContract, EveryVerifyEntryPointIsReplayOnThePrimitives) {
 }
 
 TEST(BackendContract, DdApplyInternsAPrivateInputIntoItsSession) {
-    // A diagram from a private store is interned once, then every gate
-    // allocates canonically on the session: the uniform state comes out as
-    // one shared node per site, not the tree.
+    // A diagram from a store of its own is interned once, then every gate
+    // allocates on the session: the uniform state comes out as one shared
+    // node per site.
     const Dimensions dims{3, 2};
     const DdBackend backend;
     EvalState state(DecisionDiagram::zeroState(dims));
-    ASSERT_FALSE(state.diagram().sessionBacked());
+    ASSERT_FALSE(backend.ddSession()->owns(state.diagram()));
     backend.apply(state, Operation::hadamard(0));
     backend.apply(state, Operation::hadamard(1));
-    EXPECT_TRUE(state.diagram().sessionBacked());
+    EXPECT_TRUE(backend.ddSession()->owns(state.diagram()));
     EXPECT_TRUE(state.diagram().sharesStoreWith(backend.zeroState(dims).diagram()));
     EXPECT_EQ(state.diagram().nodeCount(NodeCountMode::Internal), dims.size());
     EXPECT_NEAR(state.fidelityWith(EvalState(states::uniform(dims))), 1.0, 1e-12);
