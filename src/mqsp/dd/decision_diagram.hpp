@@ -282,17 +282,23 @@ public:
     /// Line-oriented text serialization of the diagram (register, root edge,
     /// one line per node): the canonical reachable copy, rebuilt on a fresh
     /// store at the diagram's tolerance, written in that store's pool order
-    /// (children before parents). At the default tolerance it round-trips
-    /// through `deserialize` exactly: a parsed diagram serializes to the
-    /// same bytes. The text carries no tolerance, so the parse of a diagram
-    /// at a finer one may merge nodes within the default of each other.
+    /// (children before parents). A tolerance other than
+    /// Tolerance::kDefault is written as a `tolerance` line after the
+    /// register, so the text round-trips through `deserialize` exactly at
+    /// any tolerance it accepts (1e-15 and up): a parsed diagram serializes
+    /// to the same bytes. The stream's flags and precision are restored
+    /// afterwards.
     void serialize(std::ostream& out) const;
 
     /// Parse the format emitted by serialize() onto a fresh store at the
-    /// default tolerance, interning each node line as it is read; an edge
-    /// must name an earlier line. Throws InvalidArgumentError on malformed
-    /// input, before allocating for any size the input declares; the result
-    /// passes checkInvariants() whenever the serialized diagram did.
+    /// tolerance the text names (its optional `tolerance` line, which must
+    /// be finite and at least 1e-15, where the uniquing table's weight
+    /// buckets still tell normalized weights apart; Tolerance::kDefault
+    /// without one), interning
+    /// each node line as it is read; an edge must name an earlier line.
+    /// Throws InvalidArgumentError on malformed input, before allocating
+    /// for any size the input declares; the result passes checkInvariants()
+    /// whenever the serialized diagram did.
     [[nodiscard]] static DecisionDiagram deserialize(std::istream& in);
 
     /// --- export (dot.cpp) ----------------------------------------------

@@ -4,7 +4,7 @@
 #include "mqsp/support/parse.hpp"
 
 #include <cmath>
-#include <iomanip>
+#include <ios>
 #include <istream>
 #include <limits>
 #include <memory>
@@ -20,9 +20,15 @@ namespace mqsp {
 // Format:
 //   mqsp-dd v1
 //   dims <d0> <d1> ...
+//   [tolerance <t>]
 //   root <nodeRef> <re> <im>
 //   node <ref> <site> <numEdges> { <childRef|-> <re> <im> <pruned01> } ...
 //   end
+// The tolerance line is written only for a store whose merge tolerance is
+// not Tolerance::kDefault, with 17 significant digits, and the parse
+// interns at the tolerance it names (the default when there is none), so a
+// diagram at any tolerance from kFinestTolerance up round-trips byte for
+// byte.
 // Node references are line numbers of the node table, from 1; the terminal
 // is always 0 and is not listed. An absent root is encoded as "root - 0 0".
 // Every field is one whitespace-separated token, and a line holds exactly
@@ -33,6 +39,13 @@ namespace mqsp {
 // parse.
 
 namespace {
+
+/// The finest tolerance a text may name. The uniquing table keys a weight
+/// part w by llround(w / tolerance); a finer tolerance splits the doubles
+/// near 1 into more buckets than there are doubles, and below about 1e-19
+/// the rounding overflows for weights of magnitude 1, so unequal normalized
+/// weights (0.6 and 0.8) land in one bucket and their nodes merge.
+constexpr double kFinestTolerance = 1e-15;
 
 /// The next whitespace-separated field of `line`; empty once it is
 /// exhausted.
@@ -51,6 +64,27 @@ namespace {
     return Complex{re, im};
 }
 
+/// Formats `out` the way the text format is written — default flags,
+/// 17 significant digits — for its lifetime, then restores the caller's
+/// flags and precision.
+class FormatScope {
+public:
+    explicit FormatScope(std::ostream& out)
+        : out_(out), flags_(out.flags(std::ios_base::dec | std::ios_base::skipws)),
+          precision_(out.precision(17)) {}
+    FormatScope(const FormatScope&) = delete;
+    FormatScope& operator=(const FormatScope&) = delete;
+    ~FormatScope() {
+        out_.flags(flags_);
+        out_.precision(precision_);
+    }
+
+private:
+    std::ostream& out_;
+    std::ios_base::fmtflags flags_;
+    std::streamsize precision_;
+};
+
 } // namespace
 
 void DecisionDiagram::serialize(std::ostream& out) const {
@@ -59,13 +93,16 @@ void DecisionDiagram::serialize(std::ostream& out) const {
     // fixed order whatever store they came from.
     const double tolerance = store_ != nullptr ? store_->tolerance() : Tolerance::kDefault;
     const DecisionDiagram copy = rebuiltOn(std::make_shared<dd::DdNodeStore>(tolerance));
+    const FormatScope format(out);
     out << "mqsp-dd v1\n";
     out << "dims";
     for (const auto dim : radix_.dimensions()) {
         out << ' ' << dim;
     }
     out << '\n';
-    out << std::setprecision(17);
+    if (tolerance != Tolerance::kDefault) {
+        out << "tolerance " << tolerance << '\n';
+    }
     if (copy.root_ == kNoNode) {
         out << "root - 0 0\n";
     } else {
@@ -109,10 +146,25 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
         }
     }
     requireThat(!dims.empty(), "DecisionDiagram::deserialize: empty register");
-    DecisionDiagram dd(std::make_shared<dd::DdNodeStore>(Tolerance::kDefault), dims);
 
     requireThat(static_cast<bool>(std::getline(in, line)),
                 "DecisionDiagram::deserialize: missing root line");
+    double tolerance = Tolerance::kDefault;
+    {
+        std::istringstream fields(line);
+        if (next(fields) == "tolerance") {
+            tolerance = parse::real(next(fields), "DecisionDiagram::deserialize: tolerance");
+            requireThat(std::isfinite(tolerance) && tolerance >= kFinestTolerance,
+                        "DecisionDiagram::deserialize: the tolerance must be finite and at "
+                        "least 1e-15");
+            requireThat(next(fields).empty(),
+                        "DecisionDiagram::deserialize: trailing fields on the tolerance line");
+            requireThat(static_cast<bool>(std::getline(in, line)),
+                        "DecisionDiagram::deserialize: missing root line");
+        }
+    }
+    DecisionDiagram dd(std::make_shared<dd::DdNodeStore>(tolerance), dims);
+
     std::optional<std::uint64_t> rootRef; // none for an absent root
     {
         std::istringstream fields(line);

@@ -26,12 +26,14 @@
 // table's one `findOrInsert`, and every walk over the nodes a set of roots
 // reaches goes through `DdNodeStore::reachable`.
 //
-// Concurrency model (the multicore substrate behind verifyBatch):
+// Concurrency model (what lets concurrent serve readers intern into one
+// session; verifyBatch gives each item a session of its own instead, see
+// sim/backend.hpp):
 //
 //  * The table is split into kShardCount shards selected by the top bits of
 //    the key hash (slot probing uses the low bits, so shard choice and slot
 //    distribution are independent). findOrInsert takes the owning shard's
-//    mutex, so concurrent batch items intern into one shared pool and a
+//    mutex, so concurrent callers intern into one shared pool and a
 //    distinct structural key maps to exactly one NodeRef regardless of
 //    interleaving. Single-threaded users take the same uncontended locks.
 //  * Nodes live in a chunked pool with geometrically growing blocks, and
@@ -156,7 +158,9 @@ inline constexpr std::size_t kSpareBlockCapBytes = std::size_t{16} << 20U;
 /// Hand a block back: onto the calling thread's spare list when this
 /// thread took it and the list stays within kSpareBlockCapBytes, else to
 /// `operator delete` — so no thread holds blocks that other threads took
-/// (a serve GC collecting what its batch workers interned). Under
+/// (a serve GC collecting what other client threads interned, or a batch
+/// worker session emptied on another thread than the one that filled it).
+/// Under
 /// AddressSanitizer a spare block is poisoned, so a stale read of it faults.
 void retireBlock(void* block, std::size_t bytes) noexcept;
 
@@ -445,10 +449,10 @@ private:
 /// slot's high bits, so every bitmap word belongs to exactly one stripe)
 /// and copied in and out whole, so concurrent lookups and stores never
 /// tear a Result — a racing overwrite can only turn a would-be hit into a
-/// miss. Counters are relaxed atomics. Hit/miss counts of
-/// concurrent workloads depend on the interleaving (eviction races), so
-/// batch metrics pin `dd_nodes`, which is interleaving-invariant, rather
-/// than cache rates.
+/// miss. Counters are relaxed atomics. Hit/miss counts of concurrent
+/// callers on one cache depend on the interleaving (eviction races); batch
+/// items each replay on a worker session of their own, so their counts do
+/// not.
 class ComputeCache {
 public:
     enum class Op : std::uint8_t { Add, InnerProduct };
@@ -571,7 +575,7 @@ public:
     /// Intern a node: the canonical ref of (site, edges), created when the
     /// key is new. `edges` are copied into the store's edge blocks only when
     /// a node is created, so a hit writes nothing. Safe to call from
-    /// concurrent batch items: exactly one node is created per distinct
+    /// concurrent callers: exactly one node is created per distinct
     /// structural key, and losers of an insertion race receive the winner's
     /// canonical ref.
     NodeRef allocate(std::uint32_t site, std::span<const DDEdge> edges);
@@ -637,9 +641,9 @@ private:
 /// Aggregate statistics of one session: live pool size plus the uniquing
 /// and compute-cache counters — the `dd_nodes` / `unique_hit_rate` /
 /// `cache_hit_rate` metrics the bench harness and the CLI tools report.
-/// `poolNodes` (the distinct structural keys interned) is invariant under
-/// thread count and batch-item order; the hit rates of *concurrent* batches
-/// depend on the interleaving and are reported as observed.
+/// `poolNodes` (the distinct structural keys interned) is a function of the
+/// work done on the session; the hit rates of concurrent callers on one
+/// session depend on the interleaving and are reported as observed.
 struct DdSessionStats {
     std::uint64_t poolNodes = 0; ///< allocated nodes incl. the terminal
     UniqueTableStats unique;
@@ -662,9 +666,10 @@ struct DdSessionGcStats {
 /// A DD evaluation session: one shared store for every diagram
 /// the owner touches. `DdBackend` holds one for its whole lifetime, so the
 /// target, the replayed state, and every per-gate intermediate of a
-/// verification run allocate from (and hit into) the same table — including
-/// the items of a concurrent `verifyBatch`, which intern into
-/// this one session from every worker.
+/// verification run allocate from (and hit into) the same table. Its batch
+/// items do not: each replays on a worker session of its own, emptied
+/// (`garbageCollect({})`) after every item, so concurrent items never meet
+/// in one table.
 ///
 /// Diagrams get onto the session's store through the DecisionDiagram
 /// builders (pass `&session`), `intern`, and gate application on a
@@ -706,6 +711,9 @@ public:
     DdSessionGcStats garbageCollect(const std::vector<DecisionDiagram*>& live) const;
 
     [[nodiscard]] DdSessionStats stats() const;
+    /// `stats().poolNodes` without locking the table's shards: the pool
+    /// size, terminal included.
+    [[nodiscard]] std::uint64_t poolNodes() const noexcept { return store_->size(); }
     void resetStats();
 
 private:

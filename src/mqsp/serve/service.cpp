@@ -116,9 +116,11 @@ Response VerificationService::handleLine(const std::string& rawLine) {
                 }
                 reply = dispatchRead(request);
             }
-            // VERIFY/BATCH replays intern fresh intermediates, so reads
-            // can push the pool over the watermark; collect outside the
-            // shared section (the writer lock is taken inside).
+            // VERIFY replays intern fresh intermediates into the session,
+            // so reads can push the pool over the watermark; collect
+            // outside the shared section (the writer lock is taken
+            // inside). BATCH items replay on worker sessions and add
+            // nothing here.
             maybeAutoGc();
         } else {
             const support::ExclusiveLockGuard guard(dispatchLock_);
@@ -191,7 +193,7 @@ std::string VerificationService::dispatchWrite(const Request& request) {
 
 bool VerificationService::collectIfOverWatermarkLocked() {
     const auto session = backend_->ddSession();
-    if (session->stats().poolNodes <= gcTrigger_.load(std::memory_order_relaxed)) {
+    if (session->poolNodes() <= gcTrigger_.load(std::memory_order_relaxed)) {
         return false;
     }
     const dd::DdSessionGcStats stats = session->garbageCollect(registry_.liveDiagrams());
@@ -205,7 +207,7 @@ bool VerificationService::collectIfOverWatermarkLocked() {
 
 void VerificationService::maybeAutoGc() {
     // Cheap unlocked check first — the common case is "under the mark".
-    if (backend_->ddSession()->stats().poolNodes <=
+    if (backend_->ddSession()->poolNodes() <=
         gcTrigger_.load(std::memory_order_relaxed)) {
         return;
     }
@@ -229,7 +231,7 @@ std::string VerificationService::handlePrep(const Request& request) {
                     " amplitudes, over the service limit of " + u64(limits_.maxAmplitudes) +
                     " (see LIMITS?)");
     const auto session = backend_->ddSession();
-    const std::uint64_t poolNodes = session->stats().poolNodes;
+    const std::uint64_t poolNodes = session->poolNodes();
     requireThat(poolNodes <= limits_.maxSessionNodes,
                 "admission: session node budget exhausted (" + u64(poolNodes) + " > " +
                     u64(limits_.maxSessionNodes) + " dd nodes) — run GC or DROP idle targets");
@@ -305,7 +307,7 @@ std::string VerificationService::handlePrep(const Request& request) {
     std::string reply = "OK id=" + u64(stored.id) + " family=" + stored.family +
                         " dims=" + stored.dims + " amplitudes=" + u64(radix.totalDimension()) +
                         " ops=" + u64(stored.circuit.operations().size()) +
-                        " dd_nodes=" + u64(session->stats().poolNodes);
+                        " dd_nodes=" + u64(session->poolNodes());
     if (approxText != nullptr) {
         reply += " approx_fidelity=" + fixed(result.approx.fidelity, 9);
     }
@@ -390,7 +392,7 @@ std::string VerificationService::handleStream(const Request& request) {
                     " amplitudes, over the service limit of " + u64(limits_.maxAmplitudes) +
                     " (see LIMITS?)");
     const auto session = backend_->ddSession();
-    const std::uint64_t poolNodes = session->stats().poolNodes;
+    const std::uint64_t poolNodes = session->poolNodes();
     requireThat(poolNodes <= limits_.maxSessionNodes,
                 "admission: session node budget exhausted (" + u64(poolNodes) + " > " +
                     u64(limits_.maxSessionNodes) + " dd nodes) — run GC or DROP idle targets");
@@ -407,7 +409,7 @@ std::string VerificationService::handleStream(const Request& request) {
     streams_.fetch_add(1, std::memory_order_relaxed);
     return "OK id=" + u64(stored.id) + " family=stream dims=" + stored.dims +
            " checkpoint=" + u64(stored.checkpointInterval) +
-           " dd_nodes=" + u64(session->stats().poolNodes);
+           " dd_nodes=" + u64(session->poolNodes());
 }
 
 std::string VerificationService::handleAppend(const Request& request) {
@@ -440,7 +442,7 @@ std::string VerificationService::handleAppend(const Request& request) {
         reply += " kind=prepared ops=" + u64(entry.circuit.numOperations());
     }
     appended_.fetch_add(1, std::memory_order_relaxed);
-    reply += " dd_nodes=" + u64(backend_->ddSession()->stats().poolNodes);
+    reply += " dd_nodes=" + u64(backend_->ddSession()->poolNodes());
     return reply;
 }
 
@@ -454,7 +456,7 @@ std::string VerificationService::handleReverify(const Request& request) {
         return "OK id=" + u64(entry.id) + " kind=stream fidelity=" +
                fixed(entry.target.normSquared(), 9) + " ops=" + u64(entry.streamOps) +
                " checkpoints=" + u64(entry.checkpointCount) +
-               " dd_nodes=" + u64(backend_->ddSession()->stats().poolNodes);
+               " dd_nodes=" + u64(backend_->ddSession()->poolNodes());
     }
     if (!entry.hasReplay) {
         entry.replay = backend_->zeroState(entry.circuit.dimensions());

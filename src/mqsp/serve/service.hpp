@@ -11,8 +11,10 @@
 // (VERIFY, BATCH, STATS?, LIMITS?, HELP) execute concurrently from
 // different client threads — they never mutate the registry, and the
 // shared session's uniquing table is sharded and its compute cache
-// striped precisely so concurrent verifications may intern into it
-// (see "DD session memory" in docs/ARCHITECTURE.md). Write-path verbs
+// striped precisely so concurrent VERIFYs may intern into it (see "DD
+// session memory" in docs/ARCHITECTURE.md). BATCH reads the resident
+// targets but replays each item on a worker session of the backend's
+// own, so it adds nothing to the shared session. Write-path verbs
 // (PREP, STREAM, APPEND, REVERIFY, DROP, GC, QUIT) take exclusive
 // ownership: they append to / erase from the registry (invalidating
 // entry references readers may hold), mutate entry state (the streamed
@@ -174,8 +176,8 @@ private:
     /// caller must hold the writer lock. Returns whether a collection ran.
     bool collectIfOverWatermarkLocked();
     /// Read-path epilogue: re-check the watermark and, when crossed,
-    /// take the writer lock and collect (VERIFY/BATCH replays intern new
-    /// nodes, so reads can push the pool over the mark too).
+    /// take the writer lock and collect (VERIFY replays intern new nodes,
+    /// so reads can push the pool over the mark too).
     void maybeAutoGc();
 
     ServiceLimits limits_;

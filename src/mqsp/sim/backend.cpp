@@ -4,6 +4,8 @@
 #include "mqsp/sim/simulator.hpp"
 #include "mqsp/support/error.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -144,11 +146,11 @@ const EvalState& liftTarget(const std::shared_ptr<dd::DdSession>& session,
 
 /// Session compute-cache counters, or zeros on a session-less backend.
 dd::ComputeCacheStats cacheCounters(const std::shared_ptr<dd::DdSession>& session) {
-    return session == nullptr ? dd::ComputeCacheStats{} : session->stats().cache;
+    return session == nullptr ? dd::ComputeCacheStats{} : session->store()->computeCache().stats();
 }
 
 std::uint64_t poolNodesOf(const std::shared_ptr<dd::DdSession>& session) {
-    return session == nullptr ? 0 : session->stats().poolNodes;
+    return session == nullptr ? 0 : session->poolNodes();
 }
 
 /// Stamp the session-side observability (dd_nodes, cache deltas since
@@ -219,24 +221,41 @@ VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
 std::vector<VerifyReport>
 EvaluationBackend::verifyBatch(const std::vector<VerifyRequest>& items) const {
     std::vector<VerifyReport> results(items.size());
-    // Grain 1: every item is its own unit of work. With one item (or one
-    // configured thread) this runs inline on the caller — *outside* any
-    // parallel region — so a dense single-item batch still parallelizes its
-    // amplitude walks; with many items the pool workers each take items
-    // whole and the nested kernels run serially on their worker.
-    const std::shared_ptr<dd::DdSession> session = ddSession();
-    const auto runItem = [&](std::uint64_t begin, std::uint64_t end) {
-        for (std::uint64_t i = begin; i < end; ++i) {
-            results[i] =
-                verifyItem(*this, session, items[i], "verifyBatch: null circuit or target");
-        }
-    };
     // Pin the process width to this backend's configuration for the whole
     // batch: a 1-thread backend runs items (and their kernels) serially, a
-    // 4-thread one fans the items out 4-wide.
+    // 4-thread one runs four tasks.
     const parallel::ScopedThreadCount scope(executionConfig().threads);
-    parallel::parallelFor(std::uint64_t{0}, items.size(), 1, runItem);
+    // Each task claims items from one cursor until none is left, and each
+    // item replays on the worker lent to it alone. With one task (one item
+    // or one thread) this runs inline on the caller — *outside* any
+    // parallel region — so a dense single-item batch still parallelizes its
+    // amplitude walks; with more, the nested kernels run serially on their
+    // pool worker.
+    std::atomic<std::size_t> cursor{0};
+    const auto runTasks = [&](std::uint64_t /*begin*/, std::uint64_t /*end*/) {
+        for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < items.size();
+             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+            std::shared_ptr<const EvaluationBackend> worker;
+            try {
+                worker = batchWorker();
+            } catch (const std::exception& error) {
+                // No worker could be lent (out of memory): like a throw
+                // inside verifyItem, this item's failure alone.
+                results[i].failed = true;
+                results[i].error = error.what();
+                continue;
+            }
+            results[i] = verifyItem(*worker, worker->ddSession(), items[i],
+                                    "verifyBatch: null circuit or target");
+        }
+    };
+    const std::uint64_t tasks = std::min<std::uint64_t>(parallel::globalThreads(), items.size());
+    parallel::parallelFor(std::uint64_t{0}, tasks, 1, runTasks);
     return results;
+}
+
+std::shared_ptr<const EvaluationBackend> EvaluationBackend::batchWorker() const {
+    return {std::shared_ptr<const EvaluationBackend>{}, this};
 }
 
 VerifyReport EvaluationBackend::verifyStream(OperationSource& source,
@@ -376,6 +395,34 @@ DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
       session_(std::make_shared<dd::DdSession>(tolerance)),
       operatorStore_(std::make_shared<dd::DdNodeStore>(tolerance)) {}
 
+std::shared_ptr<const EvaluationBackend> DdBackend::batchWorker() const {
+    std::unique_ptr<DdBackend> worker;
+    {
+        const std::lock_guard<std::mutex> lock(workersMutex_);
+        if (!idleWorkers_.empty()) {
+            worker = std::move(idleWorkers_.back());
+            idleWorkers_.pop_back();
+        }
+    }
+    // An idle worker was emptied when it came back; a new one starts empty.
+    if (worker == nullptr) {
+        worker = std::make_unique<DdBackend>(session_->tolerance(), executionConfig());
+    }
+    return {worker.release(), [this](DdBackend* lent) { returnWorker(lent); }};
+}
+
+void DdBackend::returnWorker(DdBackend* lent) const noexcept {
+    std::unique_ptr<DdBackend> worker(lent);
+    try {
+        worker->session_->garbageCollect({});
+        const std::lock_guard<std::mutex> lock(workersMutex_);
+        idleWorkers_.push_back(std::move(worker));
+    } catch (...) {
+        // Out of memory: the worker is destroyed, and the next item builds
+        // a new one.
+    }
+}
+
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(DecisionDiagram::zeroState(dims, session_.get()));
 }
@@ -391,7 +438,7 @@ void DdBackend::apply(EvalState& state, const Operation& op) const {
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {
     requireThat(a.radix() == b.radix(), "DdBackend::circuitsEquivalent: registers differ");
     // Both sides compile onto the backend's shared operator store (its
-    // table is sharded, so concurrent batch items intern safely):
+    // table is sharded, so concurrent callers intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
     // short-circuit on root identity.

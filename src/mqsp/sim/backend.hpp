@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -168,12 +169,15 @@ struct VerifyReport {
 /// `verifyBatch`, `verifyStream` and `reverifyAppended`, and in the dense
 /// `circuitsEquivalent` — a 1-thread backend is genuinely single-threaded
 /// whatever the ambient width. Parallelism lives in two places only:
-/// `verifyBatch` fans *independent* items out across the pool workers
-/// (each item's inner kernels then run serially — nested-use refusal), and
-/// the dense backend parallelizes the amplitude walks of its kernels. The
-/// dd backend never splits one item: a diagram of a few thousand nodes is
-/// too little work per gate to pay for the pool, so its single-item calls
-/// run on the calling thread at any width and its fidelities and
+/// `verifyBatch` runs min(width, items) tasks that claim *independent*
+/// items from one cursor (each item's inner kernels then run serially —
+/// nested-use refusal), and the dense backend parallelizes the amplitude
+/// walks of its kernels. Each batch item replays on the backend
+/// `batchWorker` lends it: the backend itself on dense, a worker with a
+/// DD session of its own on dd, so no two items share a uniquing table.
+/// The dd backend never splits one item: a diagram of a few thousand nodes
+/// is too little work per gate to pay for the pool, so its single-item
+/// calls run on the calling thread at any width and its fidelities and
 /// `dd_nodes` cannot depend on the width. (`apply`, the per-operation
 /// primitive, follows the ambient width rather than re-pinning per call:
 /// it is called in tight loops.)
@@ -230,12 +234,16 @@ public:
     /// the report's failed/error instead of propagating.
     [[nodiscard]] VerifyReport verify(const VerifyRequest& request) const;
 
-    /// Replay + verify every item. Items are independent: with more than
-    /// one item and more than one configured thread they run concurrently
-    /// across the pool workers; a single item keeps the whole pool for its
-    /// own kernels. Per-item exceptions land in the item's report. (Cache
-    /// deltas of concurrent items overlap and are reported as observed —
-    /// gate on them only single-threaded.)
+    /// Replay + verify every item. Items are independent: min(width, items)
+    /// tasks claim them from one cursor, so with more than one item and
+    /// more than one configured thread they run concurrently across the
+    /// pool workers; a single item keeps the whole pool for its own
+    /// kernels. Each item runs through `verify`'s body on the backend
+    /// `batchWorker` lends it, so on dd every report — fidelity bits, ops,
+    /// dd_nodes and cache deltas — equals `verify` of that item on a fresh
+    /// DdBackend, at any width and in any item order, and the batch leaves
+    /// this backend's session untouched. Per-item exceptions, a worker that
+    /// cannot be lent included, land in the item's report.
     [[nodiscard]] std::vector<VerifyReport>
     verifyBatch(const std::vector<VerifyRequest>& items) const;
 
@@ -268,6 +276,13 @@ public:
     /// it to build targets on the shared store and to read the
     /// dd_nodes / unique_hit_rate / cache_hit_rate statistics.
     [[nodiscard]] virtual std::shared_ptr<dd::DdSession> ddSession() const { return nullptr; }
+
+protected:
+    /// The backend one `verifyBatch` item replays on, held by that item
+    /// alone until the returned pointer is released. By default this
+    /// backend itself (not owned): a backend without a session shares
+    /// nothing between items. A throw here fails that item only.
+    [[nodiscard]] virtual std::shared_ptr<const EvaluationBackend> batchWorker() const;
 
 private:
     parallel::ExecutionConfig config_;
@@ -303,19 +318,28 @@ private:
 /// Memory model: the backend owns two dd::DdNodeStores for its
 /// whole lifetime — its dd::DdSession's, for states, and one for the
 /// operator diagrams of the equivalence path. Every target, replayed state,
-/// and per-gate intermediate evaluated on this backend allocates through
-/// the session's uniquing table, so identical sub-trees are built once per
-/// backend, repeated verifications hit the session compute cache, and
-/// `ddSession()->stats()` reports the dd_nodes / unique_hit_rate /
-/// cache_hit_rate metrics (operator nodes are not counted there).
+/// and per-gate intermediate of `verify`, `verifyStream` and
+/// `reverifyAppended` allocates through the session's uniquing table, so
+/// identical sub-trees are built once per backend, repeated verifications
+/// hit the session compute cache, and `ddSession()->stats()` reports the
+/// dd_nodes / unique_hit_rate / cache_hit_rate metrics (operator nodes are
+/// not counted there).
+///
+/// Batch items do not touch that session. Each replays on a worker
+/// DdBackend with a session of its own, lent from an idle list the backend
+/// keeps (under a mutex) across batches. A worker's session is emptied
+/// when the worker comes back, and a new worker starts empty, so every item
+/// starts from the state of a fresh backend and its report equals `verify`
+/// on one, bit for bit, whatever the width and the item order. Idle workers
+/// hold no nodes; they keep their cache array and their table's slot
+/// capacity, so the next batch does not build them again.
 ///
 /// Concurrency: both stores' uniquing tables are sharded and the session's
-/// compute cache striped (dd/unique_table.hpp), so batch items fanned out
-/// by `verifyBatch` intern into these shared stores from every worker —
-/// cross-item sharing is exactly where the table pays most. The distinct
-/// structural key set (dd_nodes) is invariant under thread count and item
-/// order; cache hit rates of concurrent batches depend on the interleaving
-/// and are reported as observed.
+/// compute cache striped (dd/unique_table.hpp), so concurrent `verify`
+/// calls (serve readers) may intern into the shared session. The distinct
+/// structural key set (dd_nodes) is a function of the work; which of two
+/// bucket-equal weights a key keeps depends on who interned it first, so
+/// the bits of later results depend on the order of earlier calls.
 class DdBackend final : public EvaluationBackend {
 public:
     explicit DdBackend(double tolerance = Tolerance::kDefault);
@@ -335,9 +359,21 @@ public:
         return session_;
     }
 
+protected:
+    /// An idle worker, or a new one at this backend's tolerance and
+    /// configuration, on an empty session; releasing the pointer empties
+    /// the session and returns the worker to the idle list.
+    [[nodiscard]] std::shared_ptr<const EvaluationBackend> batchWorker() const override;
+
 private:
+    /// Empty `worker`'s session and keep it for the next item; a worker
+    /// that cannot be emptied or kept is destroyed instead.
+    void returnWorker(DdBackend* worker) const noexcept;
+
     std::shared_ptr<dd::DdSession> session_;
     std::shared_ptr<dd::DdNodeStore> operatorStore_;
+    mutable std::mutex workersMutex_; ///< guards idleWorkers_
+    mutable std::vector<std::unique_ptr<DdBackend>> idleWorkers_;
 };
 
 /// Factory for a backend of the given kind (process-wide ExecutionConfig).

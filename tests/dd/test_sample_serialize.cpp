@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <ios>
 #include <sstream>
 #include <string>
 
@@ -130,6 +132,61 @@ TEST(DDSerialize, RoundTripsTheEmptyDiagram) {
     EXPECT_EQ(parsed.dimensions(), (Dimensions{2, 3}));
 }
 
+/// Lines of `text` that start with `prefix`.
+std::size_t linesStartingWith(const std::string& text, const std::string& prefix) {
+    std::istringstream lines(text);
+    std::size_t count = 0;
+    for (std::string line; std::getline(lines, line);) {
+        count += line.rfind(prefix, 0) == 0 ? 1 : 0;
+    }
+    return count;
+}
+
+TEST(DDSerialize, RoundTripsAFinerToleranceByteForByte) {
+    // Two leaf pairs 2e-12 apart: distinct nodes at tolerance 1e-13, one
+    // node at the default 1e-10. The text names its tolerance, so the parse
+    // keeps them apart and writes the same bytes.
+    const StateVector state({2, 2}, {Complex{0.5, 0.0}, Complex{0.5, 0.0},
+                                     Complex{0.5 + 1e-12, 0.0}, Complex{0.5 - 1e-12, 0.0}});
+    const DecisionDiagram fine = DecisionDiagram::fromStateVector(state, 1e-13);
+    std::stringstream stream;
+    fine.serialize(stream);
+    const std::string text = stream.str();
+    EXPECT_EQ(linesStartingWith(text, "node "), 3U);
+    EXPECT_EQ(linesStartingWith(text, "tolerance "), 1U);
+    EXPECT_NE(text.find("dims 2 2\ntolerance "), std::string::npos) << text;
+
+    const DecisionDiagram parsed = DecisionDiagram::deserialize(stream);
+    EXPECT_EQ(parsed.checkInvariants(), "");
+    std::ostringstream again;
+    parsed.serialize(again);
+    EXPECT_EQ(again.str(), text);
+
+    // The default tolerance writes no tolerance line.
+    std::ostringstream coarse;
+    DecisionDiagram::fromStateVector(state).serialize(coarse);
+    EXPECT_EQ(linesStartingWith(coarse.str(), "tolerance"), 0U);
+    EXPECT_EQ(linesStartingWith(coarse.str(), "node "), 2U);
+}
+
+TEST(DDSerialize, KeepsTheCallersStreamFormatting) {
+    Rng rng(5);
+    const DecisionDiagram dd = DecisionDiagram::fromStateVector(states::random({3, 2}, rng));
+    std::ostringstream plain;
+    dd.serialize(plain);
+    EXPECT_EQ(plain.precision(), 6);
+
+    // A caller's fixed notation and precision neither leak into the text
+    // nor get lost to it.
+    std::ostringstream formatted;
+    formatted << std::fixed << std::setprecision(3) << std::showpos;
+    const std::ios_base::fmtflags flags = formatted.flags();
+    dd.serialize(formatted);
+    EXPECT_EQ(formatted.str(), plain.str());
+    EXPECT_EQ(formatted.precision(), 3);
+    EXPECT_EQ(formatted.flags(), flags);
+}
+
 TEST(DDSerialize, RejectsMalformedInput) {
     {
         std::stringstream stream("garbage\n");
@@ -192,6 +249,37 @@ TEST(DDSerialize, RejectsMalformedInput) {
         std::stringstream stream(text);
         EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError) << text;
     }
+    // Hostile tolerance lines: a value that is not finite, whole and at
+    // least 1e-15, a second tolerance line, and one before the dims line.
+    for (const char* text : {
+             "mqsp-dd v1\ndims 2\ntolerance 0\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance -1e-10\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance nan\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance inf\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance 1e-16\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance 1e-13x\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ndims 2\ntolerance 1e-13\ntolerance 1e-13\nroot - 0 0\nend\n",
+             "mqsp-dd v1\ntolerance 1e-13\ndims 2\nroot - 0 0\nend\n",
+         }) {
+        std::stringstream stream(text);
+        EXPECT_THROW((void)DecisionDiagram::deserialize(stream), InvalidArgumentError) << text;
+    }
+    // At 1e-300 the weight buckets overflow and the two leaf lines, 0.6/0.8
+    // and 0.8/0.6, would intern as one node; at the finest accepted
+    // tolerance they stay two.
+    const auto leaves = [](const std::string& tolerance) {
+        return "mqsp-dd v1\ndims 2 2\ntolerance " + tolerance +
+               "\nroot 3 1 0\nnode 1 1 2 0 0.6 0 0 0 0.8 0 0\nnode 2 1 2 0 0.8 0 0 0 0.6 0 0\n"
+               "node 3 0 2 1 0.6 0 0 2 0.8 0 0\nend\n";
+    };
+    std::stringstream overflowing(leaves("1e-300"));
+    EXPECT_THROW((void)DecisionDiagram::deserialize(overflowing), InvalidArgumentError);
+    std::stringstream finest(leaves("1e-15"));
+    const DecisionDiagram parsed = DecisionDiagram::deserialize(finest);
+    EXPECT_EQ(parsed.checkInvariants(), "");
+    std::ostringstream again;
+    parsed.serialize(again);
+    EXPECT_EQ(linesStartingWith(again.str(), "node "), 3U) << again.str();
 }
 
 } // namespace

@@ -411,19 +411,19 @@ TEST(ThreadDeterminism, TouchedWalkRejectsOutOfRangeControlQudit) {
     expectBitIdentical(state, before, "rejected gates leave the state untouched");
 }
 
-// --- shared-session batch determinism ---------------------------------------
+// --- batch determinism beside a populated session ----------------------------
 //
-// `DdBackend::verifyBatch` fans items out across the pool while
-// every item interns into the backend's one shared DdSession. The sharded
-// uniquing table guarantees the set of distinct node keys — and therefore
-// the final `dd_nodes` — is a function of the work alone, not of the thread
-// count or the interleaving; fidelities are bit-identical because every
-// node key carries bit-equal weights no matter which thread interned it.
+// `DdBackend::verifyBatch` fans items out across the pool, each item on a
+// worker session of its own, while the backend's session holds diagrams
+// built before the batch. The batch adds nothing to that session, so its
+// `dd_nodes` is a function of the work alone, and every fidelity is
+// bit-identical at any thread count and item order.
 //
 // The families are curated so no two distinct targets produce bucketed-
 // equal-but-bit-different weights on a shared key (e.g. a ghz 1/sqrt(2)
-// racing a cyclic sqrt(0.5) into the same bucket would make "who interns
-// first" observable in the last ulp).
+// against a cyclic sqrt(0.5)), the case where a shared session would make
+// "who interns first" observable in the last ulp; the SessionApplyFixture
+// batch below pins the items that do.
 
 struct SharedSessionFixture {
     std::vector<StateVector> denseTargets;
@@ -447,10 +447,9 @@ struct SharedSessionFixture {
     }
 };
 
-/// Run the fixture's batch on a fresh backend pinned to `threads`; also
-/// build the cyclic and dicke targets as session diagrams first, so the
-/// level-synchronous builders contribute to the session's node
-/// population at every thread count.
+/// Run the fixture's batch on a fresh backend pinned to `threads`, after
+/// building the cyclic and dicke targets as session diagrams, so the
+/// session holds nodes the batch must leave as they are.
 struct SharedSessionRun {
     std::vector<double> fidelities;
     std::uint64_t poolNodes = 0;
@@ -634,6 +633,61 @@ TEST(SessionApplyDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
     reversed.expectSameBits(forward, "reversed order");
     EXPECT_EQ(reversed.poolNodes, forward.poolNodes);
 }
+
+// The same eleven items as one batch. Sequential calls on one session let
+// item order fix which of two bucket-equal weights a key keeps (the test
+// above); batch items each replay on an emptied worker session, so every
+// fidelity keeps its bits at any width and in any order.
+TEST(SessionApplyDeterminism, BatchFidelitiesBitIdenticalAcrossWidthsAndOrders) {
+    const SessionApplyFixture fixture;
+    std::vector<EvalState> targets;
+    targets.reserve(fixture.denseTargets.size());
+    for (const StateVector& target : fixture.denseTargets) {
+        targets.emplace_back(target);
+    }
+    ASSERT_EQ(targets.size(), 11U);
+    /// Fidelities of one batch over the items in `order`, re-indexed to the
+    /// fixture order.
+    const auto runBatch = [&](unsigned threads, const std::vector<std::size_t>& order) {
+        std::vector<VerifyRequest> items;
+        for (const std::size_t i : order) {
+            items.push_back({&fixture.circuits[i], &targets[i]});
+        }
+        const DdBackend backend(Tolerance::kDefault, parallel::ExecutionConfig{threads});
+        const std::vector<VerifyReport> reports = backend.verifyBatch(items);
+        std::vector<double> fidelities(order.size(), 0.0);
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            EXPECT_FALSE(reports[k].failed) << reports[k].error;
+            fidelities[order[k]] = reports[k].fidelity;
+        }
+        return fidelities;
+    };
+
+    std::vector<std::size_t> forward(targets.size());
+    for (std::size_t i = 0; i < forward.size(); ++i) {
+        forward[i] = i;
+    }
+    std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+    std::vector<std::size_t> rotated = forward;
+    std::rotate(rotated.begin(), rotated.begin() + 5, rotated.end());
+
+    const std::vector<double> baseline = runBatch(1, forward);
+    for (const double fidelity : baseline) {
+        EXPECT_NEAR(fidelity, 1.0, 1e-9);
+    }
+    for (const unsigned threads : {1U, 2U, 4U, 7U}) {
+        for (const auto& [label, order] :
+             {std::pair{"forward", forward}, std::pair{"reversed", reversed},
+              std::pair{"rotated by 5", rotated}}) {
+            const std::vector<double> run = runBatch(threads, order);
+            for (std::size_t i = 0; i < run.size(); ++i) {
+                EXPECT_EQ(run[i], baseline[i])
+                    << "item " << i << ", " << label << " at " << threads << " threads";
+            }
+        }
+    }
+}
+
 
 } // namespace
 } // namespace mqsp

@@ -96,6 +96,24 @@ TEST(ServeService, BatchDropAndStatsCounters) {
     EXPECT_EQ(field(ok(service, "PREP:GHZ --dims 2,2"), "id"), "4");
 }
 
+TEST(ServeService, BatchLeavesTheSessionUntouched) {
+    // BATCH items replay on worker sessions of their own, so the session
+    // STATS? reports on — its pool and its table and cache counters — reads
+    // the same before and after; only the verified count moves.
+    VerificationService service;
+    ok(service, "PREP:GHZ --dims 3,6,2");
+    ok(service, "PREP:RANDOM --dims 3,4,2 --seed 7");
+    ok(service, "GC");
+    const std::string before = ok(service, "STATS?");
+    EXPECT_EQ(field(ok(service, "BATCH"), "items"), "2");
+    EXPECT_EQ(field(ok(service, "BATCH"), "items"), "2");
+    const std::string after = ok(service, "STATS?");
+    for (const char* key : {"dd_nodes", "cache_hits", "unique_hit_rate", "cache_hit_rate"}) {
+        EXPECT_EQ(field(after, key), field(before, key)) << key;
+    }
+    EXPECT_EQ(uintField(after, "verified"), uintField(before, "verified") + 4);
+}
+
 TEST(ServeService, GcCompactsToLiveRootsAndVerificationSurvives) {
     VerificationService service;
     ok(service, "PREP:GHZ --dims 3,6,2");

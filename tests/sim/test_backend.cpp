@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,36 @@ struct BatchFixture {
     }
 };
 
+/// A dense backend, on the primitives alone, whose every second
+/// `batchWorker` lend throws, as a worker that cannot be built for want of
+/// memory would.
+class FailingLendBackend final : public EvaluationBackend {
+public:
+    explicit FailingLendBackend(parallel::ExecutionConfig config) : EvaluationBackend(config) {}
+    [[nodiscard]] BackendKind kind() const noexcept override { return BackendKind::Dense; }
+    [[nodiscard]] EvalState zeroState(const Dimensions& dims) const override {
+        return EvalState(StateVector(dims));
+    }
+    void apply(EvalState& state, const Operation& op) const override {
+        Simulator::apply(state.dense(), op);
+    }
+    [[nodiscard]] bool circuitsEquivalent(const Circuit& /*a*/, const Circuit& /*b*/,
+                                          double /*tol*/) const override {
+        return false;
+    }
+
+protected:
+    [[nodiscard]] std::shared_ptr<const EvaluationBackend> batchWorker() const override {
+        if (lends.fetch_add(1, std::memory_order_relaxed) % 2 == 1) {
+            throw std::bad_alloc();
+        }
+        return EvaluationBackend::batchWorker();
+    }
+
+private:
+    mutable std::atomic<std::uint64_t> lends{0};
+};
+
 class BatchVerify : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BatchVerify, AllItemsVerifyOnBothBackends) {
@@ -382,20 +413,62 @@ TEST_P(BatchVerify, PerItemFailureDoesNotAbortSiblings) {
     }
 }
 
+TEST_P(BatchVerify, AWorkerThatCannotBeLentFailsOnlyItsItem) {
+    const BatchFixture fixture;
+    const FailingLendBackend backend(parallel::ExecutionConfig{GetParam()});
+    std::vector<VerifyReport> results;
+    ASSERT_NO_THROW(results = backend.verifyBatch(fixture.items));
+    ASSERT_EQ(results.size(), fixture.items.size());
+    std::size_t failed = 0;
+    for (const auto& result : results) {
+        if (result.failed) {
+            ++failed;
+            EXPECT_FALSE(result.error.empty());
+        } else {
+            EXPECT_NEAR(result.fidelity, 1.0, 1e-9);
+        }
+    }
+    EXPECT_EQ(failed, fixture.items.size() / 2);
+}
+
 TEST_P(BatchVerify, EmptyBatchIsANoOp) {
     const ScopedThreads scope(GetParam());
     EXPECT_TRUE(DenseBackend().verifyBatch({}).empty());
 }
 
-TEST_P(BatchVerify, RepeatedItemsResolveFromTheSharedSessionCache) {
-    // All batch items of a DdBackend intern into the backend's one shared
-    // DdSession (there is no per-item escape hatch), so a repeated item is
-    // served by session state the first run left behind: its nodes hit in
-    // the uniquing table instead of allocating, and its overlap traversal
-    // hits the session compute cache. An exactly-reproduced target resolves
-    // by root identity before the compute cache is even consulted, so the
-    // batch includes a mismatched (fidelity < 1) pair whose overlap must
-    // descend — that descent is what the cache persists across calls.
+/// Every field `verify` reports for a DD item, fidelity by bit pattern.
+void expectSameReport(const VerifyReport& actual, const VerifyReport& expected,
+                      const std::string& label) {
+    EXPECT_FALSE(actual.failed) << label << ": " << actual.error;
+    EXPECT_EQ(actual.fidelity, expected.fidelity) << label;
+    EXPECT_EQ(actual.ops, expected.ops) << label;
+    EXPECT_EQ(actual.ddNodes, expected.ddNodes) << label;
+    EXPECT_EQ(actual.cacheLookups, expected.cacheLookups) << label;
+    EXPECT_EQ(actual.cacheHits, expected.cacheHits) << label;
+}
+
+/// Pool, uniquing-table and compute-cache counters of one session.
+void expectSameStats(const dd::DdSessionStats& actual, const dd::DdSessionStats& expected) {
+    EXPECT_EQ(actual.poolNodes, expected.poolNodes);
+    EXPECT_EQ(actual.unique.lookups, expected.unique.lookups);
+    EXPECT_EQ(actual.unique.hits, expected.unique.hits);
+    EXPECT_EQ(actual.unique.misses, expected.unique.misses);
+    EXPECT_EQ(actual.unique.probeSteps, expected.unique.probeSteps);
+    EXPECT_EQ(actual.unique.grows, expected.unique.grows);
+    EXPECT_EQ(actual.cache.lookups, expected.cache.lookups);
+    EXPECT_EQ(actual.cache.hits, expected.cache.hits);
+    EXPECT_EQ(actual.cache.misses, expected.cache.misses);
+    EXPECT_EQ(actual.cache.evictions, expected.cache.evictions);
+}
+
+TEST_P(BatchVerify, ItemsReplayOnWorkerSessionsLikeAFreshBackend) {
+    // Each batch item of a DdBackend replays on an empty worker session of
+    // its own, so its report is that of `verify` on a fresh backend —
+    // whatever ran before it, on this backend or in the batch — and the
+    // backend's own session never sees the batch. The batch includes a
+    // mismatched (fidelity < 1) pair, whose overlap must descend through
+    // the compute cache instead of resolving by root identity, so the cache
+    // deltas compared below are not all zero.
     const Dimensions dims{3, 4, 2};
     const StateVector ghz = states::ghz(dims);
     const auto prep = prepareExact(ghz);
@@ -404,27 +477,28 @@ TEST_P(BatchVerify, RepeatedItemsResolveFromTheSharedSessionCache) {
     const DdBackend backend(Tolerance::kDefault, parallel::ExecutionConfig{GetParam()});
     const std::vector<VerifyRequest> items = {{&prep.circuit, &ghzTarget},
                                                 {&prep.circuit, &wTarget}};
+    std::vector<VerifyReport> fresh;
+    for (const VerifyRequest& item : items) {
+        fresh.push_back(DdBackend(Tolerance::kDefault, parallel::ExecutionConfig{1}).verify(item));
+    }
+    EXPECT_NEAR(fresh[0].fidelity, 1.0, 1e-9);
+    EXPECT_LT(fresh[1].fidelity, 0.5); // |<w|ghz>|^2 — genuinely mismatched
+    EXPECT_GT(fresh[1].cacheLookups, 0U);
+
+    // Give the backend's session a history the batch must not touch.
+    (void)backend.verify(items[1]);
+    const dd::DdSessionStats before = backend.ddSession()->stats();
 
     const auto first = backend.verifyBatch(items);
-    ASSERT_EQ(first.size(), items.size());
-    EXPECT_NEAR(first[0].fidelity, 1.0, 1e-9);
-    EXPECT_LT(first[1].fidelity, 0.5); // |<w|ghz>|^2 — genuinely mismatched
-    const std::uint64_t poolAfterFirst = backend.ddSession()->stats().poolNodes;
-
-    // Replay the whole batch on the same backend: every node re-resolves
-    // from the shared table (no growth), the mismatched overlap resolves
-    // from the compute cache, and the fidelities come out bit-identical.
     const auto second = backend.verifyBatch(items);
+    ASSERT_EQ(first.size(), items.size());
     ASSERT_EQ(second.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
-        EXPECT_FALSE(second[i].failed) << second[i].error;
-        EXPECT_EQ(second[i].fidelity, first[i].fidelity) << "item " << i;
+        const std::string item = "item " + std::to_string(i);
+        expectSameReport(first[i], fresh[i], item + ", first batch");
+        expectSameReport(second[i], first[i], item + ", second batch");
     }
-    const dd::DdSessionStats stats = backend.ddSession()->stats();
-    EXPECT_EQ(stats.poolNodes, poolAfterFirst);
-    EXPECT_GT(stats.unique.hits, 0U);
-    EXPECT_GT(stats.cache.hits, 0U);
-    EXPECT_GT(stats.cacheHitRate(), 0.0);
+    expectSameStats(backend.ddSession()->stats(), before);
 }
 
 /// "t<threads>" row labels (built without operator+ folding, which trips a
